@@ -3,8 +3,8 @@ verification, the scale conjecture and the symmetric-lemma certification.
 
 Exit codes: 0 all expected-pass checks passed, 1 unexpected verification
 failure, 2 usage error.  Every number is serialized as a decimal string
-(values routinely exceed native number ranges in report consumers), and a
-fixed RunConfig yields byte-identical output.
+(values routinely exceed native number ranges in report consumers), and
+equal arguments yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,44 +13,10 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import derivation, identity_catalog, symmetric_identities
 from .sequences import TriboSeq
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output bytes: two runs with an
-    equal RunConfig (and equal positional arguments) emit identical
-    reports."""
-
-    command: str
-    fmt: str = "text"
-    out: str | None = None
-    seed: int = identity_catalog.DEFAULT_SEED
-    nmax: int | None = None
-    mmax: int | None = None
-    replicate_paper: bool = False
-    verbosity: int = 0
-    draws: int = 20
-    grid: int = 6
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        fmt=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", identity_catalog.DEFAULT_SEED),
-        nmax=getattr(args, "nmax", None),
-        mmax=getattr(args, "mmax", None),
-        replicate_paper=getattr(args, "replicate_paper", False),
-        verbosity=getattr(args, "verbose", 0),
-        draws=getattr(args, "draws", 20),
-        grid=getattr(args, "grid", 6),
-    )
 
 
 class UsageError(Exception):
@@ -58,22 +24,22 @@ class UsageError(Exception):
 
 
 def _parse_triple(raw: str) -> tuple[int, int, int]:
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"triple must be three comma-separated integers, got {raw!r}")
     try:
-        s0, s1, s2 = (int(p.strip()) for p in parts)
+        s0, s1, s2 = (int(p) for p in raw.split(","))
     except ValueError:
         raise UsageError(f"triple must be three comma-separated integers, got {raw!r}")
     return (s0, s1, s2)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out is None:
+def _emit(text: str, args) -> None:
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}")
 
 
 def _json_doc(obj) -> str:
@@ -92,23 +58,18 @@ def _scale_str(value: Fraction) -> str:
 
 # -- seq ---------------------------------------------------------------------
 
-def _cmd_seq(args, cfg: RunConfig) -> int:
-    try:
-        triple = _parse_triple(args.triple)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_seq(args) -> int:
+    triple = _parse_triple(args.triple)
     if args.count < 1:
-        print("error: count must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("count must be >= 1")
     terms = [str(v) for v in TriboSeq(*triple).terms(args.count)]
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = _json_doc({"triple": [str(v) for v in triple], "terms": terms})
-    elif cfg.fmt == "tsv":
+    elif args.format == "tsv":
         doc = _tsv_doc(["k", "term"], [[str(k), t] for k, t in enumerate(terms)])
     else:
         doc = " ".join(terms) + "\n"
-    _emit(doc, cfg)
+    _emit(doc, args)
     return 0
 
 
@@ -117,21 +78,16 @@ def _cmd_seq(args, cfg: RunConfig) -> int:
 _FAMILIES = {kind.value: kind for kind in derivation.FamilyKind}
 
 
-def _cmd_derive(args, cfg: RunConfig) -> int:
+def _cmd_derive(args) -> int:
     kind = _FAMILIES.get(args.family)
     if kind is None:
-        print(
-            f"error: unknown family {args.family!r} "
-            f"(choose from {', '.join(sorted(_FAMILIES))})",
-            file=sys.stderr,
+        raise UsageError(
+            f"unknown family {args.family!r} (choose from {', '.join(sorted(_FAMILIES))})"
         )
-        return 2
     if args.n_max < 1:
-        print("error: n_max must be >= 1", file=sys.stderr)
-        return 2
-    if cfg.replicate_paper and kind not in derivation.REPLICABLE_KINDS:
-        print(f"error: no printed recursion to replicate for {args.family}", file=sys.stderr)
-        return 2
+        raise UsageError("n_max must be >= 1")
+    if args.replicate_paper and kind not in derivation.REPLICABLE_KINDS:
+        raise UsageError(f"no printed recursion to replicate for {args.family}")
     rows = []
     for n in range(1, args.n_max + 1):
         scaled = derivation.derive(derivation.PowerFamily(kind, n))
@@ -142,7 +98,7 @@ def _cmd_derive(args, cfg: RunConfig) -> int:
         }
         if not scaled.integral:
             row["note"] = "non-integral scale"
-        if cfg.replicate_paper and n >= 2:
+        if args.replicate_paper and n >= 2:
             result = derivation.derive_paper_recursive(derivation.PowerFamily(kind, n))
             if result.recursive is None:
                 row["replicated"] = None
@@ -155,16 +111,16 @@ def _cmd_derive(args, cfg: RunConfig) -> int:
                 }
                 row["match"] = "true" if result.match else "false"
         rows.append(row)
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = _json_doc({"family": args.family, "rows": rows})
-    elif cfg.fmt == "tsv":
+    elif args.format == "tsv":
         header = ["n", "A", "s0", "s1", "s2"]
-        if cfg.replicate_paper:
+        if args.replicate_paper:
             header += ["A_replicated", "r0", "r1", "r2", "match"]
         body = []
         for row in rows:
             line = [row["n"], row["A"], *row["triple"]]
-            if cfg.replicate_paper:
+            if args.replicate_paper:
                 rep = row.get("replicated")
                 if rep:
                     line += [rep["A"], *rep["triple"], row["match"]]
@@ -186,7 +142,7 @@ def _cmd_derive(args, cfg: RunConfig) -> int:
                 text += f"  [{row['note']}]"
             lines.append(text)
         doc = "\n".join(lines) + "\n"
-    _emit(doc, cfg)
+    _emit(doc, args)
     return 0
 
 
@@ -225,38 +181,35 @@ def _verify_tsv(suite_dict: dict) -> str:
     return _tsv_doc(header, rows)
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     if args.identity == "all":
-        if cfg.nmax is not None or cfg.mmax is not None:
-            print("error: --nmax/--mmax apply to a single identity, not 'all'", file=sys.stderr)
-            return 2
-        suite = identity_catalog.verify_all(seed=cfg.seed)
+        if args.nmax is not None or args.mmax is not None:
+            raise UsageError("--nmax/--mmax apply to a single identity, not 'all'")
+        suite = identity_catalog.verify_all(seed=args.seed)
     else:
         try:
             report = identity_catalog.verify(
-                args.identity, nmax=cfg.nmax, mmax=cfg.mmax, seed=cfg.seed
+                args.identity, nmax=args.nmax, mmax=args.mmax, seed=args.seed
             )
-        except (identity_catalog.UnknownIdentity, identity_catalog.RangeTooLarge) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        suite = identity_catalog.SuiteReport(seed=cfg.seed, reports=[report])
+        except identity_catalog.CatalogError as exc:
+            raise UsageError(str(exc))
+        suite = identity_catalog.SuiteReport(seed=args.seed, reports=[report])
     doc_dict = suite.to_dict()
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = _json_doc(doc_dict)
-    elif cfg.fmt == "tsv":
+    elif args.format == "tsv":
         doc = _verify_tsv(doc_dict)
     else:
-        doc = _verify_text(doc_dict, cfg.verbosity)
-    _emit(doc, cfg)
+        doc = _verify_text(doc_dict, args.verbose)
+    _emit(doc, args)
     return 0 if suite.verdict == "pass" else 1
 
 
 # -- conjecture ----------------------------------------------------------------
 
-def _cmd_conjecture(args, cfg: RunConfig) -> int:
+def _cmd_conjecture(args) -> int:
     if args.n_max < 1:
-        print("error: N must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("N must be >= 1")
     report = derivation.conjecture_check(args.n_max)
     rows = [
         {
@@ -268,9 +221,9 @@ def _cmd_conjecture(args, cfg: RunConfig) -> int:
         for row in report.rows
     ]
     verdict = "all-equal" if report.all_equal else "counterexample-found"
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = _json_doc({"rows": rows, "verdict": verdict})
-    elif cfg.fmt == "tsv":
+    elif args.format == "tsv":
         doc = _tsv_doc(
             ["n", "cpower_scale_2n", "cofactor_scale_n", "equal"],
             [[r["n"], r["cpower_scale_2n"], r["cofactor_scale_n"], r["equal"]] for r in rows],
@@ -282,33 +235,32 @@ def _cmd_conjecture(args, cfg: RunConfig) -> int:
         ]
         lines.append(f"verdict: {verdict}")
         doc = "\n".join(lines) + "\n"
-    _emit(doc, cfg)
+    _emit(doc, args)
     return 0 if report.all_equal else 1
 
 
 # -- symcheck -------------------------------------------------------------------
 
-def _cmd_symcheck(args, cfg: RunConfig) -> int:
-    if cfg.grid < 6:
-        print("error: grid must be >= 6 (degree+1 certifies each family)", file=sys.stderr)
-        return 2
+def _cmd_symcheck(args) -> int:
+    if args.grid < 6:
+        raise UsageError("grid must be >= 6 (degree+1 certifies each family)")
     rows = []
     all_ok = True
     for degree in (3, 4, 5):
-        rng = random.Random(f"{cfg.seed}:sym{degree}")
+        rng = random.Random(f"{args.seed}:sym{degree}")
         ok = all(
             symmetric_identities.verify_sym_identity(
-                degree, symmetric_identities.random_params(degree, rng), cfg.grid
+                degree, symmetric_identities.random_params(degree, rng), args.grid
             )
-            for _ in range(cfg.draws)
+            for _ in range(args.draws)
         )
         all_ok &= ok
-        rows.append({"degree": str(degree), "draws": str(cfg.draws),
-                     "grid": str(cfg.grid), "status": "pass" if ok else "fail"})
-    if cfg.fmt == "json":
-        doc = _json_doc({"seed": str(cfg.seed), "rows": rows,
+        rows.append({"degree": str(degree), "draws": str(args.draws),
+                     "grid": str(args.grid), "status": "pass" if ok else "fail"})
+    if args.format == "json":
+        doc = _json_doc({"seed": str(args.seed), "rows": rows,
                          "verdict": "pass" if all_ok else "fail"})
-    elif cfg.fmt == "tsv":
+    elif args.format == "tsv":
         doc = _tsv_doc(["degree", "draws", "grid", "status"],
                        [[r["degree"], r["draws"], r["grid"], r["status"]] for r in rows])
     else:
@@ -318,7 +270,7 @@ def _cmd_symcheck(args, cfg: RunConfig) -> int:
         ]
         lines.append(f"verdict: {'pass' if all_ok else 'fail'}")
         doc = "\n".join(lines) + "\n"
-    _emit(doc, cfg)
+    _emit(doc, args)
     return 0 if all_ok else 1
 
 
@@ -378,6 +330,9 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values routinely exceed the default int<->str digit limit
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -385,8 +340,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (None, 0) else int(code)
     try:
-        return _DISPATCH[args.command](args, _config_from_args(args))
-    except ValueError as exc:
+        return _DISPATCH[args.command](args)
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -310,37 +310,6 @@ def _min_poly_at(v: Fraction) -> Fraction:
 REAL_ROOT_BRACKET = RootInterval(Fraction(11, 6), Fraction(15, 8))
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b over Q (b nonzero, lists of coefficients)."""
-    r = a[:]
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        for i, coef in enumerate(b):
-            r[shift + i] -= factor * coef
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _vanishes_at_root(q: FieldElement) -> bool:
-    """Exact zero test for q(alpha) via polynomial gcd of the lift with the
-    minimal polynomial.  The minimal polynomial is irreducible over Q, so
-    the gcd is nontrivial exactly when q = 0."""
-    lift = q.lift()
-    if not lift:
-        return True
-    a, b = list(MIN_POLY), lift
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return len(a) > 1
-
-
 def _interval_eval(coeffs: list[Fraction], iv: RootInterval) -> tuple[Fraction, Fraction]:
     """Interval extension of a polynomial over [lower, upper] by Horner."""
     lo = hi = coeffs[-1]
@@ -355,11 +324,13 @@ def sign_at_real_root(q: FieldElement) -> int:
 
     The bracket around the root is refined (with doubling depth) until the
     interval evaluation of q excludes zero; termination is guaranteed
-    because q(alpha) != 0 is established exactly first.
+    because q(alpha) != 0 is established exactly first: elements are
+    reduced modulo the irreducible minimal polynomial, so q(alpha) = 0
+    exactly when q is the zero element.
 
     Raises ZeroAtRoot when q(alpha) = 0 (equivalently q = 0).
     """
-    if _vanishes_at_root(q):
+    if q.is_zero():
         raise ZeroAtRoot("element vanishes at the real root")
     lift = q.lift()
     iv = REAL_ROOT_BRACKET

@@ -13,8 +13,10 @@ breaks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
+from math import prod
 from typing import Callable
 
 from .convolution import (
@@ -38,6 +40,7 @@ from .derivation import (
 )
 from .field import X, c_element, cofactor_element, norm, trace
 from .sequences import ScaledSeq, TriboSeq, binet_check, egf_rational_terms
+from .symmetric_identities import SymParams3, SymParams4, SymParams5, coeffs3, coeffs4, coeffs5
 
 DEFAULT_RANGE_CAP = 2000
 DEFAULT_SEED = 42
@@ -170,10 +173,6 @@ def _ordinary(count: int) -> list[int]:
     return TriboSeq.ordinary().terms(count)
 
 
-def _prefix(triple: tuple[int, int, int], base: int, count: int) -> list[int]:
-    return WeightedSeq(TriboSeq(*triple), base).prefix(count)
-
-
 # -- runners ---------------------------------------------------------------
 
 def _run_p1(ctx: RunContext) -> RunOutcome:
@@ -246,348 +245,143 @@ def _make_lemma_runner(power: int, scale: int, triple: tuple[int, int, int]):
     return run
 
 
-def _run_p3(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    hi = ns[-1]
-    t = _ordinary(hi + 1)
-    t2310 = TriboSeq(2, 3, 10).terms(hi + 1)
-    lhs = multinomial_conv_prefix([t, t], hi)
-    alt = multinomial_conv_prefix([_prefix((-1, 2, 7), -1, hi + 1), [1] * (hi + 1)], hi)
-    checks = [
-        _check(
-            f"n={n}",
-            Fraction(lhs[n]),
-            Fraction(2**n * t2310[n] + 2 * alt[n], 22),
-        )
-        for n in ns
-    ]
-    return RunOutcome(checks=checks)
+# -- binomial convolutions of the c^n family, as term tables ---------------
+#
+# GT_r: the r-fold multinomial convolution of the c^n family equals a
+# rational combination of terms.  A term is a coefficient times the integer
+# multinomial convolution table of its factors, divided by the product of
+# the factor scales.  A factor is (family, base), weighted by base^k: an int
+# j stands for the c^(j*n) family, "cof" for the cofactor^n family, "one"
+# for the constant 1 and "norm" for the constant 1 over the scale
+# 44^n = norm(c)^-n.
+# P3, T2R, T3R and T4R are GT2..GT5 pinned at n = 1; T2, T3 and T4 are the
+# same terms at n = 1 with the coefficients of a symmetric-lemma parameter
+# point.  The printed combinations are not unique (Newton's relations tie
+# the power sums together), so each fold keeps its own table.
+
+C1, ALT, ONE, NORM = (1, 1), ("cof", -1), ("one", 1), ("norm", 1)
+NORM_SCALE = 44
 
 
-def _run_t2(ctx: RunContext) -> RunOutcome:
-    from .symmetric_identities import SymParams3, coeffs3
+@dataclass(frozen=True)
+class FoldTable:
+    """Terms of the r-fold identity, keyed by the paper's letter names.
 
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    hi = ns[-1]
-    d_values = ctx.params_override
-    if d_values is None:
-        d_values = [Fraction(0), Fraction(1)]
-    d_values = [Fraction(v) for v in d_values]
-    t = _ordinary(hi + 1)
-    t335 = TriboSeq(3, 3, 5).terms(hi + 1)
-    lhs = multinomial_conv_prefix([t, t, t], hi)
-    conv_c = multinomial_conv_prefix([_prefix((2, 3, 10), 2, hi + 1), t], hi)
-    conv_d = multinomial_conv_prefix([_prefix((-1, 2, 7), -1, hi + 1), t, [1] * (hi + 1)], hi)
-    checks, params_used = [], []
-    for d in d_values:
-        a, b, c = coeffs3(SymParams3(d))
-        params_used.append({"D": _fstr(d)})
+    printed holds GT_r's literal coefficients; names it omits are zero.
+    sym is the parameter dataclass of the T_(r-1) family: its fields are
+    term names, and coeffs(sym) gives the remaining terms' coefficients in
+    name order.  generic is T_(r-1)'s fixed second default point, or None
+    to draw one at random.
+    """
+
+    r: int
+    terms: dict[str, tuple[tuple, ...]]
+    printed: dict[str, int]
+    sym: type | None = None
+    coeffs: Callable | None = None
+    generic: dict | None = None
+
+
+FOLDS = {
+    2: FoldTable(2, {"A": ((2, 2),), "B": (ALT, ONE)}, {"A": 1, "B": 2}),
+    3: FoldTable(
+        3,
+        {"A": ((3, 3),), "B": (NORM,), "C": ((2, 2), C1), "D": (ALT, C1, ONE)},
+        {"A": -2, "B": 6, "C": 3},
+        SymParams3, coeffs3, {"D": 1},
+    ),
+    4: FoldTable(
+        4,
+        {
+            "A": ((4, 4),), "C": ((3, 3), C1), "D": ((2, 2), (2, 2)),
+            "E": (ALT, (2, 2), ONE), "F": (ALT, ALT, ONE, ONE),
+            "G": ((2, 2), C1, C1), "H": (ALT, C1, C1, ONE), "I": (C1, NORM),
+        },
+        {"A": -6, "C": 4, "D": 3, "I": 12},
+        SymParams4, coeffs4,
+    ),
+    5: FoldTable(
+        5,
+        {
+            "A": ((5, 5),), "B": (ALT, ONE, NORM), "C": ((2, 2), NORM),
+            "D": (C1, C1, NORM), "E": ((4, 4), C1), "H": ((3, 3), (2, 2)),
+            "I": ((3, 3), ALT, ONE), "L": ((3, 3), C1, C1),
+            "N": ((2, 2), (2, 2), C1), "P": (ALT, ALT, C1, ONE, ONE),
+            "Q": ((2, 2), ALT, C1, ONE), "R": ((2, 2), C1, C1, C1),
+            "S": (ALT, C1, C1, C1, ONE),
+        },
+        {"A": -14, "C": 5, "D": 15, "E": 5, "H": 10},
+        SymParams5, coeffs5,
+    ),
+}
+
+
+def _factor(f: tuple, n: int, count: int) -> tuple[list, Fraction]:
+    """Prefix (term k weighted by base^k) and scale of one factor at family index n."""
+    family, base = f
+    if family in ("one", "norm"):
+        return [base**k for k in range(count)], Fraction(NORM_SCALE**n if family == "norm" else 1)
+    scaled = derive(CofactorPower(n) if family == "cof" else CPower(family * n))
+    return WeightedSeq(scaled.sequence(), base).prefix(count), scaled.scale
+
+
+def _fold_checks(fold: FoldTable, n: int, ms: list[int], index: str, points) -> list[Check]:
+    """Checks of fold at family index n for conv indices ms, one block per
+    (label prefix, coefficients) point; the coefficients name the terms."""
+    count = ms[-1] + 1
+    lhs_factors = (C1,) * fold.r
+    names = points[0][1]
+    needed = {f for k in names for f in fold.terms[k]} | set(lhs_factors)
+    factors = {f: _factor(f, n, count) for f in needed}
+
+    def term(fs):
+        seqs = [factors[f][0] for f in fs]
+        table = seqs[0] if len(seqs) == 1 else multinomial_conv_prefix(seqs, count - 1)
+        return table, prod(factors[f][1] for f in fs)
+
+    lhs, lhs_scale = term(lhs_factors)
+    tables = {k: term(fold.terms[k]) for k in names}
+    checks = []
+    for prefix, coeffs in points:
+        weights = [(Fraction(c) / tables[k][1], tables[k][0]) for k, c in coeffs.items()]
+        for m in ms:
+            rhs = sum(w * table[m] for w, table in weights)
+            checks.append(_check(f"{prefix}{index}={m}", Fraction(lhs[m]) / lhs_scale, rhs))
+    return checks
+
+
+def _run_fold(fold: FoldTable, kind: str, ctx: RunContext) -> RunOutcome:
+    """The one evaluator of the fold tables: kind "GT" runs GT_r over (n, m),
+    "pinned" its printed row at n = 1 over index n, and "family" T_(r-1)."""
+    if kind == "GT":
+        ns, ms = list(ctx.span("n")), list(ctx.span("m"))
+        if not ns or not ms:
+            return RunOutcome()
+        checks = []
         for n in ns:
-            rhs = (
-                a * 3**n * t335[n] / 44 + b / 44
-                + c * conv_c[n] / 22 + d * conv_d[n] / 22
-            )
-            checks.append(_check(f"D={_fstr(d)},n={n}", Fraction(lhs[n]), rhs))
-    return RunOutcome(checks=checks, params_used=params_used)
-
-
-def _run_t2r(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
+            checks += _fold_checks(fold, n, ms, "m", [(f"n={n},", fold.printed)])
+        return RunOutcome(checks=checks)
+    ms = list(ctx.span("n"))
+    if not ms:
         return RunOutcome()
-    hi = ns[-1]
-    t = _ordinary(hi + 1)
-    t335 = TriboSeq(3, 3, 5).terms(hi + 1)
-    lhs = multinomial_conv_prefix([t, t, t], hi)
-    conv_c = multinomial_conv_prefix([_prefix((2, 3, 10), 2, hi + 1), t], hi)
-    checks = [
-        _check(
-            f"n={n}",
-            Fraction(lhs[n]),
-            Fraction(3 * conv_c[n] - 3**n * t335[n] + 3, 22),
-        )
-        for n in ns
-    ]
-    return RunOutcome(checks=checks)
-
-
-def _t3_tables(hi: int) -> dict[str, list]:
-    t = _ordinary(hi + 1)
-    ones = [1] * (hi + 1)
-    w2310 = _prefix((2, 3, 10), 2, hi + 1)
-    w127 = _prefix((-1, 2, 7), -1, hi + 1)
-    w335 = _prefix((3, 3, 5), 3, hi + 1)
-    return {
-        "t21421": TriboSeq(2, 14, 21).terms(hi + 1),
-        "lhs": multinomial_conv_prefix([t, t, t, t], hi),
-        "C": multinomial_conv_prefix([w335, t], hi),
-        "D": multinomial_conv_prefix([w2310, w2310], hi),
-        "E": multinomial_conv_prefix([w127, w2310, ones], hi),
-        "F": multinomial_conv_prefix([w127, w127, ones, ones], hi),
-        "G": multinomial_conv_prefix([w2310, t, t], hi),
-        "H": multinomial_conv_prefix([w127, t, t, ones], hi),
-        "I": multinomial_conv_prefix([t, ones], hi),
-    }
-
-
-def _run_t3(ctx: RunContext) -> RunOutcome:
-    from .symmetric_identities import SymParams4, coeffs4
-
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    tab = _t3_tables(ns[-1])
+    if kind == "pinned":
+        return RunOutcome(checks=_fold_checks(fold, 1, ms, "n", [("", fold.printed)]))
+    names = [f.name for f in fields(fold.sym)]
+    derived = [k for k in fold.terms if k not in names]
     points = ctx.params_override
     if points is None:
-        points = [
-            {"D": Fraction(3), "E": Fraction(0), "G": Fraction(0), "H": Fraction(0)},
-            {k: _draw_fraction(ctx.rng) for k in ("D", "E", "G", "H")},
-        ]
-    checks, params_used = [], []
+        printed = {k: fold.printed.get(k, 0) for k in names}
+        points = [printed, fold.generic or {k: _draw_fraction(ctx.rng) for k in names}]
+    elif len(names) == 1:
+        points = [{names[0]: v} for v in points]
+    params_used, coeff_points = [], []
     for point in points:
-        d, e, g, h = (Fraction(point[k]) for k in ("D", "E", "G", "H"))
-        a, c, f, i = coeffs4(SymParams4(d, e, g, h))
-        params_used.append({k: _fstr(point[k]) for k in ("D", "E", "G", "H")})
-        tag = ",".join(f"{k}={_fstr(point[k])}" for k in ("D", "E", "G", "H"))
-        for n in ns:
-            rhs = (
-                a * 4**n * tab["t21421"][n] / 484 + c * tab["C"][n] / 44
-                + d * tab["D"][n] / 484 + e * tab["E"][n] / 484
-                + f * tab["F"][n] / 484 + g * tab["G"][n] / 22
-                + h * tab["H"][n] / 22 + i * tab["I"][n] / 44
-            )
-            checks.append(_check(f"{tag},n={n}", Fraction(tab["lhs"][n]), rhs))
-    return RunOutcome(checks=checks, params_used=params_used)
-
-
-def _run_t3r(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    hi = ns[-1]
-    t = _ordinary(hi + 1)
-    ones = [1] * (hi + 1)
-    t21421 = TriboSeq(2, 14, 21).terms(hi + 1)
-    w2310 = _prefix((2, 3, 10), 2, hi + 1)
-    lhs = multinomial_conv_prefix([t, t, t, t], hi)
-    conv_d = multinomial_conv_prefix([w2310, w2310], hi)
-    conv_i = multinomial_conv_prefix([t, ones], hi)
-    conv_c = multinomial_conv_prefix([t, _prefix((3, 3, 5), 3, hi + 1)], hi)
-    checks = [
-        _check(
-            f"n={n}",
-            Fraction(lhs[n]),
-            Fraction(3, 484) * (-2 * 4**n * t21421[n] + conv_d[n])
-            + Fraction(3 * conv_i[n] + conv_c[n], 11),
-        )
-        for n in ns
-    ]
-    return RunOutcome(checks=checks)
-
-
-_T4_NAMES = ("D", "I", "L", "N", "P", "Q", "R", "S")
-
-
-def _t4_tables(hi: int) -> dict[str, list]:
-    t = _ordinary(hi + 1)
-    ones = [1] * (hi + 1)
-    w2310 = _prefix((2, 3, 10), 2, hi + 1)
-    w127 = _prefix((-1, 2, 7), -1, hi + 1)
-    w335 = _prefix((3, 3, 5), 3, hi + 1)
-    w21421 = _prefix((2, 14, 21), 4, hi + 1)
-    return {
-        "t5615": TriboSeq(5, 6, 15).terms(hi + 1),
-        "lhs": multinomial_conv_prefix([t, t, t, t, t], hi),
-        "B": multinomial_conv_prefix([w127, ones, ones], hi),
-        "C": multinomial_conv_prefix([w2310, ones], hi),
-        "D": multinomial_conv_prefix([t, t, ones], hi),
-        "E": multinomial_conv_prefix([w21421, t], hi),
-        "H": multinomial_conv_prefix([w335, w2310], hi),
-        "I": multinomial_conv_prefix([w335, w127, ones], hi),
-        "L": multinomial_conv_prefix([w335, t, t], hi),
-        "N": multinomial_conv_prefix([w2310, w2310, t], hi),
-        "P": multinomial_conv_prefix([w127, w127, t, ones, ones], hi),
-        "Q": multinomial_conv_prefix([w2310, w127, t, ones], hi),
-        "R": multinomial_conv_prefix([w2310, t, t, t], hi),
-        "S": multinomial_conv_prefix([w127, t, t, t, ones], hi),
-    }
-
-
-def _run_t4(ctx: RunContext) -> RunOutcome:
-    from .symmetric_identities import SymParams5, coeffs5
-
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    tab = _t4_tables(ns[-1])
-    points = ctx.params_override
-    if points is None:
-        remark = {k: Fraction(0) for k in _T4_NAMES}
-        remark["D"] = Fraction(15)
-        points = [remark, {k: _draw_fraction(ctx.rng) for k in _T4_NAMES}]
-    checks, params_used = [], []
-    for point in points:
-        vals = {k: Fraction(point[k]) for k in _T4_NAMES}
-        a, b, c, e, h = coeffs5(SymParams5(*(vals[k] for k in _T4_NAMES)))
-        params_used.append({k: _fstr(vals[k]) for k in _T4_NAMES})
-        tag = ",".join(f"{k}={_fstr(vals[k])}" for k in _T4_NAMES)
-        for n in ns:
-            rhs = (
-                a * 5**n * tab["t5615"][n] / 968 + b * tab["B"][n] / 968
-                + c * tab["C"][n] / 968 + vals["D"] * tab["D"][n] / 44
-                + e * tab["E"][n] / 484 + h * tab["H"][n] / 968
-                + vals["I"] * tab["I"][n] / 968 + vals["L"] * tab["L"][n] / 44
-                + vals["N"] * tab["N"][n] / 484 + vals["P"] * tab["P"][n] / 484
-                + vals["Q"] * tab["Q"][n] / 484 + vals["R"] * tab["R"][n] / 22
-                + vals["S"] * tab["S"][n] / 22
-            )
-            checks.append(_check(f"{tag},n={n}", Fraction(tab["lhs"][n]), rhs))
-    return RunOutcome(checks=checks, params_used=params_used)
-
-
-def _run_t4r(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    hi = ns[-1]
-    t = _ordinary(hi + 1)
-    ones = [1] * (hi + 1)
-    t5615 = TriboSeq(5, 6, 15).terms(hi + 1)
-    w2310 = _prefix((2, 3, 10), 2, hi + 1)
-    lhs = multinomial_conv_prefix([t, t, t, t, t], hi)
-    conv_c = multinomial_conv_prefix([w2310, ones], hi)
-    conv_h = multinomial_conv_prefix([w2310, _prefix((3, 3, 5), 3, hi + 1)], hi)
-    conv_d = multinomial_conv_prefix([t, t, ones], hi)
-    conv_e = multinomial_conv_prefix([_prefix((2, 14, 21), 4, hi + 1), t], hi)
-    checks = [
-        _check(
-            f"n={n}",
-            Fraction(lhs[n]),
-            Fraction(-14 * 5**n * t5615[n] + 5 * (conv_c[n] + 2 * conv_h[n]), 968)
-            + Fraction(15 * conv_d[n], 44) + Fraction(5 * conv_e[n], 484),
-        )
-        for n in ns
-    ]
-    return RunOutcome(checks=checks)
-
-
-def _run_gt2(ctx: RunContext) -> RunOutcome:
-    ns, ms = list(ctx.span("n")), list(ctx.span("m"))
-    if not ns or not ms:
-        return RunOutcome()
-    count = ms[-1] + 1
-    checks = []
-    for n in ns:
-        base = derive(CPower(n))
-        doubled = derive(CPower(2 * n))
-        cof = derive(CofactorPower(n))
-        s1 = base.sequence().terms(count)
-        s2 = doubled.sequence().terms(count)
-        lhs_tab = multinomial_conv_prefix([s1, s1], count - 1)
-        alt = multinomial_conv_prefix(
-            [WeightedSeq(cof.sequence(), -1).prefix(count), [1] * count], count - 1
-        )
-        for m in ms:
-            lhs = Fraction(lhs_tab[m]) / base.scale**2
-            rhs = Fraction(2**m * s2[m]) / doubled.scale + 2 * Fraction(alt[m]) / cof.scale
-            checks.append(_check(f"n={n},m={m}", lhs, rhs))
-    return RunOutcome(checks=checks)
-
-
-def _run_gt3(ctx: RunContext) -> RunOutcome:
-    ns, ms = list(ctx.span("n")), list(ctx.span("m"))
-    if not ns or not ms:
-        return RunOutcome()
-    count = ms[-1] + 1
-    checks = []
-    for n in ns:
-        d1, d2, d3 = (derive(CPower(j * n)) for j in (1, 2, 3))
-        s1 = d1.sequence().terms(count)
-        s3 = d3.sequence().terms(count)
-        lhs_tab = multinomial_conv_prefix([s1, s1, s1], count - 1)
-        cross = multinomial_conv_prefix(
-            [WeightedSeq(d2.sequence(), 2).prefix(count), s1], count - 1
-        )
-        for m in ms:
-            lhs = Fraction(lhs_tab[m]) / d1.scale**3
-            rhs = (
-                -2 * Fraction(3**m * s3[m]) / d3.scale
-                + Fraction(6, 44**n)
-                + 3 * Fraction(cross[m]) / (d2.scale * d1.scale)
-            )
-            checks.append(_check(f"n={n},m={m}", lhs, rhs))
-    return RunOutcome(checks=checks)
-
-
-def _run_gt4(ctx: RunContext) -> RunOutcome:
-    ns, ms = list(ctx.span("n")), list(ctx.span("m"))
-    if not ns or not ms:
-        return RunOutcome()
-    count = ms[-1] + 1
-    checks = []
-    for n in ns:
-        d1, d2, d3, d4 = (derive(CPower(j * n)) for j in (1, 2, 3, 4))
-        s1 = d1.sequence().terms(count)
-        s2 = d2.sequence().terms(count)
-        s4 = d4.sequence().terms(count)
-        lhs_tab = multinomial_conv_prefix([s1, s1, s1, s1], count - 1)
-        cr1 = multinomial_conv_prefix(
-            [WeightedSeq(d3.sequence(), 3).prefix(count), s1], count - 1
-        )
-        cr2 = multinomial_conv_prefix([s2, s2], count - 1)
-        cr3 = multinomial_conv_prefix([s1, [1] * count], count - 1)
-        for m in ms:
-            lhs = Fraction(lhs_tab[m]) / d1.scale**4
-            rhs = (
-                -6 * Fraction(4**m * s4[m]) / d4.scale
-                + 4 * Fraction(cr1[m]) / (d3.scale * d1.scale)
-                + 3 * Fraction(2**m * cr2[m]) / d2.scale**2
-                + 12 * Fraction(cr3[m]) / (44**n * d1.scale)
-            )
-            checks.append(_check(f"n={n},m={m}", lhs, rhs))
-    return RunOutcome(checks=checks)
-
-
-def _run_gt5(ctx: RunContext) -> RunOutcome:
-    ns, ms = list(ctx.span("n")), list(ctx.span("m"))
-    if not ns or not ms:
-        return RunOutcome()
-    count = ms[-1] + 1
-    checks = []
-    for n in ns:
-        d1, d2, d3, d4, d5 = (derive(CPower(j * n)) for j in (1, 2, 3, 4, 5))
-        s1 = d1.sequence().terms(count)
-        s5 = d5.sequence().terms(count)
-        lhs_tab = multinomial_conv_prefix([s1, s1, s1, s1, s1], count - 1)
-        cr_a = multinomial_conv_prefix(
-            [WeightedSeq(d2.sequence(), 2).prefix(count), [1] * count], count - 1
-        )
-        cr_b = multinomial_conv_prefix([s1, s1, [1] * count], count - 1)
-        cr_c = multinomial_conv_prefix(
-            [WeightedSeq(d4.sequence(), 4).prefix(count), s1], count - 1
-        )
-        cr_d = multinomial_conv_prefix(
-            [
-                WeightedSeq(d3.sequence(), 3).prefix(count),
-                WeightedSeq(d2.sequence(), 2).prefix(count),
-            ],
-            count - 1,
-        )
-        for m in ms:
-            lhs = Fraction(lhs_tab[m]) / d1.scale**5
-            rhs = (
-                -14 * Fraction(5**m * s5[m]) / d5.scale
-                + 5 * Fraction(cr_a[m]) / (44**n * d2.scale)
-                + 15 * Fraction(cr_b[m]) / (44**n * d1.scale**2)
-                + 5 * Fraction(cr_c[m]) / (d4.scale * d1.scale)
-                + 10 * Fraction(cr_d[m]) / (d3.scale * d2.scale)
-            )
-            checks.append(_check(f"n={n},m={m}", lhs, rhs))
-    return RunOutcome(checks=checks)
+        vals = {k: Fraction(point[k]) for k in names}
+        params_used.append({k: _fstr(v) for k, v in vals.items()})
+        tag = ",".join(f"{k}={v}" for k, v in params_used[-1].items())
+        coeffs = dict(zip(derived, fold.coeffs(fold.sym(**vals))), **vals)
+        coeff_points.append((tag + ",", coeffs))
+    return RunOutcome(checks=_fold_checks(fold, 1, ms, "n", coeff_points), params_used=params_used)
 
 
 def _run_s1(ctx: RunContext) -> RunOutcome:
@@ -726,27 +520,27 @@ REGISTRY: dict[str, IdentityRecord] = {
              _make_lemma_runner(5, 968, (5, 6, 15))),
         _rec("P3", "binomial pair convolution of T equals "
              "(1/22)(2^n T_n^(2,3,10) + 2 sum C(n,k)(-1)^k T_k^(-1,2,7))",
-             [("n", 0, 200)], _run_p3),
+             [("n", 0, 200)], partial(_run_fold, FOLDS[2], "pinned")),
         _rec("T2", "triple binomial convolution, one-parameter family in D",
-             [("n", 0, 120)], _run_t2),
+             [("n", 0, 120)], partial(_run_fold, FOLDS[3], "family")),
         _rec("T2R", "triple binomial convolution, D = 0 special form",
-             [("n", 0, 120)], _run_t2r),
+             [("n", 0, 120)], partial(_run_fold, FOLDS[3], "pinned")),
         _rec("T3", "quadruple binomial convolution, family in (D,E,G,H)",
-             [("n", 0, 80)], _run_t3),
+             [("n", 0, 80)], partial(_run_fold, FOLDS[4], "family")),
         _rec("T3R", "quadruple binomial convolution, E=F=G=H=0 special form",
-             [("n", 0, 80)], _run_t3r),
+             [("n", 0, 80)], partial(_run_fold, FOLDS[4], "pinned")),
         _rec("T4", "quintuple binomial convolution, family in (D,I,L,N,P,Q,R,S)",
-             [("n", 0, 80)], _run_t4),
+             [("n", 0, 80)], partial(_run_fold, FOLDS[5], "family")),
         _rec("T4R", "quintuple binomial convolution, B=I=L=N=P=Q=R=S=0 special form",
-             [("n", 0, 80)], _run_t4r),
+             [("n", 0, 80)], partial(_run_fold, FOLDS[5], "pinned")),
         _rec("GT2", "pair binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], _run_gt2),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[2], "GT")),
         _rec("GT3", "triple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], _run_gt3),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[3], "GT")),
         _rec("GT4", "quadruple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], _run_gt4),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[4], "GT")),
         _rec("GT5", "quintuple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], _run_gt5),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[5], "GT")),
         _rec("S1", "(sum of pairwise products of c)^n sum-of-exponentials equals "
              "((-1/22)^n) T^(3,1,3)", [("n", 1, 8)], _run_s1),
         _rec("S2", "(sum of squared pairwise products)^n sum-of-exponentials, printed "
@@ -776,8 +570,10 @@ def verify(
     """Run one identity over its (possibly overridden) range.
 
     nmax/mmax override the upper end of the record's first/second index
-    range.  params overrides the parameter sample where the record has one
-    (T2: iterable of D values; T3/T4: iterable of name-to-value mappings).
+    range; a negative upper end raises CatalogError, one below the range
+    start gives a vacuous report.  params overrides the parameter sample
+    where the record has one (T2: iterable of D values; T3/T4: iterable of
+    name-to-value mappings).
     """
     record = REGISTRY.get(identity_id)
     if record is None:
@@ -789,6 +585,8 @@ def verify(
             hi = nmax
         if pos == 1 and mmax is not None:
             hi = mmax
+        if hi < 0:
+            raise CatalogError(f"{range_spec.name} upper bound {hi} is negative")
         if hi > range_cap:
             raise RangeTooLarge(
                 f"{range_spec.name} <= {hi} exceeds the configured cap {range_cap}"

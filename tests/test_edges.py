@@ -1,0 +1,64 @@
+"""Edge inputs (negative ranges, unwritable output paths, huge integers)
+and the agreement of the identities read from one fold table."""
+
+import pytest
+
+from triboconv import identity_catalog
+from triboconv.cli import main
+from triboconv.identity_catalog import CatalogError, verify
+
+
+class TestNegativeRanges:
+    @pytest.mark.parametrize("identity,kwargs", [("T2", {"nmax": -5}), ("GT2", {"mmax": -1})])
+    def test_verify_rejects_negative_upper_bound(self, identity, kwargs):
+        with pytest.raises(CatalogError, match="negative"):
+            verify(identity, **kwargs)
+
+    @pytest.mark.parametrize("flag", ["--nmax", "--mmax"])
+    def test_cli_negative_bound_is_usage_error(self, flag, capsys):
+        assert main(["verify", "GT3", flag, "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "negative" in captured.err
+
+
+class TestUnwritableOut:
+    def test_missing_directory_is_one_line_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        assert main(["verify", "P1", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
+
+class TestHugeIntegers:
+    def test_seq_with_fifty_thousand_digit_term(self, capsys):
+        big = 10**50000
+        assert main(["seq", f"{big},0,0", "4"]) == 0
+        assert capsys.readouterr().out == f"{big} 0 0 {big}\n"
+
+
+class TestErrorMapping:
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("arithmetic fault")
+
+        monkeypatch.setattr(identity_catalog, "verify", broken)
+        with pytest.raises(ValueError, match="arithmetic fault"):
+            main(["verify", "P1"])
+
+
+class TestFoldTables:
+    @pytest.mark.parametrize("pinned,general", [("T2R", "GT3"), ("T3R", "GT4"), ("T4R", "GT5")])
+    def test_pinned_rows_match_general_family_at_n_one(self, pinned, general):
+        gt = {c.index: (c.lhs, c.rhs) for c in verify(general, nmax=1, mmax=20).checks}
+        rows = verify(pinned, nmax=20)
+        assert rows.params == []
+        assert [(c.lhs, c.rhs) for c in rows.checks] == [gt[f"n=1,m={m}"] for m in range(21)]
+
+    @pytest.mark.parametrize("family,pinned", [("T2", "T2R"), ("T3", "T3R"), ("T4", "T4R")])
+    def test_remark_point_reproduces_the_special_form(self, family, pinned):
+        remark = verify(family, nmax=15).checks[:16]
+        special = verify(pinned, nmax=15).checks
+        assert [(c.lhs, c.rhs) for c in remark] == [(c.lhs, c.rhs) for c in special]

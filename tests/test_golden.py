@@ -1,0 +1,78 @@
+"""Byte-identity of `verify` output and of every identity's check list.
+
+The files under tests/golden/ pin the CLI bytes of `verify all --seed 42`
+in each format, and a sha256 digest of each identity's checks at default
+ranges (passing JSON entries carry no values, so the digests are what pin
+the evaluators).  Regenerate them deliberately, after an intended change
+of output, with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from triboconv.cli import main
+from triboconv.identity_catalog import identity_ids, verify
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CLI_OUTPUTS = {
+    "verify_all_seed42.json": ["--format", "json"],
+    "verify_all_seed42.tsv": ["--format", "tsv"],
+    "verify_all_seed42.txt": ["--format", "text"],
+    "verify_all_seed42_v.txt": ["--format", "text", "-v"],
+}
+
+#: (file name, seed, identity ids) of the per-identity check digests.
+DIGESTS = [
+    ("checks_seed42.json", 42, None),
+    ("checks_seed7.json", 7, ["T2", "T3", "T4"]),
+]
+
+
+def _cli_bytes(tmp: Path, flags: list[str]) -> bytes:
+    out = tmp / "out"
+    code = main(["verify", "all", "--seed", "42", *flags, "--out", str(out)])
+    assert code == 0
+    return out.read_bytes()
+
+
+def _digest_doc(seed: int, ids) -> str:
+    table = {}
+    for identity in ids or identity_ids():
+        report = verify(identity, seed=seed)
+        lines = "".join(
+            f"{c.index}\t{'true' if c.ok else 'false'}\t{c.lhs}\t{c.rhs}\n"
+            for c in report.checks + report.mismatches
+        )
+        table[identity] = {
+            "checks": len(report.checks),
+            "mismatches": len(report.mismatches),
+            "sha256": hashlib.sha256(lines.encode()).hexdigest(),
+        }
+    return json.dumps(table, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CLI_OUTPUTS))
+def test_verify_all_bytes(name, tmp_path):
+    assert _cli_bytes(tmp_path, CLI_OUTPUTS[name]) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,seed,ids", DIGESTS, ids=[d[0] for d in DIGESTS])
+def test_check_digests(name, seed, ids):
+    assert _digest_doc(seed, ids) == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, flags in CLI_OUTPUTS.items():
+            (GOLDEN / name).write_bytes(_cli_bytes(Path(tmp), flags))
+    for name, seed, ids in DIGESTS:
+        (GOLDEN / name).write_text(_digest_doc(seed, ids))
