@@ -3,14 +3,28 @@
 Two kernels: plain (OGF) convolution, where a product of ordinary
 generating functions sums products over compositions, and multinomial
 (EGF) convolution, where the multinomial coefficient appears because
-exponential generating functions multiply that way.  Both are computed by
-iterated pairwise convolution in O(r * n^2) big-integer multiplications;
-the direct composition enumerators are retained as small-n oracles.
+exponential generating functions multiply that way.  The schoolbook
+kernel computes either by iterated pairwise convolution in O(r * n^2)
+big-integer multiplications.
+
+The multinomial kernel has a second path.  A factor may declare its
+characteristic polynomial (``charpoly``: monic, squarefree, integer
+coefficients in ascending order), as TriboSeq, ConstantSeq and a
+WeightedSeq of either do.  The r-fold convolution of such factors is a
+sum of (rho_1 + ... + rho_r)^n over tuples of their roots, so it is
+annihilated by the polynomial whose roots are those sums, derived exactly
+from the factors' polynomials (``_annihilator``, degree D).  When every
+factor declares a polynomial and D <= n_max, the schoolbook kernel gives
+terms 0..D-1 and the annihilator's integer recurrence the rest, in
+O(n * D) multiplications; otherwise the schoolbook kernel runs alone.
+The direct composition enumerators are retained as small-n oracles.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
@@ -21,6 +35,8 @@ class IndexTooSmall(ValueError):
 
 class ConstantSeq:
     """Constant sequence c, c, c, ...; covers the e^x factor (all ones)."""
+
+    charpoly = (-1, 1)  # x - 1
 
     def __init__(self, value=1):
         self._value = value
@@ -42,6 +58,16 @@ class WeightedSeq:
 
     def term(self, k: int):
         return self.base**k * self.seq.term(k)
+
+    @property
+    def charpoly(self) -> tuple | None:
+        """The source's polynomial with its roots scaled by base, or None
+        when the source declares none or base is 0 (term 0 alone survives)."""
+        poly = getattr(self.seq, "charpoly", None)
+        if poly is None or self.base == 0:
+            return None
+        d = len(poly) - 1
+        return tuple(c * self.base ** (d - i) for i, c in enumerate(poly))
 
     def prefix(self, count: int) -> list:
         out = []
@@ -90,13 +116,108 @@ def plain_conv(seqs: Sequence, n: int):
 
 
 def multinomial_conv_prefix(seqs: Sequence, n_max: int) -> list:
-    """Values of the r-fold multinomial convolution for n = 0..n_max."""
+    """Values of the r-fold multinomial convolution for n = 0..n_max.
+
+    Extended by the annihilator's recurrence past its degree D when every
+    factor declares a characteristic polynomial and D <= n_max; the
+    schoolbook kernel otherwise (see the module docstring).
+    """
     if not seqs:
         raise ValueError("need at least one sequence")
+    polys = [getattr(s, "charpoly", None) for s in seqs]
+    if None not in polys and _annihilator_degree(Counter(polys)) <= n_max:
+        rec = _annihilator(tuple(sorted(polys)))
+        return _extend(_binomial_kernel(seqs, len(rec) - 2), rec, n_max)
+    return _binomial_kernel(seqs, n_max)
+
+
+def _binomial_kernel(seqs: Sequence, n_max: int) -> list:
     acc = _as_prefix(seqs[0], n_max + 1)
     for s in seqs[1:]:
         acc = binomial_convolve(acc, _as_prefix(s, n_max + 1))
     return acc
+
+
+def _extend(head: list, poly: tuple, n_max: int) -> list:
+    """The D = len(head) initial terms continued to n = 0..n_max by the
+    recurrence of the monic degree-D polynomial poly (ascending)."""
+    d = len(poly) - 1
+    rec = [(i, -c) for i, c in enumerate(poly[:-1]) if c]
+    out = list(head)
+    for n in range(n_max + 1 - d):
+        out.append(sum(c * out[n + i] for i, c in rec))
+    return out
+
+
+# -- the annihilator of a multinomial convolution ------------------------
+#
+# Each factor's polynomial is squarefree, so term k of the factor is
+# sum_rho a_rho rho^k and the r-fold convolution is the sum over root
+# tuples of a coefficient times (rho_1 + ... + rho_r)^n.  Factors sharing
+# a polynomial contribute a multiset of its roots, so a group of m such
+# factors of degree d has C(m+d-1, m) root sums, not d^m.  Everything is
+# carried as power sums p_k of root sets, with p_0 the set's size: the
+# power sums of A + B (every a + b) are the binomial convolution of those
+# of A and B, and Newton's identities recover the polynomial.
+
+
+def _annihilator_degree(groups: Counter) -> int:
+    return prod(comb(m + len(poly) - 2, m) for poly, m in groups.items())
+
+
+def _power_sums(poly: tuple, count: int) -> list[int]:
+    """p_0..p_(count-1) over the roots of a monic integer polynomial."""
+    d = len(poly) - 1
+    a = poly[::-1]  # a[i] is the coefficient of x^(d-i)
+    p = [d]
+    for k in range(1, count):
+        s = -sum(a[i] * p[k - i] for i in range(1, min(k, d + 1)))
+        p.append(s - k * a[k] if k <= d else s)
+    return p
+
+
+def _exact_div(v: int, d: int) -> int:
+    q, rem = divmod(v, d)
+    if rem:
+        raise ArithmeticError(f"{v}/{d} is not an integer")
+    return q
+
+
+def _multiset_power_sums(p: list[int], m: int) -> list[int]:
+    """Power sums of the sums of m-element multisets of roots with power
+    sums p: the cycle index of S_m, by m*h_m = sum_i p_i h_(m-i) with
+    p_i(k) = i^k p_k and products taken as binomial convolutions."""
+    count = len(p)
+    scaled = [[i**k * p[k] for k in range(count)] for i in range(1, m + 1)]
+    h = [[1] + [0] * (count - 1)]
+    for j in range(1, m + 1):
+        parts = [binomial_convolve(scaled[i - 1], h[j - i]) for i in range(1, j + 1)]
+        h.append([_exact_div(sum(col), j) for col in zip(*parts)])
+    return h[m]
+
+
+def _poly_from_power_sums(p: list[int]) -> tuple[int, ...]:
+    """The monic integer polynomial of degree p[0] whose roots have power
+    sums p[1..], by Newton's identities; a non-integral coefficient raises
+    ArithmeticError."""
+    d = p[0]
+    e = [1]
+    for k in range(1, d + 1):
+        num = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
+        e.append(_exact_div(num, k))
+    return tuple((-1) ** (d - i) * e[d - i] for i in range(d + 1))
+
+
+@cache
+def _annihilator(polys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Monic integer polynomial (ascending) vanishing at every sum
+    rho_1 + ... + rho_r of roots of the sorted factor polynomials."""
+    groups = Counter(polys)
+    count = _annihilator_degree(groups) + 1
+    total = [1] + [0] * (count - 1)
+    for poly, m in groups.items():
+        total = binomial_convolve(total, _multiset_power_sums(_power_sums(poly, count), m))
+    return _poly_from_power_sums(total)
 
 
 def multinomial_conv(seqs: Sequence, n: int):

@@ -20,6 +20,7 @@ from math import prod
 from typing import Callable
 
 from .convolution import (
+    ConstantSeq,
     TruncSeries,
     WeightedSeq,
     multinomial_conv_prefix,
@@ -316,13 +317,13 @@ FOLDS = {
 }
 
 
-def _factor(f: tuple, n: int, count: int) -> tuple[list, Fraction]:
-    """Prefix (term k weighted by base^k) and scale of one factor at family index n."""
+def _factor(f: tuple, n: int) -> tuple[WeightedSeq, Fraction]:
+    """Sequence (term k weighted by base^k) and scale of one factor at family index n."""
     family, base = f
     if family in ("one", "norm"):
-        return [base**k for k in range(count)], Fraction(NORM_SCALE**n if family == "norm" else 1)
+        return WeightedSeq(ConstantSeq(1), base), Fraction(NORM_SCALE**n if family == "norm" else 1)
     scaled = derive(CofactorPower(n) if family == "cof" else CPower(family * n))
-    return WeightedSeq(scaled.sequence(), base).prefix(count), scaled.scale
+    return WeightedSeq(scaled.sequence(), base), scaled.scale
 
 
 def _fold_checks(fold: FoldTable, n: int, ms: list[int], index: str, points) -> list[Check]:
@@ -332,11 +333,11 @@ def _fold_checks(fold: FoldTable, n: int, ms: list[int], index: str, points) -> 
     lhs_factors = (C1,) * fold.r
     names = points[0][1]
     needed = {f for k in names for f in fold.terms[k]} | set(lhs_factors)
-    factors = {f: _factor(f, n, count) for f in needed}
+    factors = {f: _factor(f, n) for f in needed}
 
     def term(fs):
         seqs = [factors[f][0] for f in fs]
-        table = seqs[0] if len(seqs) == 1 else multinomial_conv_prefix(seqs, count - 1)
+        table = seqs[0].prefix(count) if len(seqs) == 1 else multinomial_conv_prefix(seqs, count - 1)
         return table, prod(factors[f][1] for f in fs)
 
     lhs, lhs_scale = term(lhs_factors)

@@ -31,6 +31,8 @@ class TriboSeq:
     own clone (cloning is cheap).
     """
 
+    charpoly = (-1, -1, -1, 1)  # x^3 - x^2 - x - 1, ascending coefficients
+
     def __init__(self, s0, s1, s2):
         self._memo = [s0, s1, s2]
 

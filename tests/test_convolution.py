@@ -1,5 +1,6 @@
 """Convolution kernels, the two closed-form pair sums, and the series oracle."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,9 @@ from triboconv.convolution import (
     IndexTooSmall,
     TruncSeries,
     WeightedSeq,
+    _annihilator,
+    _annihilator_degree,
+    _poly_from_power_sums,
     binomial_convolve,
     multinomial_conv,
     multinomial_conv_enum,
@@ -101,6 +105,51 @@ class TestMultinomialConv:
         assert binomial_convolve(binomial_convolve(f, g), h) == binomial_convolve(
             f, binomial_convolve(g, h)
         )
+
+
+_TRIPLE = st.tuples(*[st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)] * 3)
+_FACTOR = st.builds(
+    WeightedSeq,
+    st.builds(lambda t: TriboSeq(*t), _TRIPLE) | st.builds(ConstantSeq, st.integers(-3, 3)),
+    st.integers(-3, 3),
+)
+
+
+class TestRecurrenceKernel:
+    """multinomial_conv_prefix extends by the annihilator's recurrence when
+    every factor declares a polynomial; plain lists force the schoolbook."""
+
+    @given(st.lists(_FACTOR, min_size=2, max_size=5), st.integers(-2, 20))
+    @settings(max_examples=80)
+    def test_matches_schoolbook(self, seqs, past):
+        polys = [s.charpoly for s in seqs]
+        degree = 0 if None in polys else _annihilator_degree(Counter(polys))
+        n = max(0, min(degree + past, 90))
+        expected = multinomial_conv_prefix([s.prefix(n + 1) for s in seqs], n)
+        assert multinomial_conv_prefix(seqs, n) == expected
+
+    def test_declared_polynomials(self):
+        t = TriboSeq.ordinary()
+        assert t.charpoly == (-1, -1, -1, 1)
+        assert ConstantSeq(5).charpoly == (-1, 1)
+        assert WeightedSeq(t, -2).charpoly == (8, -4, 2, 1)  # x^3 + 2x^2 - 4x + 8
+        assert WeightedSeq(ConstantSeq(1), 3).charpoly == (-3, 1)
+        assert WeightedSeq(t, 0).charpoly is None
+        assert WeightedSeq(_t(5), 2).charpoly is None
+
+    def test_symmetric_square_of_tribonacci(self):
+        # (x^3 - 2x^2 - 4x - 8)(x^3 - 2x^2 + 2): roots 2*alpha and 1 - alpha
+        t = TriboSeq.charpoly
+        assert _annihilator((t, t)) == (-16, -8, 12, 2, 0, -4, 1)
+
+    def test_five_factors_of_t_give_degree_21(self):
+        assert len(_annihilator((TriboSeq.charpoly,) * 5)) - 1 == 21
+
+    def test_non_integral_newton_step_raises(self):
+        # p_1 = 1, p_2 = 2 for two roots: e_2 = (1 - 2) / 2
+        with pytest.raises(ArithmeticError):
+            _poly_from_power_sums([2, 1, 2])
+        assert _poly_from_power_sums([2, 1, 3]) == (-1, -1, 1)  # x^2 - x - 1
 
 
 class TestProp1:

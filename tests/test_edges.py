@@ -1,6 +1,8 @@
 """Edge inputs (negative ranges, unwritable output paths, huge integers)
 and the agreement of the identities read from one fold table."""
 
+import json
+
 import pytest
 
 from triboconv import identity_catalog
@@ -37,6 +39,16 @@ class TestHugeIntegers:
         big = 10**50000
         assert main(["seq", f"{big},0,0", "4"]) == 0
         assert capsys.readouterr().out == f"{big} 0 0 {big}\n"
+
+
+class TestRangeCap:
+    @pytest.mark.parametrize("identity", ["P3", "T4R"])
+    def test_verify_at_the_cap_passes(self, identity, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", identity, "--nmax", "2000", "--format", "json", "--out", str(out)]) == 0
+        [entry] = json.loads(out.read_text())["entries"]
+        assert entry["range"] == "n=0..2000"
+        assert entry["status"] == "pass"
 
 
 class TestErrorMapping:

@@ -3,7 +3,8 @@
 The files under tests/golden/ pin the CLI bytes of `verify all --seed 42`
 in each format, and a sha256 digest of each identity's checks at default
 ranges (passing JSON entries carry no values, so the digests are what pin
-the evaluators).  Regenerate them deliberately, after an intended change
+the evaluators).  checks_deep.json pins T4/T3/T4R/P3 at the large nmax
+where the convolution tables are extended by recurrence.  Regenerate them deliberately, after an intended change
 of output, with:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,10 +28,13 @@ CLI_OUTPUTS = {
     "verify_all_seed42_v.txt": ["--format", "text", "-v"],
 }
 
-#: (file name, seed, identity ids) of the per-identity check digests.
+#: (file name, seed, {identity id: nmax or None for the default range}) of
+#: the per-identity check digests; None in place of the mapping means every
+#: identity at its default range.
 DIGESTS = [
     ("checks_seed42.json", 42, None),
-    ("checks_seed7.json", 7, ["T2", "T3", "T4"]),
+    ("checks_seed7.json", 7, {"T2": None, "T3": None, "T4": None}),
+    ("checks_deep.json", 42, {"T4": 205, "T3": 248, "T4R": 280, "P3": 440}),
 ]
 
 
@@ -43,8 +47,8 @@ def _cli_bytes(tmp: Path, flags: list[str]) -> bytes:
 
 def _digest_doc(seed: int, ids) -> str:
     table = {}
-    for identity in ids or identity_ids():
-        report = verify(identity, seed=seed)
+    for identity, nmax in (ids or dict.fromkeys(identity_ids())).items():
+        report = verify(identity, seed=seed, nmax=nmax)
         lines = "".join(
             f"{c.index}\t{'true' if c.ok else 'false'}\t{c.lhs}\t{c.rhs}\n"
             for c in report.checks + report.mismatches
