@@ -1,7 +1,8 @@
 """Byte-identity of `verify` output and of every identity's check list.
 
 The files under tests/golden/ pin the CLI bytes of `verify all --seed 42`
-in each format, and a sha256 digest of each identity's checks at default
+and of one call of each other subcommand in each format, and a sha256
+digest of each identity's checks at default
 ranges (passing JSON entries carry no values, so the digests are what pin
 the evaluators).  checks_deep.json pins T4/T3/T4R/P3 at the large nmax
 where the convolution tables are extended by recurrence.  Regenerate them deliberately, after an intended change
@@ -21,12 +22,22 @@ from triboconv.identity_catalog import identity_ids, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
+#: golden file name -> full CLI argv that writes it.
 CLI_OUTPUTS = {
-    "verify_all_seed42.json": ["--format", "json"],
-    "verify_all_seed42.tsv": ["--format", "tsv"],
-    "verify_all_seed42.txt": ["--format", "text"],
-    "verify_all_seed42_v.txt": ["--format", "text", "-v"],
+    "verify_all_seed42.json": ["verify", "all", "--seed", "42", "--format", "json"],
+    "verify_all_seed42.tsv": ["verify", "all", "--seed", "42", "--format", "tsv"],
+    "verify_all_seed42.txt": ["verify", "all", "--seed", "42", "--format", "text"],
+    "verify_all_seed42_v.txt": ["verify", "all", "--seed", "42", "--format", "text", "-v"],
 }
+for _stem, _argv in {
+    "seq_011_30": ["seq", "0,1,1", "30"],
+    "derive_cpower_8": ["derive", "cpower", "8"],
+    "derive_pairsumsq_6_replicate": ["derive", "pairsumsq", "6", "--replicate-paper"],
+    "conjecture_12": ["conjecture", "12"],
+    "symcheck_seed0_draws20": ["symcheck", "--seed", "0", "--draws", "20"],
+}.items():
+    for _fmt, _ext in (("json", "json"), ("tsv", "tsv"), ("text", "txt")):
+        CLI_OUTPUTS[f"{_stem}.{_ext}"] = [*_argv, "--format", _fmt]
 
 #: (file name, seed, {identity id: nmax or None for the default range}) of
 #: the per-identity check digests; None in place of the mapping means every
@@ -38,9 +49,9 @@ DIGESTS = [
 ]
 
 
-def _cli_bytes(tmp: Path, flags: list[str]) -> bytes:
+def _cli_bytes(tmp: Path, argv: list[str]) -> bytes:
     out = tmp / "out"
-    code = main(["verify", "all", "--seed", "42", *flags, "--out", str(out)])
+    code = main([*argv, "--out", str(out)])
     assert code == 0
     return out.read_bytes()
 
@@ -61,8 +72,13 @@ def _digest_doc(seed: int, ids) -> str:
     return json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(CLI_OUTPUTS))
+@pytest.mark.parametrize("name", sorted(n for n in CLI_OUTPUTS if CLI_OUTPUTS[n][0] == "verify"))
 def test_verify_all_bytes(name, tmp_path):
+    assert _cli_bytes(tmp_path, CLI_OUTPUTS[name]) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CLI_OUTPUTS if CLI_OUTPUTS[n][0] != "verify"))
+def test_subcommand_bytes(name, tmp_path):
     assert _cli_bytes(tmp_path, CLI_OUTPUTS[name]) == (GOLDEN / name).read_bytes()
 
 
@@ -76,7 +92,7 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, flags in CLI_OUTPUTS.items():
-            (GOLDEN / name).write_bytes(_cli_bytes(Path(tmp), flags))
+        for name, argv in CLI_OUTPUTS.items():
+            (GOLDEN / name).write_bytes(_cli_bytes(Path(tmp), argv))
     for name, seed, ids in DIGESTS:
         (GOLDEN / name).write_text(_digest_doc(seed, ids))
