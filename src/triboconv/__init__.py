@@ -3,16 +3,13 @@ identities over the cubic field Q[x]/(x^3 - x^2 - x - 1)."""
 
 from .field import (
     FieldElement,
-    Rational,
     RootInterval,
     ZeroAtRoot,
     ZeroElement,
-    add,
     c_element,
     cofactor_element,
     float_embeddings,
     inverse,
-    mul,
     norm,
     norm_via_multiplication_matrix,
     sign_at_real_root,
@@ -31,15 +28,7 @@ from .convolution import (
     series_T,
     series_check_derivatives,
 )
-from .symmetric_identities import (
-    SymParams3,
-    SymParams4,
-    SymParams5,
-    coeffs3,
-    coeffs4,
-    coeffs5,
-    verify_sym_identity,
-)
+from .symmetric_identities import coeffs, rhs, verify_sym_identity
 from .derivation import (
     CPower,
     CofactorPower,

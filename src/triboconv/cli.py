@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import derivation, identity_catalog, symmetric_identities
 from .sequences import TriboSeq
@@ -50,10 +49,6 @@ def _tsv_doc(header: list[str], rows: list[list[str]]) -> str:
     lines = ["\t".join(header)]
     lines.extend("\t".join(row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _scale_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
 
 
 # -- seq ---------------------------------------------------------------------
@@ -93,7 +88,7 @@ def _cmd_derive(args) -> int:
         scaled = derivation.derive(derivation.PowerFamily(kind, n))
         row = {
             "n": str(n),
-            "A": _scale_str(scaled.scale),
+            "A": str(scaled.scale),
             "triple": [str(v) for v in scaled.triple],
         }
         if not scaled.integral:
@@ -106,7 +101,7 @@ def _cmd_derive(args) -> int:
                 row["note"] = result.note
             else:
                 row["replicated"] = {
-                    "A": _scale_str(result.recursive.scale),
+                    "A": str(result.recursive.scale),
                     "triple": [str(v) for v in result.recursive.triple],
                 }
                 row["match"] = "true" if result.match else "false"
@@ -214,8 +209,8 @@ def _cmd_conjecture(args) -> int:
     rows = [
         {
             "n": str(row.n),
-            "cpower_scale_2n": _scale_str(row.cpower_scale),
-            "cofactor_scale_n": _scale_str(row.cofactor_scale),
+            "cpower_scale_2n": str(row.cpower_scale),
+            "cofactor_scale_n": str(row.cofactor_scale),
             "equal": "true" if row.equal else "false",
         }
         for row in report.rows

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 #: Coefficients (c0, c1, c2, c3) of the minimal polynomial x^3 - x^2 - x - 1.
 MIN_POLY = (Fraction(-1), Fraction(-1), Fraction(-1), Fraction(1))
 
@@ -163,16 +161,6 @@ def _coerce(v):
 ZERO = FieldElement(0, 0, 0)
 ONE = FieldElement(1, 0, 0)
 X = FieldElement(0, 1, 0)
-
-
-def add(p: FieldElement, q: FieldElement) -> FieldElement:
-    """Coefficientwise exact sum in canonical form."""
-    return p + q
-
-
-def mul(p: FieldElement, q: FieldElement) -> FieldElement:
-    """Product reduced by the minimal polynomial, canonical form."""
-    return p * q
 
 
 def _mult_matrix(q: FieldElement) -> list[list[Fraction]]:

@@ -13,7 +13,7 @@ breaks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -41,7 +41,7 @@ from .derivation import (
 )
 from .field import X, c_element, cofactor_element, norm, trace
 from .sequences import ScaledSeq, TriboSeq, binet_check, egf_rational_terms
-from .symmetric_identities import SymParams3, SymParams4, SymParams5, coeffs3, coeffs4, coeffs5
+from .symmetric_identities import FREE, TERMS, coeffs
 
 DEFAULT_RANGE_CAP = 2000
 DEFAULT_SEED = 42
@@ -61,16 +61,22 @@ class RangeTooLarge(CatalogError):
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of one exact comparison; lhs/rhs are decimal-free strings."""
+    """Outcome of one exact comparison of two exact values.
+
+    lhs/rhs read the values as decimal-free strings, made only when read:
+    a report shows no more than the first failure.
+    """
 
     index: str
     ok: bool
-    lhs: str
-    rhs: str
+    lhs_value: object
+    rhs_value: object
+    lhs = property(lambda self: str(self.lhs_value))
+    rhs = property(lambda self: str(self.rhs_value))
 
 
 def _check(index: str, lhs, rhs) -> Check:
-    return Check(index, lhs == rhs, str(lhs), str(rhs))
+    return Check(index, lhs == rhs, lhs, rhs)
 
 
 @dataclass
@@ -162,10 +168,6 @@ class IdentityRecord:
     expectation: str = "expected-pass"
 
 
-def _fstr(v) -> str:
-    return str(Fraction(v))
-
-
 def _draw_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
@@ -246,75 +248,37 @@ def _make_lemma_runner(power: int, scale: int, triple: tuple[int, int, int]):
     return run
 
 
-# -- binomial convolutions of the c^n family, as term tables ---------------
+# -- binomial convolutions of the c^n family ---------------------------------
 #
 # GT_r: the r-fold multinomial convolution of the c^n family equals a
-# rational combination of terms.  A term is a coefficient times the integer
-# multinomial convolution table of its factors, divided by the product of
-# the factor scales.  A factor is (family, base), weighted by base^k: an int
-# j stands for the c^(j*n) family, "cof" for the cofactor^n family, "one"
-# for the constant 1 and "norm" for the constant 1 over the scale
-# 44^n = norm(c)^-n.
+# rational combination of terms, read from the symmetric expansion of
+# (a+b+c)^r with a, b, c mapped to c_i*e^(alpha_i x): each block of a term
+# (symmetric_identities.TERMS) becomes factors.  A term is its coefficient
+# times the integer multinomial convolution table of its factors, divided
+# by the product of the factor scales.  A factor is (family, base),
+# weighted by base^k: an int j stands for the c^(j*n) family, "cof" for
+# the cofactor^n family, "one" for the constant 1 and "norm" for the
+# constant 1 over the scale 44^n = norm(c)^-n.
 # P3, T2R, T3R and T4R are GT2..GT5 pinned at n = 1; T2, T3 and T4 are the
 # same terms at n = 1 with the coefficients of a symmetric-lemma parameter
 # point.  The printed combinations are not unique (Newton's relations tie
-# the power sums together), so each fold keeps its own table.
+# the power sums together), so each fold keeps its own literals.
 
 C1, ALT, ONE, NORM = (1, 1), ("cof", -1), ("one", 1), ("norm", 1)
 NORM_SCALE = 44
+#: block of the symmetric expansion -> its factors.
+BLOCK_FACTORS = {f"s{j}": ((j, j),) for j in range(1, 6)} | {"e2": (ALT, ONE), "e3": (NORM,)}
 
-
-@dataclass(frozen=True)
-class FoldTable:
-    """Terms of the r-fold identity, keyed by the paper's letter names.
-
-    printed holds GT_r's literal coefficients; names it omits are zero.
-    sym is the parameter dataclass of the T_(r-1) family: its fields are
-    term names, and coeffs(sym) gives the remaining terms' coefficients in
-    name order.  generic is T_(r-1)'s fixed second default point, or None
-    to draw one at random.
-    """
-
-    r: int
-    terms: dict[str, tuple[tuple, ...]]
-    printed: dict[str, int]
-    sym: type | None = None
-    coeffs: Callable | None = None
-    generic: dict | None = None
-
-
-FOLDS = {
-    2: FoldTable(2, {"A": ((2, 2),), "B": (ALT, ONE)}, {"A": 1, "B": 2}),
-    3: FoldTable(
-        3,
-        {"A": ((3, 3),), "B": (NORM,), "C": ((2, 2), C1), "D": (ALT, C1, ONE)},
-        {"A": -2, "B": 6, "C": 3},
-        SymParams3, coeffs3, {"D": 1},
-    ),
-    4: FoldTable(
-        4,
-        {
-            "A": ((4, 4),), "C": ((3, 3), C1), "D": ((2, 2), (2, 2)),
-            "E": (ALT, (2, 2), ONE), "F": (ALT, ALT, ONE, ONE),
-            "G": ((2, 2), C1, C1), "H": (ALT, C1, C1, ONE), "I": (C1, NORM),
-        },
-        {"A": -6, "C": 4, "D": 3, "I": 12},
-        SymParams4, coeffs4,
-    ),
-    5: FoldTable(
-        5,
-        {
-            "A": ((5, 5),), "B": (ALT, ONE, NORM), "C": ((2, 2), NORM),
-            "D": (C1, C1, NORM), "E": ((4, 4), C1), "H": ((3, 3), (2, 2)),
-            "I": ((3, 3), ALT, ONE), "L": ((3, 3), C1, C1),
-            "N": ((2, 2), (2, 2), C1), "P": (ALT, ALT, C1, ONE, ONE),
-            "Q": ((2, 2), ALT, C1, ONE), "R": ((2, 2), C1, C1, C1),
-            "S": (ALT, C1, C1, C1, ONE),
-        },
-        {"A": -14, "C": 5, "D": 15, "E": 5, "H": 10},
-        SymParams5, coeffs5,
-    ),
+#: GT_r's printed literal coefficients; names omitted are zero.
+PRINTED = {
+    2: {"A": 1, "B": 2},
+    3: {"A": -2, "B": 6, "C": 3},
+    4: {"A": -6, "C": 4, "D": 3, "I": 12},
+    5: {"A": -14, "C": 5, "D": 15, "E": 5, "H": 10},
 }
+
+#: T_(r-1)'s fixed second default point; folds not listed draw one.
+GENERIC = {3: {"D": 1}}
 
 
 def _factor(f: tuple, n: int) -> tuple[WeightedSeq, Fraction]:
@@ -326,13 +290,14 @@ def _factor(f: tuple, n: int) -> tuple[WeightedSeq, Fraction]:
     return WeightedSeq(scaled.sequence(), base), scaled.scale
 
 
-def _fold_checks(fold: FoldTable, n: int, ms: list[int], index: str, points) -> list[Check]:
-    """Checks of fold at family index n for conv indices ms, one block per
-    (label prefix, coefficients) point; the coefficients name the terms."""
+def _fold_checks(r: int, n: int, ms: list[int], index: str, points) -> list[Check]:
+    """Checks of the r-fold identity at family index n for conv indices ms,
+    one block per (label prefix, coefficients) point; the coefficients
+    name the terms."""
     count = ms[-1] + 1
-    lhs_factors = (C1,) * fold.r
-    names = points[0][1]
-    needed = {f for k in names for f in fold.terms[k]} | set(lhs_factors)
+    lhs_factors = (C1,) * r
+    terms = {k: tuple(f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]) for k in points[0][1]}
+    needed = {f for fs in terms.values() for f in fs} | set(lhs_factors)
     factors = {f: _factor(f, n) for f in needed}
 
     def term(fs):
@@ -341,48 +306,47 @@ def _fold_checks(fold: FoldTable, n: int, ms: list[int], index: str, points) -> 
         return table, prod(factors[f][1] for f in fs)
 
     lhs, lhs_scale = term(lhs_factors)
-    tables = {k: term(fold.terms[k]) for k in names}
+    tables = {k: term(fs) for k, fs in terms.items()}
     checks = []
-    for prefix, coeffs in points:
-        weights = [(Fraction(c) / tables[k][1], tables[k][0]) for k, c in coeffs.items()]
+    for prefix, cs in points:
+        weights = [(Fraction(c) / tables[k][1], tables[k][0]) for k, c in cs.items()]
         for m in ms:
             rhs = sum(w * table[m] for w, table in weights)
             checks.append(_check(f"{prefix}{index}={m}", Fraction(lhs[m]) / lhs_scale, rhs))
     return checks
 
 
-def _run_fold(fold: FoldTable, kind: str, ctx: RunContext) -> RunOutcome:
-    """The one evaluator of the fold tables: kind "GT" runs GT_r over (n, m),
-    "pinned" its printed row at n = 1 over index n, and "family" T_(r-1)."""
+def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
+    """The one evaluator of the r-fold identities: kind "GT" runs GT_r over
+    (n, m), "pinned" its printed row at n = 1 over index n, and "family"
+    T_(r-1)."""
     if kind == "GT":
         ns, ms = list(ctx.span("n")), list(ctx.span("m"))
         if not ns or not ms:
             return RunOutcome()
         checks = []
         for n in ns:
-            checks += _fold_checks(fold, n, ms, "m", [(f"n={n},", fold.printed)])
+            checks += _fold_checks(r, n, ms, "m", [(f"n={n},", PRINTED[r])])
         return RunOutcome(checks=checks)
     ms = list(ctx.span("n"))
     if not ms:
         return RunOutcome()
     if kind == "pinned":
-        return RunOutcome(checks=_fold_checks(fold, 1, ms, "n", [("", fold.printed)]))
-    names = [f.name for f in fields(fold.sym)]
-    derived = [k for k in fold.terms if k not in names]
+        return RunOutcome(checks=_fold_checks(r, 1, ms, "n", [("", PRINTED[r])]))
+    names = FREE[r]
     points = ctx.params_override
     if points is None:
-        printed = {k: fold.printed.get(k, 0) for k in names}
-        points = [printed, fold.generic or {k: _draw_fraction(ctx.rng) for k in names}]
+        printed = {k: PRINTED[r].get(k, 0) for k in names}
+        points = [printed, GENERIC.get(r) or {k: _draw_fraction(ctx.rng) for k in names}]
     elif len(names) == 1:
         points = [{names[0]: v} for v in points]
     params_used, coeff_points = [], []
     for point in points:
         vals = {k: Fraction(point[k]) for k in names}
-        params_used.append({k: _fstr(v) for k, v in vals.items()})
+        params_used.append({k: str(v) for k, v in vals.items()})
         tag = ",".join(f"{k}={v}" for k, v in params_used[-1].items())
-        coeffs = dict(zip(derived, fold.coeffs(fold.sym(**vals))), **vals)
-        coeff_points.append((tag + ",", coeffs))
-    return RunOutcome(checks=_fold_checks(fold, 1, ms, "n", coeff_points), params_used=params_used)
+        coeff_points.append((tag + ",", coeffs(r, vals)))
+    return RunOutcome(checks=_fold_checks(r, 1, ms, "n", coeff_points), params_used=params_used)
 
 
 def _run_s1(ctx: RunContext) -> RunOutcome:
@@ -521,27 +485,27 @@ REGISTRY: dict[str, IdentityRecord] = {
              _make_lemma_runner(5, 968, (5, 6, 15))),
         _rec("P3", "binomial pair convolution of T equals "
              "(1/22)(2^n T_n^(2,3,10) + 2 sum C(n,k)(-1)^k T_k^(-1,2,7))",
-             [("n", 0, 200)], partial(_run_fold, FOLDS[2], "pinned")),
+             [("n", 0, 200)], partial(_run_fold, 2, "pinned")),
         _rec("T2", "triple binomial convolution, one-parameter family in D",
-             [("n", 0, 120)], partial(_run_fold, FOLDS[3], "family")),
+             [("n", 0, 120)], partial(_run_fold, 3, "family")),
         _rec("T2R", "triple binomial convolution, D = 0 special form",
-             [("n", 0, 120)], partial(_run_fold, FOLDS[3], "pinned")),
+             [("n", 0, 120)], partial(_run_fold, 3, "pinned")),
         _rec("T3", "quadruple binomial convolution, family in (D,E,G,H)",
-             [("n", 0, 80)], partial(_run_fold, FOLDS[4], "family")),
+             [("n", 0, 80)], partial(_run_fold, 4, "family")),
         _rec("T3R", "quadruple binomial convolution, E=F=G=H=0 special form",
-             [("n", 0, 80)], partial(_run_fold, FOLDS[4], "pinned")),
+             [("n", 0, 80)], partial(_run_fold, 4, "pinned")),
         _rec("T4", "quintuple binomial convolution, family in (D,I,L,N,P,Q,R,S)",
-             [("n", 0, 80)], partial(_run_fold, FOLDS[5], "family")),
+             [("n", 0, 80)], partial(_run_fold, 5, "family")),
         _rec("T4R", "quintuple binomial convolution, B=I=L=N=P=Q=R=S=0 special form",
-             [("n", 0, 80)], partial(_run_fold, FOLDS[5], "pinned")),
+             [("n", 0, 80)], partial(_run_fold, 5, "pinned")),
         _rec("GT2", "pair binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[2], "GT")),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 2, "GT")),
         _rec("GT3", "triple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[3], "GT")),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 3, "GT")),
         _rec("GT4", "quadruple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[4], "GT")),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 4, "GT")),
         _rec("GT5", "quintuple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, FOLDS[5], "GT")),
+             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 5, "GT")),
         _rec("S1", "(sum of pairwise products of c)^n sum-of-exponentials equals "
              "((-1/22)^n) T^(3,1,3)", [("n", 1, 8)], _run_s1),
         _rec("S2", "(sum of squared pairwise products)^n sum-of-exponentials, printed "

@@ -89,11 +89,8 @@ class ScaledSeq:
     def integral(self) -> bool:
         return self.scale.denominator == 1
 
-    def scale_str(self) -> str:
-        return str(self.scale.numerator) if self.integral else str(self.scale)
-
     def __str__(self) -> str:
-        return f"(A={self.scale_str()}, triple={self.triple})"
+        return f"(A={self.scale}, triple={self.triple})"
 
 
 def egf_rational_term(q: FieldElement, k: int) -> Fraction:

@@ -1,9 +1,13 @@
-"""Parameterized symmetric polynomial identities for (a+b+c)^3, ^4, ^5.
+"""Parameterized symmetric polynomial identities for (a+b+c)^2, ..., ^5.
 
-Each family writes the power of a+b+c as a combination of symmetric
-building blocks whose coefficients satisfy printed linear constraints;
-only the free parameters are stored and the dependent coefficients are
-always recomputed from the constraint formulas.
+Each family writes the power of a+b+c as a combination of terms, each a
+product of the symmetric blocks s1..s5 (power sums) and e2, e3
+(elementary).  TERMS[r] is the one statement of which blocks make up each
+term; the identity catalog reads it too, because the r-fold convolution
+identities are these expansions with a, b, c mapped to c_i*e^(alpha_i x).
+Terms listed in DEPENDENT[r] have coefficients fixed by the printed linear
+constraints; the others are free parameters.  Only the free parameters
+are given and the dependent coefficients are always recomputed.
 
 Verification is by deterministic finite-grid evaluation: both sides have
 degree at most d in each of a, b, c, so agreement on a (d+1)^3 integer
@@ -13,130 +17,99 @@ grid is a complete proof of the polynomial identity.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
+
+#: term name -> blocks whose product is the term, per power r.
+TERMS = {
+    2: {"A": ("s2",), "B": ("e2",)},
+    3: {"A": ("s3",), "B": ("e3",), "C": ("s2", "s1"), "D": ("e2", "s1")},
+    4: {
+        "A": ("s4",), "C": ("s3", "s1"), "D": ("s2", "s2"), "E": ("s2", "e2"),
+        "F": ("e2", "e2"), "G": ("s2", "s1", "s1"), "H": ("e2", "s1", "s1"),
+        "I": ("e3", "s1"),
+    },
+    5: {
+        "A": ("s5",), "B": ("e2", "e3"), "C": ("s2", "e3"), "D": ("e3", "s1", "s1"),
+        "E": ("s4", "s1"), "H": ("s3", "s2"), "I": ("s3", "e2"), "L": ("s3", "s1", "s1"),
+        "N": ("s2", "s2", "s1"), "P": ("e2", "e2", "s1"), "Q": ("s2", "e2", "s1"),
+        "R": ("s2", "s1", "s1", "s1"), "S": ("e2", "s1", "s1", "s1"),
+    },
+}
+
+#: dependent term -> (constant, {free term: coefficient}), the printed
+#: constraint formulas; e.g. the cubic A = D - 2.
+DEPENDENT = {
+    2: {"A": (1, {}), "B": (2, {})},
+    3: {"A": (-2, {"D": 1}), "B": (6, {"D": -3}), "C": (3, {"D": -1})},
+    4: {
+        "A": (-3, {"D": -1, "E": 1, "G": 1, "H": 1}),
+        "C": (4, {"E": -1, "G": -2, "H": -1}),
+        "F": (6, {"D": -2, "G": -2, "H": -2}),
+        "I": (0, {"D": 4, "E": -1, "G": 2, "H": -1}),
+    },
+    5: {
+        "A": (-14, {"I": 1, "L": 2, "N": 2, "P": 1, "Q": 2, "R": 6, "S": 4}),
+        "B": (30, {"D": -2, "N": -2, "P": -5, "Q": -2, "R": -6, "S": -12}),
+        "C": (20, {"D": -1, "I": -1, "L": -2, "P": -2, "Q": -3, "R": -6, "S": -7}),
+        "E": (5, {"I": -1, "L": -2, "N": -1, "Q": -1, "R": -3, "S": -1}),
+        "H": (10, {"L": -1, "N": -2, "P": -1, "Q": -1, "R": -4, "S": -3}),
+    },
+}
+
+#: free parameter names per power, in draw order.
+FREE = {r: tuple(k for k in terms if k not in DEPENDENT[r]) for r, terms in TERMS.items()}
 
 
-@dataclass(frozen=True)
-class SymParams3:
-    D: Fraction = Fraction(0)
+def _check_degree(r: int) -> None:
+    if r not in TERMS:
+        raise ValueError("degree must be 2, 3, 4 or 5")
 
 
-@dataclass(frozen=True)
-class SymParams4:
-    D: Fraction = Fraction(0)
-    E: Fraction = Fraction(0)
-    G: Fraction = Fraction(0)
-    H: Fraction = Fraction(0)
+def coeffs(r: int, params: dict) -> dict[str, Fraction]:
+    """Coefficient of every term of the power-r family, by name; free names
+    missing from params are 0."""
+    _check_degree(r)
+    unknown = set(params) - set(FREE[r])
+    if unknown:
+        raise ValueError(f"not free parameters of degree {r}: {', '.join(sorted(unknown))}")
+    cs = {k: Fraction(params.get(k, 0)) for k in FREE[r]}
+    for k, (const, form) in DEPENDENT[r].items():
+        cs[k] = sum((c * cs[name] for name, c in form.items()), Fraction(const))
+    return {k: cs[k] for k in TERMS[r]}
 
 
-@dataclass(frozen=True)
-class SymParams5:
-    D: Fraction = Fraction(0)
-    I: Fraction = Fraction(0)
-    L: Fraction = Fraction(0)
-    N: Fraction = Fraction(0)
-    P: Fraction = Fraction(0)
-    Q: Fraction = Fraction(0)
-    R: Fraction = Fraction(0)
-    S: Fraction = Fraction(0)
+def _blocks(a, b, c) -> dict:
+    blocks = {f"s{j}": a**j + b**j + c**j for j in range(1, 6)}
+    blocks["e2"] = a * b + b * c + c * a
+    blocks["e3"] = a * b * c
+    return blocks
 
 
-def coeffs3(p: SymParams3) -> tuple[Fraction, Fraction, Fraction]:
-    """Dependent (A, B, C) for the cubic family: A = D-2, B = -3D+6, C = -D+3."""
-    D = Fraction(p.D)
-    return (D - 2, -3 * D + 6, -D + 3)
+def _combine(r: int, cs: dict, blocks: dict):
+    return sum(cs[k] * prod(blocks[b] for b in bs) for k, bs in TERMS[r].items())
 
 
-def coeffs4(p: SymParams4) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Dependent (A, C, F, I) for the quartic family."""
-    D, E, G, H = (Fraction(v) for v in astuple(p))
-    return (
-        -D + E + G + H - 3,
-        -E - 2 * G - H + 4,
-        -2 * D - 2 * G - 2 * H + 6,
-        4 * D - E + 2 * G - H,
-    )
+def rhs(r: int, params: dict, a, b, c) -> Fraction:
+    """The parameterized right side of (a+b+c)^r at (a, b, c)."""
+    return _combine(r, coeffs(r, params), _blocks(a, b, c))
 
 
-def coeffs5(p: SymParams5) -> tuple[Fraction, ...]:
-    """Dependent (A, B, C, E, H) for the quintic family."""
-    D, I, L, N, P, Q, R, S = (Fraction(v) for v in astuple(p))
-    A = I + 2 * L + 2 * N + P + 2 * Q + 6 * R + 4 * S - 14
-    B = -2 * D - 2 * N - 5 * P - 2 * Q - 6 * R - 12 * S + 30
-    C = -D - I - 2 * L - 2 * P - 3 * Q - 6 * R - 7 * S + 20
-    E = -I - 2 * L - N - Q - 3 * R - S + 5
-    H = -L - 2 * N - P - Q - 4 * R - 3 * S + 10
-    return (A, B, C, E, H)
-
-
-def _blocks(a, b, c):
-    s1 = a + b + c
-    s2 = a * a + b * b + c * c
-    s3 = a**3 + b**3 + c**3
-    e2 = a * b + b * c + c * a
-    e3 = a * b * c
-    return s1, s2, s3, e2, e3
-
-
-def rhs3(p: SymParams3, a, b, c) -> Fraction:
-    A, B, C = coeffs3(p)
-    s1, s2, s3, e2, e3 = _blocks(a, b, c)
-    return A * s3 + B * e3 + C * s2 * s1 + Fraction(p.D) * e2 * s1
-
-
-def rhs4(p: SymParams4, a, b, c) -> Fraction:
-    A, C, F, I = coeffs4(p)
-    D, E, G, H = (Fraction(v) for v in astuple(p))
-    s1, s2, s3, e2, e3 = _blocks(a, b, c)
-    s4 = a**4 + b**4 + c**4
-    return (
-        A * s4 + C * s3 * s1 + D * s2 * s2 + E * s2 * e2 + F * e2 * e2
-        + G * s2 * s1 * s1 + H * e2 * s1 * s1 + I * e3 * s1
-    )
-
-
-def rhs5(p: SymParams5, a, b, c) -> Fraction:
-    A, B, C, E, H = coeffs5(p)
-    D, I, L, N, P, Q, R, S = (Fraction(v) for v in astuple(p))
-    s1, s2, s3, e2, e3 = _blocks(a, b, c)
-    s4 = a**4 + b**4 + c**4
-    s5 = a**5 + b**5 + c**5
-    return (
-        A * s5 + B * e3 * e2 + C * e3 * s2 + D * e3 * s1 * s1 + E * s4 * s1
-        + H * s3 * s2 + I * s3 * e2 + L * s3 * s1 * s1 + N * s2 * s2 * s1
-        + P * e2 * e2 * s1 + Q * s2 * e2 * s1 + R * s2 * s1**3 + S * e2 * s1**3
-    )
-
-
-_RHS = {3: rhs3, 4: rhs4, 5: rhs5}
-
-
-def verify_sym_identity(degree: int, params, grid_size: int) -> bool:
+def verify_sym_identity(degree: int, params: dict, grid_size: int) -> bool:
     """Evaluate (a+b+c)^degree against the parameterized right side at every
     point of {0..grid_size-1}^3; grid_size >= degree+1 makes this a proof."""
-    if degree not in _RHS:
-        raise ValueError("degree must be 3, 4 or 5")
+    cs = coeffs(degree, params)
     if grid_size < degree + 1:
         raise ValueError("grid must have at least degree+1 points per axis")
-    rhs = _RHS[degree]
     pts = range(grid_size)
     return all(
-        Fraction(a + b + c) ** degree == rhs(params, Fraction(a), Fraction(b), Fraction(c))
+        (a + b + c) ** degree == _combine(degree, cs, _blocks(a, b, c))
         for a, b, c in product(pts, pts, pts)
     )
 
 
-def random_params(degree: int, rng: random.Random, bound: int = 10):
+def random_params(degree: int, rng: random.Random, bound: int = 10) -> dict[str, Fraction]:
     """Free-parameter draw with numerators and denominators bounded by ``bound``."""
-    def draw() -> Fraction:
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-    if degree == 3:
-        return SymParams3(draw())
-    if degree == 4:
-        return SymParams4(draw(), draw(), draw(), draw())
-    if degree == 5:
-        return SymParams5(*(draw() for _ in range(8)))
-    raise ValueError("degree must be 3, 4 or 5")
+    _check_degree(degree)
+    return {k: Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for k in FREE[degree]}

@@ -14,12 +14,10 @@ from triboconv.field import (
     RootInterval,
     ZeroAtRoot,
     ZeroElement,
-    add,
     c_element,
     cofactor_element,
     float_embeddings,
     inverse,
-    mul,
     norm,
     norm_via_multiplication_matrix,
     sign_at_real_root,
@@ -33,7 +31,7 @@ nonzero_elements = elements.filter(lambda q: not q.is_zero())
 
 class TestAddMul:
     def test_add_coefficientwise(self):
-        assert add(FieldElement(1, 0, 0), FieldElement(0, 1, 0)) == FieldElement(1, 1, 0)
+        assert FieldElement(1, 0, 0) + FieldElement(0, 1, 0) == FieldElement(1, 1, 0)
 
     def test_add_identity(self):
         c = c_element()
@@ -45,7 +43,7 @@ class TestAddMul:
 
     def test_one_reduction_step(self):
         # x * x^2 = x^3 = 1 + x + x^2
-        assert mul(X, X * X) == FieldElement(1, 1, 1)
+        assert X * (X * X) == FieldElement(1, 1, 1)
 
     def test_two_reduction_steps(self):
         # x * x^3 = x^4 = 1 + 2x + 2x^2

@@ -1,55 +1,73 @@
-"""Grid certification of the three symmetric power expansions."""
+"""Grid certification of the symmetric power expansions."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from triboconv.identity_catalog import PRINTED
 from triboconv.symmetric_identities import (
-    SymParams3,
-    SymParams4,
-    SymParams5,
-    coeffs3,
-    coeffs4,
-    coeffs5,
+    DEPENDENT,
+    FREE,
+    TERMS,
+    coeffs,
     random_params,
-    rhs3,
+    rhs,
     verify_sym_identity,
 )
 
 
+def _dependent(r, params):
+    """Coefficients of the dependent terms, in name order."""
+    cs = coeffs(r, params)
+    return tuple(cs[k] for k in sorted(DEPENDENT[r]))
+
+
 class TestConstraintFormulas:
     def test_coeffs3_at_zero(self):
-        assert coeffs3(SymParams3(F(0))) == (-2, 6, 3)
+        assert _dependent(3, {"D": F(0)}) == (-2, 6, 3)
 
     def test_coeffs3_at_three(self):
-        assert coeffs3(SymParams3(F(3))) == (1, -3, 0)
+        assert _dependent(3, {"D": F(3)}) == (1, -3, 0)
 
     def test_coeffs3_at_two(self):
-        assert coeffs3(SymParams3(F(2))) == (0, 0, 1)
+        assert _dependent(3, {"D": F(2)}) == (0, 0, 1)
 
     def test_coeffs4_remark_point(self):
         # D = 3 with E = G = H = 0 forces F = 0
-        assert coeffs4(SymParams4(D=F(3))) == (-6, 4, 0, 12)
+        assert _dependent(4, {"D": F(3)}) == (-6, 4, 0, 12)
 
     def test_coeffs4_all_zero(self):
-        assert coeffs4(SymParams4()) == (-3, 4, 6, 0)
+        assert _dependent(4, {}) == (-3, 4, 6, 0)
 
     def test_coeffs5_remark_point(self):
         # D = 15 with the other free parameters zero forces B = 0
-        assert coeffs5(SymParams5(D=F(15))) == (-14, 0, 5, 5, 10)
+        assert _dependent(5, {"D": F(15)}) == (-14, 0, 5, 5, 10)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_printed_free_point_gives_printed_literals(self, r):
+        # the R form of T_(r-1), and P3 for r = 2, is GT_r's printed row
+        point = {k: PRINTED[r].get(k, 0) for k in FREE[r]}
+        assert coeffs(r, point) == {k: PRINTED[r].get(k, 0) for k in TERMS[r]}
+
+    def test_free_names_in_draw_order(self):
+        assert FREE == {2: (), 3: ("D",), 4: tuple("DEGH"), 5: tuple("DILNPQRS")}
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ValueError):
+            coeffs(3, {"A": F(1)})
 
 
 class TestGridCertification:
     def test_cubic_at_d_zero(self):
-        assert verify_sym_identity(3, SymParams3(F(0)), 6)
+        assert verify_sym_identity(3, {"D": F(0)}, 6)
 
     def test_cubic_spot_value(self):
         # at (1,1,1) with D=0: 27 = -2*3 + 6 + 3*9
-        assert F(3) ** 3 == rhs3(SymParams3(F(0)), F(1), F(1), F(1)) == -2 * 3 + 6 + 3 * 9
+        assert F(3) ** 3 == rhs(3, {"D": F(0)}, F(1), F(1), F(1)) == -2 * 3 + 6 + 3 * 9
 
     def test_quartic_remark_point(self):
-        assert verify_sym_identity(4, SymParams4(D=F(3)), 6)
+        assert verify_sym_identity(4, {"D": F(3)}, 6)
 
     def test_quintic_fixed_seed_random(self):
         rng = random.Random(7)
@@ -63,11 +81,21 @@ class TestGridCertification:
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
-            verify_sym_identity(3, SymParams3(F(0)), 3)
+            verify_sym_identity(3, {"D": F(0)}, 3)
 
     def test_unknown_degree_rejected(self):
         with pytest.raises(ValueError):
-            verify_sym_identity(6, SymParams3(F(0)), 7)
+            verify_sym_identity(6, {"D": F(0)}, 7)
+
+    def test_square(self):
+        assert verify_sym_identity(2, {}, 3)
+
+    @pytest.mark.parametrize("degree", [1, 6])
+    def test_degree_outside_two_to_five_rejected(self, degree):
+        with pytest.raises(ValueError):
+            verify_sym_identity(degree, {}, degree + 1)
+        with pytest.raises(ValueError):
+            random_params(degree, random.Random(0))
 
 
 class TestParameterLinearity:
@@ -77,4 +105,4 @@ class TestParameterLinearity:
         rng = random.Random(11)
         for _ in range(50):
             a, b, c = (F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3))
-            assert rhs3(SymParams3(F(1)), a, b, c) == rhs3(SymParams3(F(-4, 3)), a, b, c)
+            assert rhs(3, {"D": F(1)}, a, b, c) == rhs(3, {"D": F(-4, 3)}, a, b, c)
