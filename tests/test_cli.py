@@ -2,7 +2,9 @@
 
 import json
 
-from triboconv import identity_catalog
+import pytest
+
+from triboconv import derivation, identity_catalog
 from triboconv.cli import main
 from triboconv.identity_catalog import Check, IdentityRecord, RunOutcome
 
@@ -62,6 +64,48 @@ class TestDerive:
 
     def test_replicate_paper_unsupported_family(self):
         assert main(["derive", "sumcofactor", "3", "--replicate-paper"]) == 2
+
+
+class TestDeriveVanishedDenominator:
+    """The row whose printed recursion hits a zero denominator: no
+    replicated value, match=false and the note last."""
+
+    NOTE = "printed denominator vanished during replication: x"
+    ROWS = [
+        {"n": "1", "A": "1", "triple": ["0", "1", "1"]},
+        {"n": "2", "A": "22", "triple": ["2", "3", "10"],
+         "replicated": None, "match": "false", "note": NOTE},
+        {"n": "3", "A": "44", "triple": ["3", "3", "5"],
+         "replicated": {"A": "44", "triple": ["3", "3", "5"]}, "match": "true"},
+    ]
+    EXPECTED = {
+        "json": json.dumps({"family": "cpower", "rows": ROWS}, indent=2) + "\n",
+        "tsv": (
+            "n\tA\ts0\ts1\ts2\tA_replicated\tr0\tr1\tr2\tmatch\n"
+            "1\t1\t0\t1\t1\t-\t-\t-\t-\t-\n"
+            "2\t22\t2\t3\t10\t-\t-\t-\t-\tfalse\n"
+            "3\t44\t3\t3\t5\t44\t3\t3\t5\ttrue\n"
+        ),
+        "text": (
+            "n=1: A=1 triple=(0, 1, 1)\n"
+            f"n=2: A=22 triple=(2, 3, 10)  [{NOTE}]\n"
+            "n=3: A=44 triple=(3, 3, 5)  replicated: A=44 triple=(3, 3, 5) match=true\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+    def test_vanished_row_bytes(self, fmt, capsys, monkeypatch):
+        real = derivation.derive_paper_recursive
+
+        def vanishing_at_two(fam):
+            if fam.n != 2:
+                return real(fam)
+            direct = derivation.derive(fam)
+            return derivation.PrintedRecursionResult(fam, direct, None, False, note=self.NOTE)
+
+        monkeypatch.setattr(derivation, "derive_paper_recursive", vanishing_at_two)
+        assert main(["derive", "cpower", "3", "--replicate-paper", "--format", fmt]) == 0
+        assert capsys.readouterr().out == self.EXPECTED[fmt]
 
 
 class TestVerify:
