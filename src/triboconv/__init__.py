@@ -8,7 +8,6 @@ from .field import (
     ZeroElement,
     c_element,
     cofactor_element,
-    float_embeddings,
     inverse,
     norm,
     norm_via_multiplication_matrix,

@@ -30,7 +30,25 @@ def _parse_triple(raw: str) -> tuple[int, int, int]:
     return (s0, s1, s2)
 
 
-def _emit(text: str, args) -> None:
+def _check_count(name: str, value: int) -> None:
+    """Reject a row count outside 1..DEFAULT_RANGE_CAP before any work."""
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1")
+    cap = identity_catalog.DEFAULT_RANGE_CAP
+    if value > cap:
+        raise UsageError(f"{name} {value} exceeds the cap {cap}")
+
+
+def _render(args, doc: dict, header: list[str], rows: list[list[str]], lines: list[str]) -> None:
+    """Write one report in ``args.format`` to stdout or ``--out``: ``doc``
+    as JSON, ``header`` and ``rows`` as TSV, or ``lines`` as text.  An
+    unwritable path is a usage error."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "tsv":
+        text = "".join("\t".join(cells) + "\n" for cells in [header, *rows])
+    else:
+        text = "".join(line + "\n" for line in lines)
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -41,30 +59,15 @@ def _emit(text: str, args) -> None:
         raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}")
 
 
-def _json_doc(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _tsv_doc(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 # -- seq ---------------------------------------------------------------------
 
 def _cmd_seq(args) -> int:
     triple = _parse_triple(args.triple)
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
+    _check_count("count", args.count)
     terms = [str(v) for v in TriboSeq(*triple).terms(args.count)]
-    if args.format == "json":
-        doc = _json_doc({"triple": [str(v) for v in triple], "terms": terms})
-    elif args.format == "tsv":
-        doc = _tsv_doc(["k", "term"], [[str(k), t] for k, t in enumerate(terms)])
-    else:
-        doc = " ".join(terms) + "\n"
-    _emit(doc, args)
+    doc = {"triple": [str(v) for v in triple], "terms": terms}
+    cells = [[str(k), t] for k, t in enumerate(terms)]
+    _render(args, doc, ["k", "term"], cells, [" ".join(terms)])
     return 0
 
 
@@ -79,102 +82,43 @@ def _cmd_derive(args) -> int:
         raise UsageError(
             f"unknown family {args.family!r} (choose from {', '.join(sorted(_FAMILIES))})"
         )
-    if args.n_max < 1:
-        raise UsageError("n_max must be >= 1")
+    _check_count("n_max", args.n_max)
     if args.replicate_paper and kind not in derivation.REPLICABLE_KINDS:
         raise UsageError(f"no printed recursion to replicate for {args.family}")
-    rows = []
+    header = ["n", "A", "s0", "s1", "s2"]
+    if args.replicate_paper:
+        header += ["A_replicated", "r0", "r1", "r2", "match"]
+    rows, cells, lines = [], [], []
     for n in range(1, args.n_max + 1):
-        scaled = derivation.derive(derivation.PowerFamily(kind, n))
-        row = {
-            "n": str(n),
-            "A": str(scaled.scale),
-            "triple": [str(v) for v in scaled.triple],
-        }
+        fam = derivation.PowerFamily(kind, n)
+        scaled = derivation.derive(fam)
+        row = {"n": str(n), "A": str(scaled.scale), "triple": [str(v) for v in scaled.triple]}
         if not scaled.integral:
             row["note"] = "non-integral scale"
+        line = f"n={n}: A={row['A']} triple=({', '.join(row['triple'])})"
+        tail = ["-"] * 5 if args.replicate_paper else []
         if args.replicate_paper and n >= 2:
-            result = derivation.derive_paper_recursive(derivation.PowerFamily(kind, n))
-            if result.recursive is None:
-                row["replicated"] = None
-                row["match"] = "false"
-                row["note"] = result.note
+            result = derivation.derive_paper_recursive(fam)
+            rep = result.recursive
+            match = "true" if result.match else "false"
+            if rep is None:
+                row.update(replicated=None, match=match, note=result.note)
+                tail[-1] = match
             else:
-                row["replicated"] = {
-                    "A": str(result.recursive.scale),
-                    "triple": [str(v) for v in result.recursive.triple],
-                }
-                row["match"] = "true" if result.match else "false"
+                rep_triple = [str(v) for v in rep.triple]
+                row.update(replicated={"A": str(rep.scale), "triple": rep_triple}, match=match)
+                tail = [str(rep.scale), *rep_triple, match]
+                line += f"  replicated: A={rep.scale} triple=({', '.join(rep_triple)}) match={match}"
+        if row.get("replicated") is None and "note" in row:
+            line += f"  [{row['note']}]"
         rows.append(row)
-    if args.format == "json":
-        doc = _json_doc({"family": args.family, "rows": rows})
-    elif args.format == "tsv":
-        header = ["n", "A", "s0", "s1", "s2"]
-        if args.replicate_paper:
-            header += ["A_replicated", "r0", "r1", "r2", "match"]
-        body = []
-        for row in rows:
-            line = [row["n"], row["A"], *row["triple"]]
-            if args.replicate_paper:
-                rep = row.get("replicated")
-                if rep:
-                    line += [rep["A"], *rep["triple"], row["match"]]
-                else:
-                    line += ["-", "-", "-", "-", row.get("match", "-")]
-            body.append(line)
-        doc = _tsv_doc(header, body)
-    else:
-        lines = []
-        for row in rows:
-            text = f"n={row['n']}: A={row['A']} triple=({', '.join(row['triple'])})"
-            rep = row.get("replicated")
-            if rep:
-                text += (
-                    f"  replicated: A={rep['A']} triple=({', '.join(rep['triple'])})"
-                    f" match={row['match']}"
-                )
-            elif "note" in row:
-                text += f"  [{row['note']}]"
-            lines.append(text)
-        doc = "\n".join(lines) + "\n"
-    _emit(doc, args)
+        cells.append([row["n"], row["A"], *row["triple"], *tail])
+        lines.append(line)
+    _render(args, {"family": args.family, "rows": rows}, header, cells, lines)
     return 0
 
 
 # -- verify ------------------------------------------------------------------
-
-def _verify_text(suite_dict: dict, verbosity: int) -> str:
-    lines = []
-    for entry in suite_dict["entries"]:
-        line = f"{entry['id']}: {entry['status']}"
-        if entry["range"]:
-            line += f" ({entry['range']})"
-        ff = entry["first_failure"]
-        if ff is not None:
-            line += f" first_failure at {ff['index']}: lhs={ff['lhs']} rhs={ff['rhs']}"
-        if verbosity and entry["notes"]:
-            line += f"  [{entry['notes']}]"
-        lines.append(line)
-    summary = suite_dict["summary"]
-    lines.append(
-        "summary: pass={pass} fail={fail} known-discrepancy={known_discrepancy} "
-        "vacuous={vacuous} verdict={verdict}".format(**summary)
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _verify_tsv(suite_dict: dict) -> str:
-    header = ["id", "status", "range", "params", "first_failure", "notes"]
-    rows = []
-    for entry in suite_dict["entries"]:
-        ff = entry["first_failure"]
-        ff_str = "" if ff is None else f"{ff['index']}: {ff['lhs']} != {ff['rhs']}"
-        params = ";".join(
-            ",".join(f"{k}={v}" for k, v in point.items()) for point in entry["params"]
-        )
-        rows.append([entry["id"], entry["status"], entry["range"], params, ff_str, entry["notes"]])
-    return _tsv_doc(header, rows)
-
 
 def _cmd_verify(args) -> int:
     if args.identity == "all":
@@ -189,48 +133,44 @@ def _cmd_verify(args) -> int:
         except identity_catalog.CatalogError as exc:
             raise UsageError(str(exc))
         suite = identity_catalog.SuiteReport(seed=args.seed, reports=[report])
-    doc_dict = suite.to_dict()
-    if args.format == "json":
-        doc = _json_doc(doc_dict)
-    elif args.format == "tsv":
-        doc = _verify_tsv(doc_dict)
-    else:
-        doc = _verify_text(doc_dict, args.verbose)
-    _emit(doc, args)
+    doc = suite.to_dict()
+    rows, lines = [], []
+    for entry in doc["entries"]:
+        ff = entry["first_failure"]
+        points = (",".join(f"{k}={v}" for k, v in p.items()) for p in entry["params"])
+        ff_cell = "" if ff is None else f"{ff['index']}: {ff['lhs']} != {ff['rhs']}"
+        rows.append([entry["id"], entry["status"], entry["range"], ";".join(points), ff_cell,
+                     entry["notes"]])
+        line = f"{entry['id']}: {entry['status']}"
+        if entry["range"]:
+            line += f" ({entry['range']})"
+        if ff is not None:
+            line += f" first_failure at {ff['index']}: lhs={ff['lhs']} rhs={ff['rhs']}"
+        if args.verbose and entry["notes"]:
+            line += f"  [{entry['notes']}]"
+        lines.append(line)
+    lines.append(
+        "summary: pass={pass} fail={fail} known-discrepancy={known_discrepancy} "
+        "vacuous={vacuous} verdict={verdict}".format(**doc["summary"])
+    )
+    header = ["id", "status", "range", "params", "first_failure", "notes"]
+    _render(args, doc, header, rows, lines)
     return 0 if suite.verdict == "pass" else 1
 
 
 # -- conjecture ----------------------------------------------------------------
 
 def _cmd_conjecture(args) -> int:
-    if args.n_max < 1:
-        raise UsageError("N must be >= 1")
+    _check_count("N", args.n_max)
     report = derivation.conjecture_check(args.n_max)
-    rows = [
-        {
-            "n": str(row.n),
-            "cpower_scale_2n": str(row.cpower_scale),
-            "cofactor_scale_n": str(row.cofactor_scale),
-            "equal": "true" if row.equal else "false",
-        }
-        for row in report.rows
-    ]
+    header = ["n", "cpower_scale_2n", "cofactor_scale_n", "equal"]
+    cells = [[str(row.n), str(row.cpower_scale), str(row.cofactor_scale),
+              "true" if row.equal else "false"] for row in report.rows]
     verdict = "all-equal" if report.all_equal else "counterexample-found"
-    if args.format == "json":
-        doc = _json_doc({"rows": rows, "verdict": verdict})
-    elif args.format == "tsv":
-        doc = _tsv_doc(
-            ["n", "cpower_scale_2n", "cofactor_scale_n", "equal"],
-            [[r["n"], r["cpower_scale_2n"], r["cofactor_scale_n"], r["equal"]] for r in rows],
-        )
-    else:
-        lines = [
-            f"n={r['n']}: {r['cpower_scale_2n']} == {r['cofactor_scale_n']} -> {r['equal']}"
-            for r in rows
-        ]
-        lines.append(f"verdict: {verdict}")
-        doc = "\n".join(lines) + "\n"
-    _emit(doc, args)
+    lines = [f"n={n}: {cpower} == {cofactor} -> {equal}" for n, cpower, cofactor, equal in cells]
+    lines.append(f"verdict: {verdict}")
+    rows = [dict(zip(header, c)) for c in cells]
+    _render(args, {"rows": rows, "verdict": verdict}, header, cells, lines)
     return 0 if report.all_equal else 1
 
 
@@ -239,34 +179,21 @@ def _cmd_conjecture(args) -> int:
 def _cmd_symcheck(args) -> int:
     if args.grid < 6:
         raise UsageError("grid must be >= 6 (degree+1 certifies each family)")
-    rows = []
-    all_ok = True
+    if args.draws < 1:
+        raise UsageError("draws must be >= 1")
+    header = ["degree", "draws", "grid", "status"]
+    cells = []
     for degree in (3, 4, 5):
         rng = random.Random(f"{args.seed}:sym{degree}")
-        ok = all(
-            symmetric_identities.verify_sym_identity(
-                degree, symmetric_identities.random_params(degree, rng), args.grid
-            )
-            for _ in range(args.draws)
-        )
-        all_ok &= ok
-        rows.append({"degree": str(degree), "draws": str(args.draws),
-                     "grid": str(args.grid), "status": "pass" if ok else "fail"})
-    if args.format == "json":
-        doc = _json_doc({"seed": str(args.seed), "rows": rows,
-                         "verdict": "pass" if all_ok else "fail"})
-    elif args.format == "tsv":
-        doc = _tsv_doc(["degree", "draws", "grid", "status"],
-                       [[r["degree"], r["draws"], r["grid"], r["status"]] for r in rows])
-    else:
-        lines = [
-            f"degree {r['degree']}: {r['status']} ({r['draws']} draws, grid {r['grid']})"
-            for r in rows
-        ]
-        lines.append(f"verdict: {'pass' if all_ok else 'fail'}")
-        doc = "\n".join(lines) + "\n"
-    _emit(doc, args)
-    return 0 if all_ok else 1
+        points = (symmetric_identities.random_params(degree, rng) for _ in range(args.draws))
+        ok = all(symmetric_identities.verify_sym_identity(degree, p, args.grid) for p in points)
+        cells.append([str(degree), str(args.draws), str(args.grid), "pass" if ok else "fail"])
+    verdict = "pass" if all(c[3] == "pass" for c in cells) else "fail"
+    lines = [f"degree {d}: {status} ({n} draws, grid {g})" for d, n, g, status in cells]
+    lines.append(f"verdict: {verdict}")
+    rows = [dict(zip(header, c)) for c in cells]
+    _render(args, {"seed": str(args.seed), "rows": rows, "verdict": verdict}, header, cells, lines)
+    return 0 if verdict == "pass" else 1
 
 
 # -- parser ---------------------------------------------------------------------
@@ -278,21 +205,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
         p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
         p.add_argument("--out", metavar="PATH", default=None)
+        p.set_defaults(run=run)
 
     p_seq = sub.add_parser("seq", help="print terms of a generalized Tribonacci sequence")
     p_seq.add_argument("triple", help="initial values, e.g. 0,1,1")
     p_seq.add_argument("count", type=int, help="number of terms to print")
-    add_common(p_seq)
+    add_common(p_seq, _cmd_seq)
 
     p_derive = sub.add_parser("derive", help="canonical (scale, triple) table for a family")
     p_derive.add_argument("family", help="one of " + ", ".join(sorted(_FAMILIES)))
     p_derive.add_argument("n_max", type=int)
     p_derive.add_argument("--replicate-paper", action="store_true",
                           help="also run the printed recursion and show a match column")
-    add_common(p_derive)
+    add_common(p_derive, _cmd_derive)
 
     p_verify = sub.add_parser("verify", help="verify one identity or 'all'")
     p_verify.add_argument("identity", help="identity id or 'all'")
@@ -300,28 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mmax", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=identity_catalog.DEFAULT_SEED)
     p_verify.add_argument("-v", "--verbose", action="count", default=0)
-    add_common(p_verify)
+    add_common(p_verify, _cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="check the scale conjecture up to N")
     p_conj.add_argument("n_max", type=int, metavar="N")
-    add_common(p_conj)
+    add_common(p_conj, _cmd_conjecture)
 
     p_sym = sub.add_parser("symcheck", help="grid-certify the symmetric lemma families")
     p_sym.add_argument("--seed", type=int, default=0)
     p_sym.add_argument("--draws", type=int, default=20)
     p_sym.add_argument("--grid", type=int, default=6)
-    add_common(p_sym)
+    add_common(p_sym, _cmd_symcheck)
 
     return parser
-
-
-_DISPATCH = {
-    "seq": _cmd_seq,
-    "derive": _cmd_derive,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-    "symcheck": _cmd_symcheck,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -335,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (None, 0) else int(code)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,14 +7,12 @@ equality is plain coefficient comparison.  Its three embeddings come from
 evaluating the lift at the three roots; trace and norm of any element are
 rational and are computed without ever constructing the roots.
 
-Floating point appears only in :func:`float_embeddings`, which is a
-display helper and is never consumed by verification logic.  The certified
-:func:`sign_at_real_root` uses rational interval bisection instead.
+No floating point is used anywhere: the certified
+:func:`sign_at_real_root` uses rational interval bisection.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -332,22 +330,3 @@ def sign_at_real_root(q: FieldElement) -> int:
             return -1
         depth *= 2
 
-
-@lru_cache(maxsize=1)
-def _float_roots() -> tuple[complex, complex, complex]:
-    iv = REAL_ROOT_BRACKET.bisect(64)
-    alpha = float((iv.lower + iv.upper) / 2)
-    # remaining quadratic factor x^2 + (alpha-1)x + (alpha^2-alpha-1)
-    disc = cmath.sqrt(complex(-3 * alpha * alpha + 2 * alpha + 5))
-    beta = ((1 - alpha) + disc) / 2
-    return (complex(alpha), beta, beta.conjugate())
-
-
-def float_embeddings(q: FieldElement) -> tuple[complex, complex, complex]:
-    """Display-only approximations of q at the real root and the conjugate
-    pair.  Never used on verification paths."""
-    def at(r: complex) -> complex:
-        return complex(q.a0) + complex(q.a1) * r + complex(q.a2) * r * r
-
-    alpha, beta, gamma = _float_roots()
-    return (at(alpha), at(beta), at(gamma))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from triboconv import derivation, identity_catalog
+from triboconv import derivation, identity_catalog, symmetric_identities
 from triboconv.cli import main
 from triboconv.identity_catalog import Check, IdentityRecord, RunOutcome
 
@@ -191,3 +191,13 @@ class TestSymcheck:
 
     def test_grid_floor(self):
         assert main(["symcheck", "--grid", "4"]) == 2
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_no_draws_is_usage_error(self, draws, capsys, monkeypatch):
+        # with no draw nothing is checked, so no degree may read pass
+        def no_draw(*args):
+            raise AssertionError("drew parameters")
+
+        monkeypatch.setattr(symmetric_identities, "random_params", no_draw)
+        assert main(["symcheck", "--draws", draws, "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", "error: draws must be >= 1\n")

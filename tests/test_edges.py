@@ -1,5 +1,6 @@
-"""Edge inputs (negative ranges, unwritable output paths, huge integers)
-and the agreement of the identities read from one fold table."""
+"""Edge inputs (negative ranges, counts above the cap, unwritable output
+paths, huge integers) and the agreement of the identities read from one
+fold table."""
 
 import json
 
@@ -49,6 +50,28 @@ class TestRangeCap:
         [entry] = json.loads(out.read_text())["entries"]
         assert entry["range"] == "n=0..2000"
         assert entry["status"] == "pass"
+
+
+class TestCountCap:
+    @pytest.mark.parametrize("argv,target", [
+        (["seq", "0,1,1", "2001"], "triboconv.cli.TriboSeq"),
+        (["derive", "cpower", "2001"], "triboconv.derivation.derive"),
+        (["conjecture", "2001"], "triboconv.derivation.conjecture_check"),
+    ])
+    def test_count_above_cap_is_rejected_before_any_work(self, argv, target, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("computed past the cap")
+
+        monkeypatch.setattr(target, no_work)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("exceeds the cap 2000\n")
+        assert err.count("\n") == 1
+
+    def test_seq_at_the_cap(self, capsys):
+        assert main(["seq", "0,1,1", "2000", "--format", "tsv"]) == 0
+        assert capsys.readouterr().out.count("\n") == 2001
 
 
 class TestErrorMapping:

@@ -1,5 +1,6 @@
 """Field arithmetic in Q[x]/(x^3 - x^2 - x - 1): examples and ring laws."""
 
+import cmath
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from triboconv.field import (
     ONE,
+    REAL_ROOT_BRACKET,
     X,
     ZERO,
     FieldElement,
@@ -16,7 +18,6 @@ from triboconv.field import (
     ZeroElement,
     c_element,
     cofactor_element,
-    float_embeddings,
     inverse,
     norm,
     norm_via_multiplication_matrix,
@@ -27,6 +28,24 @@ from triboconv.field import (
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 elements = st.builds(FieldElement, fractions, fractions, fractions)
 nonzero_elements = elements.filter(lambda q: not q.is_zero())
+
+
+def _float_roots() -> tuple[complex, complex, complex]:
+    iv = REAL_ROOT_BRACKET.bisect(64)
+    alpha = float((iv.lower + iv.upper) / 2)
+    # remaining quadratic factor x^2 + (alpha-1)x + (alpha^2-alpha-1)
+    disc = cmath.sqrt(complex(-3 * alpha * alpha + 2 * alpha + 5))
+    beta = ((1 - alpha) + disc) / 2
+    return (complex(alpha), beta, beta.conjugate())
+
+
+FLOAT_ROOTS = _float_roots()
+
+
+def float_embeddings(q: FieldElement) -> tuple[complex, complex, complex]:
+    """Float approximations of q at the real root and the conjugate pair:
+    a sanity witness for the certified sign, never an authority."""
+    return tuple(complex(q.a0) + complex(q.a1) * r + complex(q.a2) * r * r for r in FLOAT_ROOTS)
 
 
 class TestAddMul:
