@@ -176,11 +176,16 @@ def _cmd_conjecture(args) -> int:
 
 # -- symcheck -------------------------------------------------------------------
 
+#: Largest accepted ``symcheck --grid``; grid 6 already certifies each family.
+SYM_GRID_CAP = 12
+
+
 def _cmd_symcheck(args) -> int:
     if args.grid < 6:
         raise UsageError("grid must be >= 6 (degree+1 certifies each family)")
-    if args.draws < 1:
-        raise UsageError("draws must be >= 1")
+    if args.grid > SYM_GRID_CAP:
+        raise UsageError(f"grid {args.grid} exceeds the cap {SYM_GRID_CAP}")
+    _check_count("draws", args.draws)
     header = ["degree", "draws", "grid", "status"]
     cells = []
     for degree in (3, 4, 5):

@@ -99,28 +99,16 @@ class PrintedRecursionResult:
     note: str = ""
 
 
-#: trace Gram matrix [trace(x^(i+j))] for i, j in 0..2
-_TRACE_GRAM = (
-    (Fraction(3), Fraction(1), Fraction(3)),
-    (Fraction(1), Fraction(3), Fraction(7)),
-    (Fraction(3), Fraction(7), Fraction(11)),
+#: Inverse of the trace Gram matrix [trace(x^(i+j))] = ((3, 1, 3), (1, 3, 7), (3, 7, 11)).
+_INVERSE_TRACE_GRAM = tuple(
+    tuple(Fraction(v, 22) for v in row) for row in ((8, -5, 1), (-5, -12, 9), (1, 9, -4))
 )
 
 
 def element_with_traces(t0, t1, t2) -> FieldElement:
-    """The unique element q with trace(x^j q) = t_j for j = 0, 1, 2, found
-    by solving the 3x3 trace Gram system."""
-    g = [list(row) + [Fraction(v)] for row, v in zip(_TRACE_GRAM, (t0, t1, t2))]
-    for col in range(3):
-        pivot = next(r for r in range(col, 3) if g[r][col] != 0)
-        g[col], g[pivot] = g[pivot], g[col]
-        scale = g[col][col]
-        g[col] = [v / scale for v in g[col]]
-        for r in range(3):
-            if r != col and g[r][col]:
-                factor = g[r][col]
-                g[r] = [v - factor * w for v, w in zip(g[r], g[col])]
-    return FieldElement(g[0][3], g[1][3], g[2][3])
+    """The unique element q with trace(x^j q) = t_j for j = 0, 1, 2: the
+    inverse trace Gram matrix applied to (t0, t1, t2)."""
+    return FieldElement(*(row[0] * t0 + row[1] * t1 + row[2] * t2 for row in _INVERSE_TRACE_GRAM))
 
 
 def _eventually_positive(triple: tuple[int, int, int]) -> bool:

@@ -3,12 +3,13 @@
 The minimal polynomial x^3 - x^2 - x - 1 is irreducible over Q with one
 real root (1.8392...) and a complex-conjugate pair.  An element is stored
 reduced in the power basis (1, x, x^2) with Fraction coefficients, so
-equality is plain coefficient comparison.  Its three embeddings come from
-evaluating the lift at the three roots; trace and norm of any element are
-rational and are computed without ever constructing the roots.
+equality is plain coefficient comparison.  Trace and norm of any element
+are rational and are computed without ever constructing the roots.
 
-No floating point is used anywhere: the certified
-:func:`sign_at_real_root` uses rational interval bisection.
+No floating point and no search is used anywhere: inverse and norm are
+closed forms in the coefficients, and :func:`sign_at_real_root` reads the
+sign of the norm, because the two complex embeddings multiply to a
+positive number.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-#: Coefficients (c0, c1, c2, c3) of the minimal polynomial x^3 - x^2 - x - 1.
-MIN_POLY = (Fraction(-1), Fraction(-1), Fraction(-1), Fraction(1))
 
 #: Power sums p_k of the three roots for k = 0, 1, 2 (Newton's identities
 #: from e1 = 1, e2 = -1, e3 = 1); enough to evaluate any trace.
@@ -75,13 +73,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return not (self.a0 or self.a1 or self.a2)
-
-    def lift(self) -> list[Fraction]:
-        """Coefficients of the degree <= 2 lift, trailing zeros dropped."""
-        out = [self.a0, self.a1, self.a2]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
 
     # -- ring operators -------------------------------------------------
 
@@ -172,46 +163,25 @@ def _mult_matrix(q: FieldElement) -> list[list[Fraction]]:
     ]
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with Fraction pivots."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+def _det_and_cofactors(q: FieldElement) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
+    """Determinant of q's multiplication matrix and the cofactors of its
+    first row, written out as 2x2 minors."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _mult_matrix(q)
+    cof = (m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20)
+    return m00 * cof[0] + m01 * cof[1] + m02 * cof[2], cof
 
 
 def inverse(q: FieldElement) -> FieldElement:
-    """Multiplicative inverse, by solving the 3x3 rational linear system
-    (multiplication matrix of q applied to the unknown equals 1).
+    """Multiplicative inverse: the solution of (multiplication matrix of q)
+    v = 1, i.e. the first column of the adjugate over the determinant.
 
     Raises ZeroElement for q = 0.
     """
     if q.is_zero():
         raise ZeroElement("cannot invert the zero element")
-    m = _mult_matrix(q)
-    d = _det(m)
+    d, cof = _det_and_cofactors(q)
     # d = norm(q), nonzero for q != 0 because K is a field
-    coeffs = []
-    for i in range(3):
-        mi = [row[:] for row in m]
-        for r in range(3):
-            mi[r][i] = Fraction(1) if r == 0 else Fraction(0)
-        coeffs.append(_det(mi) / d)
-    return FieldElement(*coeffs)
+    return FieldElement(*(c / d for c in cof))
 
 
 def trace(q: FieldElement) -> Fraction:
@@ -221,32 +191,17 @@ def trace(q: FieldElement) -> Fraction:
 
 
 def norm(q: FieldElement) -> Fraction:
-    """Product of the three embeddings, computed as the resultant of the
-    minimal polynomial with q's lift (normalized so norm(constant k) = k^3).
-    """
-    lift = q.lift()
-    if not lift:
-        return Fraction(0)
-    d = len(lift) - 1
-    if d == 0:
-        return lift[0] ** 3
-    # Sylvester matrix of (min poly, lift): d rows of the monic cubic, then
-    # 3 rows of the lift, both in descending-degree order.
-    f = list(reversed(MIN_POLY))
-    g = list(reversed(lift))
-    size = 3 + d
-    rows = []
-    for i in range(d):
-        rows.append([Fraction(0)] * i + f + [Fraction(0)] * (size - 4 - i))
-    for j in range(3):
-        rows.append([Fraction(0)] * j + g + [Fraction(0)] * (size - d - 1 - j))
-    return _det(rows)
+    """Product of the three embeddings, from the power sums t_k = trace(q^k)
+    by Newton's identities: (t1^3 - 3 t1 t2 + 2 t3) / 6."""
+    q2 = q * q
+    t1, t2, t3 = trace(q), trace(q2), trace(q2 * q)
+    return (t1**3 - 3 * t1 * t2 + 2 * t3) / 6
 
 
 def norm_via_multiplication_matrix(q: FieldElement) -> Fraction:
     """Independent route to the norm: determinant of the multiplication
-    matrix.  Kept as a cross-check against the resultant route."""
-    return _det(_mult_matrix(q))
+    matrix.  Kept as a cross-check against the trace route."""
+    return _det_and_cofactors(q)[0]
 
 
 @lru_cache(maxsize=1)
@@ -263,7 +218,21 @@ def cofactor_element() -> FieldElement:
     return Fraction(1, 44) * FieldElement(-1, 4, -1)
 
 
-# -- certified sign at the real root ------------------------------------
+def sign_at_real_root(q: FieldElement) -> int:
+    """Exact sign of q(alpha), read from the sign of the norm.
+
+    The other two roots beta, gamma are complex conjugates and q has
+    rational coefficients, so q(gamma) is the conjugate of q(beta) and
+    norm(q) = q(alpha) * |q(beta)|^2.  For q != 0 no embedding vanishes
+    (the minimal polynomial is irreducible), so |q(beta)|^2 > 0 and the
+    norm has the sign of q(alpha).
+
+    Raises ZeroAtRoot when q(alpha) = 0 (equivalently q = 0).
+    """
+    if q.is_zero():
+        raise ZeroAtRoot("element vanishes at the real root")
+    return 1 if norm_via_multiplication_matrix(q) > 0 else -1
+
 
 @dataclass(frozen=True)
 class RootInterval:
@@ -294,39 +263,3 @@ def _min_poly_at(v: Fraction) -> Fraction:
 #: Initial bracket around 1.8392...; the minimal polynomial is negative at
 #: 11/6 and positive at 15/8.
 REAL_ROOT_BRACKET = RootInterval(Fraction(11, 6), Fraction(15, 8))
-
-
-def _interval_eval(coeffs: list[Fraction], iv: RootInterval) -> tuple[Fraction, Fraction]:
-    """Interval extension of a polynomial over [lower, upper] by Horner."""
-    lo = hi = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        candidates = (lo * iv.lower, lo * iv.upper, hi * iv.lower, hi * iv.upper)
-        lo, hi = min(candidates) + c, max(candidates) + c
-    return lo, hi
-
-
-def sign_at_real_root(q: FieldElement) -> int:
-    """Exact sign of q(alpha), certified by interval bisection.
-
-    The bracket around the root is refined (with doubling depth) until the
-    interval evaluation of q excludes zero; termination is guaranteed
-    because q(alpha) != 0 is established exactly first: elements are
-    reduced modulo the irreducible minimal polynomial, so q(alpha) = 0
-    exactly when q is the zero element.
-
-    Raises ZeroAtRoot when q(alpha) = 0 (equivalently q = 0).
-    """
-    if q.is_zero():
-        raise ZeroAtRoot("element vanishes at the real root")
-    lift = q.lift()
-    iv = REAL_ROOT_BRACKET
-    depth = 8
-    while True:
-        iv = iv.bisect(depth)
-        lo, hi = _interval_eval(lift, iv)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        depth *= 2
-

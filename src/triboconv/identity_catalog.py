@@ -535,14 +535,16 @@ def verify(
     """Run one identity over its (possibly overridden) range.
 
     nmax/mmax override the upper end of the record's first/second index
-    range; a negative upper end raises CatalogError, one below the range
-    start gives a vacuous report.  params overrides the parameter sample
+    range; a negative upper end, or mmax for a record with one range,
+    raises CatalogError, one below the range start gives a vacuous report.  params overrides the parameter sample
     where the record has one (T2: iterable of D values; T3/T4: iterable of
     name-to-value mappings).
     """
     record = REGISTRY.get(identity_id)
     if record is None:
         raise UnknownIdentity(f"no identity registered under id {identity_id!r}")
+    if mmax is not None and len(record.ranges) < 2:
+        raise CatalogError(f"{identity_id} has no second index range for mmax")
     ranges: dict[str, tuple[int, int]] = {}
     for pos, range_spec in enumerate(record.ranges):
         hi = range_spec.hi

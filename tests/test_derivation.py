@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from triboconv.derivation import (
     CPower,
@@ -163,6 +164,11 @@ class TestElementWithTraces:
     def test_traces_round_trip(self):
         elt = element_with_traces(F(5), F(-3, 7), F(1, 2))
         assert [egf_rational_term(elt, k) for k in range(3)] == [F(5), F(-3, 7), F(1, 2)]
+
+    @given(st.lists(st.fractions(max_denominator=50), min_size=3, max_size=3))
+    def test_random_traces_round_trip(self, t):
+        elt = element_with_traces(*t)
+        assert [egf_rational_term(elt, k) for k in range(3)] == t
 
 
 class TestConjecture:

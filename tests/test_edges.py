@@ -1,12 +1,12 @@
-"""Edge inputs (negative ranges, counts above the cap, unwritable output
-paths, huge integers) and the agreement of the identities read from one
-fold table."""
+"""Edge inputs (negative ranges, an mmax with no second range, counts and
+symcheck arguments above their caps, unwritable output paths, huge
+integers) and the agreement of the identities read from one fold table."""
 
 import json
 
 import pytest
 
-from triboconv import identity_catalog
+from triboconv import identity_catalog, symmetric_identities
 from triboconv.cli import main
 from triboconv.identity_catalog import CatalogError, verify
 
@@ -23,6 +23,16 @@ class TestNegativeRanges:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "negative" in captured.err
+
+
+class TestMmaxWithoutSecondRange:
+    def test_verify_rejects_mmax(self):
+        with pytest.raises(CatalogError, match="P1 has no second index range"):
+            verify("P1", mmax=5)
+
+    def test_cli_mmax_is_usage_error(self, capsys):
+        assert main(["verify", "P1", "--mmax", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: P1 has no second index range for mmax\n")
 
 
 class TestUnwritableOut:
@@ -68,6 +78,24 @@ class TestCountCap:
         assert out == ""
         assert err.startswith("error: ") and err.endswith("exceeds the cap 2000\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--grid", "13"], "grid 13 exceeds the cap 12"),
+        (["--grid", "200"], "grid 200 exceeds the cap 12"),
+        (["--draws", "2001"], "draws 2001 exceeds the cap 2000"),
+        (["--draws", str(10**7)], f"draws {10**7} exceeds the cap 2000"),
+    ])
+    def test_symcheck_above_cap_is_rejected_before_any_draw(self, argv, message, capsys, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("checked past the cap")
+
+        monkeypatch.setattr(symmetric_identities, "verify_sym_identity", no_check)
+        assert main(["symcheck", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_symcheck_at_the_grid_cap(self, capsys):
+        assert main(["symcheck", "--draws", "1", "--grid", "12"]) == 0
+        assert "degree 5: pass (1 draws, grid 12)" in capsys.readouterr().out
 
     def test_seq_at_the_cap(self, capsys):
         assert main(["seq", "0,1,1", "2000", "--format", "tsv"]) == 0

@@ -223,6 +223,46 @@ class TestSignAtRealRoot:
         assert sign_at_real_root(q) == 1
 
 
+class TestSignOfPowers:
+    """sign(q^k) = sign(q)^k far below float precision: c^200 is about
+    1e-95 at the real root, and the pair-sum power alternates in sign."""
+
+    @staticmethod
+    def _pair_sum_element():
+        c2 = c_element() ** 2
+        return FieldElement.constant(trace(c2)) - c2
+
+    @staticmethod
+    def _fixed_random_elements():
+        rng = random.Random(7)
+        return [FieldElement(*(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)))
+                for _ in range(4)]
+
+    def _assert_sign_is_multiplicative(self, q, expected=None):
+        sign = sign_at_real_root(q)
+        if expected is not None:
+            assert sign == expected
+        power = ONE
+        for k in range(1, 201):
+            power = power * q
+            assert sign_at_real_root(power) == sign**k, k
+
+    def test_c_element(self):
+        self._assert_sign_is_multiplicative(c_element(), 1)
+
+    def test_cofactor_element(self):
+        self._assert_sign_is_multiplicative(cofactor_element(), 1)
+
+    def test_pair_sum_element(self):
+        self._assert_sign_is_multiplicative(self._pair_sum_element(), -1)
+
+    def test_fixed_random_elements(self):
+        elements = self._fixed_random_elements()
+        assert {sign_at_real_root(q) for q in elements} == {1, -1}
+        for q in elements:
+            self._assert_sign_is_multiplicative(q)
+
+
 class TestFloatEmbeddings:
     def test_embeddings_of_x_match_the_roots(self):
         a, b, g = float_embeddings(X)
