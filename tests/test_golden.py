@@ -5,8 +5,11 @@ and of one call of each other subcommand in each format, and a sha256
 digest of each identity's checks at default
 ranges (passing JSON entries carry no values, so the digests are what pin
 the evaluators).  checks_deep.json pins T4/T3/T4R/P3 at the large nmax
-where the convolution tables are extended by recurrence.  Regenerate them deliberately, after an intended change
-of output, with:
+where the convolution tables are extended by recurrence, and
+cli_sha256.json pins by digest the CLI bytes of `conjecture` and
+`derive --replicate-paper` at the sizes of the scale_audit benchmark, too
+large to check in whole.  Regenerate them deliberately, after an intended
+change of output, with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -38,6 +41,15 @@ for _stem, _argv in {
 }.items():
     for _fmt, _ext in (("json", "json"), ("tsv", "tsv"), ("text", "txt")):
         CLI_OUTPUTS[f"{_stem}.{_ext}"] = [*_argv, "--format", _fmt]
+
+#: name -> full CLI argv whose output bytes are pinned by their sha256 in
+#: cli_sha256.json.
+CLI_SHA256 = {
+    "conjecture_200.json": ["conjecture", "200", "--format", "json"],
+    "derive_cpower_47_replicate.json": ["derive", "cpower", "47", "--replicate-paper", "--format", "json"],
+    "derive_cofactor_45_replicate.json": ["derive", "cofactor", "45", "--replicate-paper", "--format", "json"],
+    "derive_pairsumsq_46_replicate.json": ["derive", "pairsumsq", "46", "--replicate-paper", "--format", "json"],
+}
 
 #: (file name, seed, {identity id: nmax or None for the default range}) of
 #: the per-identity check digests; None in place of the mapping means every
@@ -82,6 +94,15 @@ def test_subcommand_bytes(name, tmp_path):
     assert _cli_bytes(tmp_path, CLI_OUTPUTS[name]) == (GOLDEN / name).read_bytes()
 
 
+def _cli_sha256(tmp: Path, name: str) -> str:
+    return hashlib.sha256(_cli_bytes(tmp, CLI_SHA256[name])).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_cli_sha256(name, tmp_path):
+    assert _cli_sha256(tmp_path, name) == json.loads((GOLDEN / "cli_sha256.json").read_text())[name]
+
+
 @pytest.mark.parametrize("name,seed,ids", DIGESTS, ids=[d[0] for d in DIGESTS])
 def test_check_digests(name, seed, ids):
     assert _digest_doc(seed, ids) == (GOLDEN / name).read_text()
@@ -94,5 +115,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in CLI_OUTPUTS.items():
             (GOLDEN / name).write_bytes(_cli_bytes(Path(tmp), argv))
+        digests = {name: _cli_sha256(Path(tmp), name) for name in sorted(CLI_SHA256)}
+        (GOLDEN / "cli_sha256.json").write_text(json.dumps(digests, indent=2) + "\n")
     for name, seed, ids in DIGESTS:
         (GOLDEN / name).write_text(_digest_doc(seed, ids))
