@@ -38,7 +38,9 @@ from .derivation import (
     conjecture_check,
     derive,
     derive_paper_recursive,
+    derive_table,
     family_element,
+    replicate_paper_table,
 )
 from .identity_catalog import (
     RangeTooLarge,

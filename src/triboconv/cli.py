@@ -88,17 +88,17 @@ def _cmd_derive(args) -> int:
     header = ["n", "A", "s0", "s1", "s2"]
     if args.replicate_paper:
         header += ["A_replicated", "r0", "r1", "r2", "match"]
+    direct = derivation.derive_table(kind, args.n_max)
+    replicated = derivation.replicate_paper_table(kind, direct) if args.replicate_paper else []
     rows, cells, lines = [], [], []
-    for n in range(1, args.n_max + 1):
-        fam = derivation.PowerFamily(kind, n)
-        scaled = derivation.derive(fam)
+    for n, scaled in enumerate(direct, start=1):
         row = {"n": str(n), "A": str(scaled.scale), "triple": [str(v) for v in scaled.triple]}
         if not scaled.integral:
             row["note"] = "non-integral scale"
         line = f"n={n}: A={row['A']} triple=({', '.join(row['triple'])})"
         tail = ["-"] * 5 if args.replicate_paper else []
         if args.replicate_paper and n >= 2:
-            result = derivation.derive_paper_recursive(fam)
+            result = replicated[n - 2]
             rep = result.recursive
             match = "true" if result.match else "false"
             if rep is None:

@@ -1,22 +1,25 @@
 """Power families of per-root coefficients and their canonical sequences.
 
 The authoritative derivation path is: build the family's field element
-exactly, take its n-th power, and normalize (``derive``).  The source
-tables also print per-family recursions for the initial triples and
-scales; those are replicated verbatim by ``derive_paper_recursive`` and
-compared against the direct path, because printed helper formulas of this
-kind are exactly where typographical slips hide.  A mismatch flags the
-printed recursion, never the direct path.
+exactly, take its n-th power, and normalize (``derive``).  A whole table
+n = 1..N steps the element by one field multiplication per row
+(``derive_table``).  The source tables also print per-family recursions
+for the initial triples and scales; those are replicated verbatim, in one
+replay per table (``replicate_paper_table``, ``derive_paper_recursive``),
+and compared against the direct path, because printed helper formulas of
+this kind are exactly where typographical slips hide.  A mismatch flags
+the printed recursion, never the direct path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .field import FieldElement, c_element, cofactor_element, sign_at_real_root, trace
+from .field import ONE, FieldElement, c_element, cofactor_element, sign_at_real_root, trace
 from .sequences import ScaledSeq, normalize_egf
 
 # elementary symmetric functions of the three Binet coefficients
@@ -86,6 +89,20 @@ def family_element(fam: PowerFamily) -> FieldElement:
 def derive(fam: PowerFamily) -> ScaledSeq:
     """Authoritative derivation: normalize the exact family element."""
     return normalize_egf(family_element(fam))
+
+
+def _powers(q: FieldElement, n_max: int) -> Iterator[FieldElement]:
+    """q, q^2, ..., q^n_max, one field multiplication per power."""
+    power = ONE
+    for _ in range(n_max):
+        power = power * q
+        yield power
+
+
+def derive_table(kind: FamilyKind, n_max: int) -> list[ScaledSeq]:
+    """``derive(PowerFamily(kind, n))`` for n = 1..n_max, stepping the
+    family element from one row to the next instead of a fresh power."""
+    return [normalize_egf(q) for q in _powers(family_element(PowerFamily(kind, 1)), n_max)]
 
 
 # -- replication of the printed recursions --------------------------------
@@ -173,6 +190,42 @@ _STEPS = {
 REPLICABLE_KINDS = frozenset(_STEPS)
 
 
+def _printed_step(kind: FamilyKind):
+    if kind not in _STEPS:
+        raise ValueError(f"no printed recursion replicated for {kind.value}")
+    return _STEPS[kind]
+
+
+def _replay(step, base: ScaledSeq, n_max: int) -> Iterator[ScaledSeq | str]:
+    """The printed recursion ``step`` applied verbatim from the n = 1 base,
+    one step per n: its (scale, triple) for n = 2..n_max.  From the step
+    whose printed denominator vanishes on, every n yields that step's note."""
+    triple, scale = base.triple, base.scale
+    note = None
+    for _ in range(2, n_max + 1):
+        if note is None:
+            try:
+                triple, scale = step(triple, scale)
+            except ZeroDivisionError as exc:
+                note = f"printed denominator vanished during replication: {exc}"
+        yield ScaledSeq(scale, triple) if note is None else note
+
+
+def _compare(fam: PowerFamily, direct: ScaledSeq, replayed: ScaledSeq | str) -> PrintedRecursionResult:
+    if isinstance(replayed, str):
+        return PrintedRecursionResult(fam, direct, None, False, note=replayed)
+    return PrintedRecursionResult(fam, direct, replayed, replayed == direct)
+
+
+def replicate_paper_table(kind: FamilyKind, direct: Sequence[ScaledSeq]) -> list[PrintedRecursionResult]:
+    """``derive_paper_recursive(PowerFamily(kind, n))`` for n = 2..len(direct)
+    from one replay of the printed recursion; ``direct`` is the family's
+    ``derive_table``, whose first row is the n = 1 base case."""
+    replay = _replay(_printed_step(kind), direct[0], len(direct))
+    return [_compare(PowerFamily(kind, n), row, replayed)
+            for n, (row, replayed) in enumerate(zip(direct[1:], replay), start=2)]
+
+
 def derive_paper_recursive(fam: PowerFamily) -> PrintedRecursionResult:
     """Apply the printed triple/scale recursion verbatim from the n = 1
     base case and compare against the direct path.
@@ -181,32 +234,11 @@ def derive_paper_recursive(fam: PowerFamily) -> PrintedRecursionResult:
     (or a vanishing printed denominator, which is reported rather than
     raised) indicts the recursion, not the direct derivation.
     """
-    if fam.kind not in _STEPS:
-        raise ValueError(f"no printed recursion replicated for {fam.kind.value}")
+    step = _printed_step(fam.kind)
     if fam.n < 2:
         raise ValueError("the recursion starts at n = 2")
-    direct = derive(fam)
-    base = derive(PowerFamily(fam.kind, 1))
-    step = _STEPS[fam.kind]
-    triple, scale = base.triple, base.scale
-    try:
-        for _ in range(2, fam.n + 1):
-            triple, scale = step(triple, scale)
-    except ZeroDivisionError as exc:
-        return PrintedRecursionResult(
-            family=fam,
-            direct=direct,
-            recursive=None,
-            match=False,
-            note=f"printed denominator vanished during replication: {exc}",
-        )
-    recursive = ScaledSeq(scale, triple)
-    return PrintedRecursionResult(
-        family=fam,
-        direct=direct,
-        recursive=recursive,
-        match=(recursive == direct),
-    )
+    *_, last = _replay(step, derive(PowerFamily(fam.kind, 1)), fam.n)
+    return _compare(fam, derive(fam), last)
 
 
 # -- the scale conjecture --------------------------------------------------
@@ -232,9 +264,10 @@ def conjecture_check(n_max: int) -> ConjectureReport:
     """Check scale(c^(2n) family) == scale(cofactor^n family) for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    c_squared, cofactor = family_element(CPower(2)), family_element(CofactorPower(1))
     rows = []
-    for n in range(1, n_max + 1):
-        lhs = derive(CPower(2 * n)).scale
-        rhs = derive(CofactorPower(n)).scale
+    powers = zip(_powers(c_squared, n_max), _powers(cofactor, n_max))
+    for n, (c_2n, cofactor_n) in enumerate(powers, start=1):
+        lhs, rhs = normalize_egf(c_2n).scale, normalize_egf(cofactor_n).scale
         rows.append(ConjectureRow(n, lhs, rhs, lhs == rhs))
     return ConjectureReport(tuple(rows), all(r.equal for r in rows))

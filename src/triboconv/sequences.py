@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .field import FieldElement, X, sign_at_real_root, trace
+from .field import FieldElement, sign_at_real_root
 
 InitTriple = tuple[int, int, int]
 
@@ -119,9 +119,15 @@ def egf_rational_terms(q: FieldElement, count: int) -> list[Fraction]:
     return t[:count]
 
 
+#: Trace Gram matrix [trace(x^(i+j))] for i, j = 0, 1, 2.
+_TRACE_GRAM = ((3, 1, 3), (1, 3, 7), (3, 7, 11))
+
+
 def _trace_triple(q: FieldElement) -> tuple[Fraction, Fraction, Fraction]:
-    xq = X * q
-    return (trace(q), trace(xq), trace(X * xq))
+    """(trace(q), trace(x q), trace(x^2 q)): the trace Gram matrix applied
+    to the coefficients of q."""
+    a0, a1, a2 = q.coeffs
+    return tuple(g0 * a0 + g1 * a1 + g2 * a2 for g0, g1, g2 in _TRACE_GRAM)
 
 
 def normalize_egf(q: FieldElement) -> ScaledSeq:

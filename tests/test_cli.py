@@ -95,15 +95,14 @@ class TestDeriveVanishedDenominator:
 
     @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
     def test_vanished_row_bytes(self, fmt, capsys, monkeypatch):
-        real = derivation.derive_paper_recursive
+        real = derivation.replicate_paper_table
 
-        def vanishing_at_two(fam):
-            if fam.n != 2:
-                return real(fam)
-            direct = derivation.derive(fam)
-            return derivation.PrintedRecursionResult(fam, direct, None, False, note=self.NOTE)
+        def vanishing_at_two(kind, direct):
+            two, *rest = real(kind, direct)
+            return [derivation.PrintedRecursionResult(two.family, two.direct, None, False, note=self.NOTE),
+                    *rest]
 
-        monkeypatch.setattr(derivation, "derive_paper_recursive", vanishing_at_two)
+        monkeypatch.setattr(derivation, "replicate_paper_table", vanishing_at_two)
         assert main(["derive", "cpower", "3", "--replicate-paper", "--format", fmt]) == 0
         assert capsys.readouterr().out == self.EXPECTED[fmt]
 

@@ -5,17 +5,22 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from triboconv import derivation
 from triboconv.derivation import (
     CPower,
     CofactorPower,
+    FamilyKind,
     PairSumSqPower,
+    PowerFamily,
     SumCofactorConst,
     SumCofactorSqConst,
     conjecture_check,
     derive,
     derive_paper_recursive,
+    derive_table,
     element_with_traces,
     family_element,
+    replicate_paper_table,
 )
 from triboconv.field import FieldElement, c_element, cofactor_element, trace
 from triboconv.identity_catalog import PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED
@@ -156,6 +161,54 @@ class TestPaperRecursion:
             derive_paper_recursive(CPower(1))
 
 
+REPLICABLE = [FamilyKind.CPOWER, FamilyKind.COFACTOR_POWER, FamilyKind.PAIR_SUM_SQ_POWER]
+
+
+class TestStreamedTables:
+    """The one-pass tables agree row by row with the per-n paths."""
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_derive_table_matches_derive(self, kind):
+        assert derive_table(kind, 60) == [derive(PowerFamily(kind, n)) for n in range(1, 61)]
+
+    @pytest.mark.parametrize("kind", REPLICABLE)
+    def test_replicate_table_matches_derive_paper_recursive(self, kind):
+        table = replicate_paper_table(kind, derive_table(kind, 60))
+        assert table == [derive_paper_recursive(PowerFamily(kind, n)) for n in range(2, 61)]
+
+    @pytest.mark.parametrize("kind", REPLICABLE)
+    def test_short_tables(self, kind):
+        assert derive_table(kind, 0) == []
+        assert replicate_paper_table(kind, derive_table(kind, 1)) == []
+
+    def test_unsupported_family_rejected(self):
+        kind = FamilyKind.SUM_COFACTOR_CONST
+        with pytest.raises(ValueError):
+            replicate_paper_table(kind, derive_table(kind, 1))
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_vanished_denominator_marks_every_later_row(self, k, monkeypatch):
+        kind, n_max = FamilyKind.CPOWER, 9
+        direct = derive_table(kind, n_max)
+        real_step = derivation._STEPS[kind]
+        vanishing_input = direct[k - 2].triple  # the step from n = k - 1 to n = k
+
+        def step(triple, scale):
+            if triple == vanishing_input:
+                raise ZeroDivisionError("x")
+            return real_step(triple, scale)
+
+        monkeypatch.setitem(derivation._STEPS, kind, step)
+        table = replicate_paper_table(kind, direct)
+        note = "printed denominator vanished during replication: x"
+        for n, result in enumerate(table, start=2):
+            assert result == derive_paper_recursive(PowerFamily(kind, n))
+            if n < k:
+                assert result.match and result.recursive == direct[n - 1] and result.note == ""
+            else:
+                assert (result.recursive, result.match, result.note) == (None, False, note)
+
+
 class TestElementWithTraces:
     def test_reconstructs_c_squared(self):
         elt = element_with_traces(F(2, 22), F(3, 22), F(10, 22))
@@ -185,6 +238,11 @@ class TestConjecture:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             conjecture_check(0)
+
+    def test_rows_match_per_n_derive(self):
+        assert [(r.cpower_scale, r.cofactor_scale) for r in conjecture_check(30).rows] == [
+            (derive(CPower(2 * n)).scale, derive(CofactorPower(n)).scale) for n in range(1, 31)
+        ]
 
 
 class TestMultiplicativityConsistency:

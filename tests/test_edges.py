@@ -67,6 +67,7 @@ class TestCountCap:
         (["seq", "0,1,1", "2001"], "triboconv.cli.TriboSeq"),
         (["derive", "cpower", "2001"], "triboconv.derivation.derive"),
         (["conjecture", "2001"], "triboconv.derivation.conjecture_check"),
+        (["derive", "cpower", "2001"], "triboconv.derivation.derive_table"),
     ])
     def test_count_above_cap_is_rejected_before_any_work(self, argv, target, capsys, monkeypatch):
         def no_work(*args):

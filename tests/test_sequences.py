@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from triboconv.field import FieldElement, ZERO, ZeroAtRoot, c_element, cofactor_element
+from triboconv.field import FieldElement, X, ZERO, ZeroAtRoot, c_element, cofactor_element, trace
 from triboconv.sequences import (
     ScaledSeq,
     TriboSeq,
@@ -64,6 +64,11 @@ class TestEgfRationalTerm:
     @given(elements, st.integers(min_value=0, max_value=30))
     def test_terms_match_single_term(self, q, k):
         assert egf_rational_terms(q, k + 1)[k] == egf_rational_term(q, k)
+
+    @given(elements)
+    def test_gram_matrix_matches_trace_of_products(self, q):
+        # the closed-form trace triple against trace(x^k q) by field multiplication
+        assert egf_rational_terms(q, 3) == [trace(q), trace(X * q), trace(X * X * q)]
 
 
 class TestNormalizeEgf:
