@@ -18,10 +18,7 @@ from .sequences import InitTriple, ScaledSeq, TriboSeq, binet_check, egf_rationa
 from .convolution import (
     ConstantSeq,
     IndexTooSmall,
-    TruncSeries,
     WeightedSeq,
-    multinomial_conv,
-    plain_conv,
     prop1_lhs,
     prop2_rhs,
     series_T,

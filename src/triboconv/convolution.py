@@ -1,4 +1,5 @@
-"""Exact convolution engines and the truncated-power-series oracle.
+"""Exact convolution engines, P1/P2 as convolution tables, and the OGF
+series of the Tribonacci numbers as integer coefficient lists.
 
 Two kernels: plain (OGF) convolution, where a product of ordinary
 generating functions sums products over compositions, and multinomial
@@ -17,16 +18,16 @@ from the factors' polynomials (``_annihilator``, degree D).  When every
 factor declares a polynomial and D <= n_max, the schoolbook kernel gives
 terms 0..D-1 and the annihilator's integer recurrence the rest, in
 O(n * D) multiplications; otherwise the schoolbook kernel runs alone.
-The direct composition enumerators are retained as small-n oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
-from typing import Iterator, Sequence
+from math import comb, prod
+from typing import Sequence
+
+from .sequences import TriboSeq
 
 
 class IndexTooSmall(ValueError):
@@ -106,13 +107,6 @@ def plain_conv_prefix(seqs: Sequence, n_max: int) -> list:
     for s in seqs[1:]:
         acc = cauchy_convolve(acc, _as_prefix(s, n_max + 1))
     return acc
-
-
-def plain_conv(seqs: Sequence, n: int):
-    """Sum over compositions k_1+...+k_r = n of the product of weighted terms."""
-    if n < 0:
-        raise IndexTooSmall("n must be nonnegative")
-    return plain_conv_prefix(seqs, n)[n]
 
 
 def multinomial_conv_prefix(seqs: Sequence, n_max: int) -> list:
@@ -220,66 +214,36 @@ def _annihilator(polys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return _poly_from_power_sums(total)
 
 
-def multinomial_conv(seqs: Sequence, n: int):
-    """Sum over compositions of multinomial(n; k_1..k_r) times the product
-    of weighted terms."""
-    if n < 0:
-        raise IndexTooSmall("n must be nonnegative")
-    return multinomial_conv_prefix(seqs, n)[n]
+# -- P1 and P2 as plain-convolution tables --------------------------------
 
-
-def compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All ordered r-tuples of nonnegative integers summing to n."""
-    if r == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in compositions(n - head, r - 1):
-            yield (head,) + rest
-
-
-def plain_conv_enum(seqs: Sequence, n: int):
-    """Brute-force composition enumeration; oracle for plain_conv."""
-    return sum(
-        prod(_term(s, k) for s, k in zip(seqs, parts))
-        for parts in compositions(n, len(seqs))
-    )
-
-
-def multinomial_conv_enum(seqs: Sequence, n: int):
-    """Brute-force enumeration with explicit multinomial coefficients;
-    oracle for multinomial_conv."""
-    total = 0
-    n_fact = factorial(n)
-    for parts in compositions(n, len(seqs)):
-        coef = n_fact
-        for k in parts:
-            coef //= factorial(k)
-        total += coef * prod(_term(s, k) for s, k in zip(seqs, parts))
-    return total
-
-
-def _term(s, k: int):
-    if isinstance(s, (list, tuple)):
-        return s[k]
-    return s.term(k)
-
-
-# -- the two closed-form pair convolutions -------------------------------
-
-def _tribo_prefix(count: int) -> list[int]:
-    t = [0, 1, 1]
-    while len(t) < count:
-        t.append(t[-1] + t[-2] + t[-3])
-    return t[:count]
+def prop1_lhs_table(n_max: int) -> list[int]:
+    """prop1_lhs for n = 3..n_max at those indices (0 below): the plain
+    convolution of T with the printed inner sum T_j + T_(j-2) + 2 T_(j-3),
+    taken as 0 for j < 3."""
+    t = TriboSeq.ordinary().terms(n_max + 1)
+    inner = [0, 0, 0] + [t[j] + t[j - 2] + 2 * t[j - 3] for j in range(3, n_max + 1)]
+    return plain_conv_prefix([t, inner], n_max)
 
 
 def prop1_lhs(n: int) -> int:
     """sum_{k=0}^{n-3} T_k (T_{n-k} + T_{n-k-2} + 2 T_{n-k-3}), n >= 3."""
     if n < 3:
         raise IndexTooSmall("defined for n >= 3")
-    t = _tribo_prefix(n + 1)
-    return sum(t[k] * (t[n - k] + t[n - k - 2] + 2 * t[n - k - 3]) for k in range(n - 2))
+    return prop1_lhs_table(n)[n]
+
+
+def prop2_rhs_table(n_max: int) -> list[int]:
+    """prop2_rhs for n = 2..n_max at those indices (0 below): the plain
+    convolution of the printed weight, which depends only on d = n - l,
+    with l T_l."""
+    t = TriboSeq.ordinary().terms(n_max + 1)
+    weights = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for i in range((d - 1) // 3 + 1):
+            m = d - i - 1
+            if m % 2 == 0:
+                weights[d] += 2**i * (-1) ** (m // 2) * comb(m // 2, i)
+    return plain_conv_prefix([weights, [l * t[l] for l in range(n_max + 1)]], n_max)
 
 
 def prop2_rhs(n: int) -> int:
@@ -295,100 +259,45 @@ def prop2_rhs(n: int) -> int:
     """
     if n < 2:
         raise IndexTooSmall("defined for n >= 2")
-    t = _tribo_prefix(n + 1)
-    total = 0
-    for l in range(1, n):
-        weight = 0
-        for i in range((n - l - 1) // 3 + 1):
-            m = n - l - i - 1
-            if m % 2 == 0:
-                weight += 2**i * (-1) ** (m // 2) * comb(m // 2, i)
-        total += weight * l * t[l]
-    return total
+    return prop2_rhs_table(n)[n]
 
 
-# -- truncated power series over Q ---------------------------------------
+# -- truncated power series as integer coefficient lists -------------------
+#
+# A list [a_0, ..., a_N] is a_0 + a_1 x + ... + a_N x^N modulo x^(N+1), and
+# cauchy_convolve is its product.  The Tribonacci OGF's denominator has
+# constant term 1, so every series below has integer coefficients.
 
-class TruncSeries:
-    """A power series modulo x^(order+1) with exact Fraction coefficients."""
-
-    def __init__(self, coeffs: Sequence, order: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        self.coeffs = coeffs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "TruncSeries":
-        return TruncSeries(self.coeffs, order)
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries([c * other for c in self.coeffs])
-        n = min(self.order, other.order)
-        return TruncSeries(
-            [
-                sum(self.coeffs[j] * other.coeffs[k - j] for j in range(k + 1))
-                for k in range(n + 1)
-            ]
-        )
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "TruncSeries":
-        if self.order == 0:
-            return TruncSeries([Fraction(0)])
-        return TruncSeries([k * self.coeffs[k] for k in range(1, self.order + 1)])
-
-    def shift(self, by: int, order: int) -> "TruncSeries":
-        """Multiply by x^by, truncating to the given order."""
-        return TruncSeries([Fraction(0)] * by + self.coeffs, order)
-
-    def reciprocal(self) -> "TruncSeries":
-        """Series inverse; requires a unit (nonzero) constant term."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ZeroDivisionError("constant term is zero")
-        inv0 = Fraction(1) / a[0]
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            out.append(-inv0 * sum(a[j] * out[k - j] for j in range(1, k + 1)))
-        return TruncSeries(out)
-
-    def __repr__(self) -> str:
-        return f"TruncSeries({self.coeffs!r})"
+_TRIBO_DENOM = (1, -1, -1, -1)
 
 
-def _poly(coeffs: Sequence, order: int) -> TruncSeries:
-    return TruncSeries(list(coeffs), order)
+def series_reciprocal(a: Sequence, order: int) -> list:
+    """1/a modulo x^(order+1) (terms of a past its end are zero); a's
+    constant term must be 1, so no coefficient is ever divided."""
+    if a[0] == 0:
+        raise ZeroDivisionError("constant term is zero")
+    if a[0] != 1:
+        raise ValueError("constant term must be 1")
+    out = [1]
+    for k in range(1, order + 1):
+        out.append(-sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)))
+    return out
 
 
-def series_T(order: int) -> TruncSeries:
+def series_derivative(s: Sequence) -> list:
+    """d/dx of the series s, one coefficient shorter."""
+    return [k * s[k] for k in range(1, len(s))]
+
+
+def poly_times(poly: Sequence, s: Sequence) -> list:
+    """The polynomial poly times the series s, modulo x^len(s)."""
+    return [sum(c * s[k - j] for j, c in enumerate(poly[: k + 1])) for k in range(len(s))]
+
+
+def series_T(order: int) -> list[int]:
     """x / (1 - x - x^2 - x^3) modulo x^(order+1), by exact series division;
     its coefficients are the ordinary Tribonacci numbers."""
-    denom = _poly([1, -1, -1, -1], order)
-    return _poly([0, 1], order) * denom.reciprocal()
+    return ([0] + series_reciprocal(_TRIBO_DENOM, order))[: order + 1]
 
 
 def series_check_derivatives(order: int) -> bool:
@@ -401,11 +310,10 @@ def series_check_derivatives(order: int) -> bool:
     if order < 6:
         raise ValueError("order must be at least 6")
     t = series_T(order)
-    denom = _poly([1, -1, -1, -1], order)
-    inv = denom.reciprocal()
-    first = _poly([1, 0, 1, 2], order) * inv * inv
-    if t.derivative() != first.truncate(order - 1):
+    inv = series_reciprocal(_TRIBO_DENOM, order)
+    first = poly_times((1, 0, 1, 2), cauchy_convolve(inv, inv))
+    if series_derivative(t) != first[:order]:
         return False
-    lhs = _poly([2, 6, 12, 0, 6, 6], order) * t * t * t
-    rhs = t.derivative().derivative().shift(3, order)
+    lhs = poly_times((2, 6, 12, 0, 6, 6), plain_conv_prefix([t, t, t], order))
+    rhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
     return lhs == rhs

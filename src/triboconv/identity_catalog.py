@@ -21,12 +21,12 @@ from typing import Callable
 
 from .convolution import (
     ConstantSeq,
-    TruncSeries,
     WeightedSeq,
     multinomial_conv_prefix,
     plain_conv_prefix,
-    prop1_lhs,
-    prop2_rhs,
+    poly_times,
+    prop1_lhs_table,
+    prop2_rhs_table,
     series_T,
     series_check_derivatives,
 )
@@ -172,21 +172,15 @@ def _draw_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
 
-def _ordinary(count: int) -> list[int]:
-    return TriboSeq.ordinary().terms(count)
-
-
 # -- runners ---------------------------------------------------------------
 
 def _run_p1(ctx: RunContext) -> RunOutcome:
     ns = list(ctx.span("n"))
     if not ns:
         return RunOutcome()
-    t = TriboSeq.ordinary()
-    checks = [
-        _check(f"n={n}", prop1_lhs(n), (n - 2) * t.term(n - 1) - t.term(n - 2))
-        for n in ns
-    ]
+    t = TriboSeq.ordinary().terms(ns[-1] + 1)
+    lhs = prop1_lhs_table(ns[-1])
+    checks = [_check(f"n={n}", lhs[n], (n - 2) * t[n - 1] - t[n - 2]) for n in ns]
     return RunOutcome(checks=checks)
 
 
@@ -194,9 +188,10 @@ def _run_p2(ctx: RunContext) -> RunOutcome:
     ns = list(ctx.span("n"))
     if not ns:
         return RunOutcome()
-    t = _ordinary(ns[-1] + 1)
+    t = TriboSeq.ordinary().terms(ns[-1] + 1)
     brute = plain_conv_prefix([t, t], ns[-1])
-    checks = [_check(f"n={n}", brute[n], prop2_rhs(n)) for n in ns]
+    rhs = prop2_rhs_table(ns[-1])
+    checks = [_check(f"n={n}", brute[n], rhs[n]) for n in ns]
     return RunOutcome(checks=checks)
 
 
@@ -205,7 +200,7 @@ def _run_t1(ctx: RunContext) -> RunOutcome:
     if not ns:
         return RunOutcome()
     hi = ns[-1]
-    t = _ordinary(hi + 1)
+    t = TriboSeq.ordinary().terms(hi + 1)
     triple = plain_conv_prefix([t, t, t], hi)
     checks = []
     for n in ns:
@@ -445,15 +440,11 @@ def _run_gf(ctx: RunContext) -> RunOutcome:
     if not orders:
         return RunOutcome()
     order = orders[-1]
-    if order < 6:
-        return RunOutcome(checks=[Check("order", False, str(order), ">= 6")])
     t = series_T(order)
-    trib = TriboSeq.ordinary()
-    checks = [
-        _check(f"coeff k={k}", t[k], Fraction(trib.term(k))) for k in range(order + 1)
-    ]
-    defining = TruncSeries([1, -1, -1, -1], order) * t
-    checks.append(_check("defining-relation", defining == TruncSeries([0, 1], order), True))
+    trib = TriboSeq.ordinary().terms(order + 1)
+    checks = [_check(f"coeff k={k}", t[k], trib[k]) for k in range(order + 1)]
+    defining = poly_times((1, -1, -1, -1), t)
+    checks.append(_check("defining-relation", defining == [0, 1] + [0] * (order - 1), True))
     checks.append(_check("derivative-relations", series_check_derivatives(order), True))
     return RunOutcome(checks=checks)
 
@@ -535,14 +526,16 @@ def verify(
     """Run one identity over its (possibly overridden) range.
 
     nmax/mmax override the upper end of the record's first/second index
-    range; a negative upper end, or mmax for a record with one range,
-    raises CatalogError, one below the range start gives a vacuous report.  params overrides the parameter sample
-    where the record has one (T2: iterable of D values; T3/T4: iterable of
-    name-to-value mappings).
+    range; a negative upper end, or a bound for a range the record lacks,
+    raises CatalogError, and one below the range start gives a vacuous
+    report.  params overrides the parameter sample where the record has one
+    (T2: iterable of D values; T3/T4: iterable of name-to-value mappings).
     """
     record = REGISTRY.get(identity_id)
     if record is None:
         raise UnknownIdentity(f"no identity registered under id {identity_id!r}")
+    if nmax is not None and not record.ranges:
+        raise CatalogError(f"{identity_id} has no index range for nmax")
     if mmax is not None and len(record.ranges) < 2:
         raise CatalogError(f"{identity_id} has no second index range for mmax")
     ranges: dict[str, tuple[int, int]] = {}

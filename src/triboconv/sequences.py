@@ -27,8 +27,7 @@ class TriboSeq:
     Terms are memoized append-only, so materializing a prefix [0..n] costs
     O(n) big-integer additions and repeated queries are O(1).  Entries may
     be ints or Fractions.  The memo is mutated on demand: share instances
-    across threads only for single-writer use, or hand each consumer its
-    own clone (cloning is cheap).
+    across threads only for single-writer use.
     """
 
     charpoly = (-1, -1, -1, 1)  # x^3 - x^2 - x - 1, ascending coefficients
@@ -60,11 +59,6 @@ class TriboSeq:
             self.term(count - 1)
         return self._memo[:count]
 
-    def clone(self) -> "TriboSeq":
-        fresh = TriboSeq(*self._memo[:3])
-        fresh._memo = self._memo[:]
-        return fresh
-
     def __repr__(self) -> str:
         return f"TriboSeq{self.triple}"
 
@@ -94,25 +88,16 @@ class ScaledSeq:
 
 
 def egf_rational_term(q: FieldElement, k: int) -> Fraction:
-    """trace(x^k * q), by iterating the recurrence on the trace triple.
-
-    Never computed by repeated field multiplication: three traces seed the
-    recurrence and the rest is rational addition.
-    """
+    """trace(x^k * q): entry k of egf_rational_terms."""
     if k < 0:
         raise IndexError("sequence indices start at 0")
-    t0, t1, t2 = _trace_triple(q)
-    if k == 0:
-        return t0
-    if k == 1:
-        return t1
-    for _ in range(k - 2):
-        t0, t1, t2 = t1, t2, t0 + t1 + t2
-    return t2
+    return egf_rational_terms(q, k + 1)[k]
 
 
 def egf_rational_terms(q: FieldElement, count: int) -> list[Fraction]:
-    """Prefix [trace(q), trace(xq), ..., trace(x^(count-1) q)]."""
+    """Prefix [trace(q), trace(xq), ..., trace(x^(count-1) q)], by iterating
+    the recurrence on the trace triple: never by repeated field
+    multiplication."""
     t = list(_trace_triple(q))
     while len(t) < count:
         t.append(t[-1] + t[-2] + t[-3])

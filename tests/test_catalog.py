@@ -24,7 +24,7 @@ class TestSingleIdentities:
         )
 
     @pytest.mark.parametrize(
-        "identity", ["P1", "P2", "T1", "L-CONST", "L2", "P3", "T2", "T2R", "GF"]
+        "identity", ["P1", "P2", "T1", "L2", "P3", "T2", "T2R", "GF"]
     )
     def test_expected_pass_small_ranges(self, identity):
         assert verify(identity, nmax=40).status == "pass"

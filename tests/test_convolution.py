@@ -1,7 +1,8 @@
-"""Convolution kernels, the two closed-form pair sums, and the series oracle."""
+"""Convolution kernels, the two pair-sum tables, and the list series."""
 
 from collections import Counter
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,23 +10,27 @@ from hypothesis import given, settings, strategies as st
 from triboconv.convolution import (
     ConstantSeq,
     IndexTooSmall,
-    TruncSeries,
     WeightedSeq,
     _annihilator,
     _annihilator_degree,
     _poly_from_power_sums,
     binomial_convolve,
-    multinomial_conv,
-    multinomial_conv_enum,
+    cauchy_convolve,
     multinomial_conv_prefix,
-    plain_conv,
-    plain_conv_enum,
+    plain_conv_prefix,
+    poly_times,
     prop1_lhs,
+    prop1_lhs_table,
     prop2_rhs,
+    prop2_rhs_table,
     series_T,
     series_check_derivatives,
+    series_derivative,
+    series_reciprocal,
 )
 from triboconv.sequences import TriboSeq
+
+from oracles import multinomial_conv_enum, plain_conv_enum
 
 
 def _t(count):
@@ -46,46 +51,46 @@ class TestWeightedSeq:
         t = TriboSeq.ordinary()
         for b in (-3, 1, 2):
             for n in range(10):
-                assert multinomial_conv([WeightedSeq(t, b)], n) == b**n * t.term(n)
+                assert multinomial_conv_prefix([WeightedSeq(t, b)], n)[n] == b**n * t.term(n)
 
 
 class TestPlainConv:
     def test_triple_at_three(self):
         t = _t(16)
-        assert plain_conv([t, t, t], 3) == 1
+        assert plain_conv_prefix([t, t, t], 3)[3] == 1
 
     def test_triple_at_zero(self):
         t = _t(16)
-        assert plain_conv([t, t, t], 0) == 0
+        assert plain_conv_prefix([t, t, t], 0)[0] == 0
 
     def test_pair_at_two(self):
         t = _t(16)
-        assert plain_conv([t, t], 2) == 1
+        assert plain_conv_prefix([t, t], 2)[2] == 1
 
     def test_matches_enumeration(self):
         t = _t(16)
         for n in range(16):
-            assert plain_conv([t, t, t], n) == plain_conv_enum([t, t, t], n)
+            assert plain_conv_prefix([t, t, t], n)[n] == plain_conv_enum([t, t, t], n)
 
 
 class TestMultinomialConv:
     def test_pair_at_two(self):
         t = _t(13)
-        assert multinomial_conv([t, t], 2) == 2
+        assert multinomial_conv_prefix([t, t], 2)[2] == 2
 
     def test_four_fold_at_three_vanishes(self):
         t = _t(13)
-        assert multinomial_conv([t, t, t, t], 3) == 0
+        assert multinomial_conv_prefix([t, t, t, t], 3)[3] == 0
 
     def test_pair_at_zero(self):
         t = _t(13)
-        assert multinomial_conv([t, t], 0) == 0
+        assert multinomial_conv_prefix([t, t], 0)[0] == 0
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_matches_enumeration(self, r):
         t = _t(13)
         for n in range(13):
-            assert multinomial_conv([t] * r, n) == multinomial_conv_enum([t] * r, n)
+            assert multinomial_conv_prefix([t] * r, n)[n] == multinomial_conv_enum([t] * r, n)
 
     def test_permutation_invariance(self):
         a = WeightedSeq(TriboSeq(2, 3, 10), 2).prefix(12)
@@ -152,6 +157,27 @@ class TestRecurrenceKernel:
         assert _poly_from_power_sums([2, 1, 3]) == (-1, -1, 1)  # x^2 - x - 1
 
 
+def prop1_reference(n):
+    """prop1_lhs as the printed per-n sum."""
+    t = _t(n + 1)
+    return sum(t[k] * (t[n - k] + t[n - k - 2] + 2 * t[n - k - 3]) for k in range(n - 2))
+
+
+def prop2_reference(n):
+    """prop2_rhs as the printed per-n double sum, weight evaluated afresh
+    for every l (the adopted reading in prop2_rhs's docstring)."""
+    t = _t(n + 1)
+    total = 0
+    for l in range(1, n):
+        weight = 0
+        for i in range((n - l - 1) // 3 + 1):
+            m = n - l - i - 1
+            if m % 2 == 0:
+                weight += 2**i * (-1) ** (m // 2) * comb(m // 2, i)
+        total += weight * l * t[l]
+    return total
+
+
 class TestProp1:
     def test_smallest_index(self):
         assert prop1_lhs(3) == 0
@@ -165,6 +191,11 @@ class TestProp1:
     def test_below_range(self):
         with pytest.raises(IndexTooSmall):
             prop1_lhs(2)
+
+    def test_table_matches_per_n_sum(self):
+        table = prop1_lhs_table(300)
+        assert len(table) == 301
+        assert table[3:] == [prop1_reference(n) for n in range(3, 301)]
 
 
 class TestProp2:
@@ -183,31 +214,42 @@ class TestProp2:
         with pytest.raises(IndexTooSmall):
             prop2_rhs(1)
 
+    def test_table_matches_per_n_double_sum(self):
+        table = prop2_rhs_table(300)
+        assert len(table) == 301
+        assert table[2:] == [prop2_reference(n) for n in range(2, 301)]
+
 
 class TestTruncSeries:
+    """Truncated series as integer coefficient lists."""
+
     def test_coefficient_five_is_seven(self):
         assert series_T(12)[5] == 7
 
     def test_prefix_is_tribonacci(self):
         t = series_T(20)
-        assert [t[k] for k in range(11)] == [0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149]
+        assert len(t) == 21
+        assert t[:11] == [0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149]
 
     def test_defining_relation(self):
         order = 30
         t = series_T(order)
-        assert TruncSeries([1, -1, -1, -1], order) * t == TruncSeries([0, 1], order)
+        assert poly_times([1, -1, -1, -1], t) == [0, 1] + [0] * (order - 1)
 
     def test_reciprocal_roundtrip(self):
-        s = TruncSeries([1, 2, -3, F(1, 2), 0, 4], 5)
-        assert s * s.reciprocal() == TruncSeries([1], 5)
+        s = [1, 2, -3, F(1, 2), 0, 4]
+        assert cauchy_convolve(s, series_reciprocal(s, 5)) == [1, 0, 0, 0, 0, 0]
 
     def test_reciprocal_needs_unit(self):
         with pytest.raises(ZeroDivisionError):
-            TruncSeries([0, 1], 3).reciprocal()
+            series_reciprocal([0, 1], 3)
+
+    def test_reciprocal_needs_constant_term_one(self):
+        with pytest.raises(ValueError):
+            series_reciprocal([2, 1], 3)
 
     def test_derivative(self):
-        s = TruncSeries([5, 1, 2, 3], 3)
-        assert s.derivative() == TruncSeries([1, 4, 9], 2)
+        assert series_derivative([5, 1, 2, 3]) == [1, 4, 9]
 
     def test_derivative_checks_at_forty(self):
         assert series_check_derivatives(40)

@@ -1,6 +1,7 @@
-"""Edge inputs (negative ranges, an mmax with no second range, counts and
-symcheck arguments above their caps, unwritable output paths, huge
-integers) and the agreement of the identities read from one fold table."""
+"""Edge inputs (negative ranges, an nmax or mmax with no range to bound,
+counts and symcheck arguments above their caps, unwritable output paths,
+huge integers) and the agreement of the identities read from one fold
+table."""
 
 import json
 
@@ -35,6 +36,16 @@ class TestMmaxWithoutSecondRange:
         assert capsys.readouterr() == ("", "error: P1 has no second index range for mmax\n")
 
 
+class TestNmaxWithoutRange:
+    def test_verify_rejects_nmax(self):
+        with pytest.raises(CatalogError, match="L-CONST has no index range for nmax"):
+            verify("L-CONST", nmax=3)
+
+    def test_cli_nmax_is_usage_error(self, capsys):
+        assert main(["verify", "L-CONST", "--nmax", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: L-CONST has no index range for nmax\n")
+
+
 class TestUnwritableOut:
     def test_missing_directory_is_one_line_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x"
@@ -59,6 +70,19 @@ class TestRangeCap:
         assert main(["verify", identity, "--nmax", "2000", "--format", "json", "--out", str(out)]) == 0
         [entry] = json.loads(out.read_text())["entries"]
         assert entry["range"] == "n=0..2000"
+        assert entry["status"] == "pass"
+
+    @pytest.mark.parametrize("identity,nmax,expected_range", [
+        ("P1", 1000, "n=3..1000"),
+        ("P2", 1000, "n=2..1000"),
+        ("GF", 300, "order=40..300"),
+    ])
+    def test_verify_table_identities_at_large_nmax(self, identity, nmax, expected_range, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["verify", identity, "--nmax", str(nmax), "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        [entry] = json.loads(out.read_text())["entries"]
+        assert entry["range"] == expected_range
         assert entry["status"] == "pass"
 
 

@@ -37,13 +37,6 @@ class TestTriboSeq:
         with pytest.raises(IndexError):
             TriboSeq.ordinary().term(-1)
 
-    def test_clone_is_independent(self):
-        a = TriboSeq.ordinary()
-        a.term(10)
-        b = a.clone()
-        b.term(20)
-        assert len(a._memo) == 11
-
     @given(triples, st.integers(min_value=3, max_value=40))
     def test_recurrence_holds(self, triple, k):
         s = TriboSeq(*triple)
