@@ -1,5 +1,5 @@
-"""Exact convolution engines, P1/P2 as convolution tables, and the OGF
-series of the Tribonacci numbers as integer coefficient lists.
+"""Exact convolution engines, the OGF series of the Tribonacci numbers as
+integer coefficient lists, and P1, P2 and T1 as identities between them.
 
 Two kernels: plain (OGF) convolution, where a product of ordinary
 generating functions sums products over compositions, and multinomial
@@ -26,8 +26,6 @@ from collections import Counter
 from functools import cache
 from math import comb, prod
 from typing import Sequence
-
-from .sequences import TriboSeq
 
 
 class IndexTooSmall(ValueError):
@@ -214,61 +212,13 @@ def _annihilator(polys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return _poly_from_power_sums(total)
 
 
-# -- P1 and P2 as plain-convolution tables --------------------------------
-
-def prop1_lhs_table(n_max: int) -> list[int]:
-    """prop1_lhs for n = 3..n_max at those indices (0 below): the plain
-    convolution of T with the printed inner sum T_j + T_(j-2) + 2 T_(j-3),
-    taken as 0 for j < 3."""
-    t = TriboSeq.ordinary().terms(n_max + 1)
-    inner = [0, 0, 0] + [t[j] + t[j - 2] + 2 * t[j - 3] for j in range(3, n_max + 1)]
-    return plain_conv_prefix([t, inner], n_max)
-
-
-def prop1_lhs(n: int) -> int:
-    """sum_{k=0}^{n-3} T_k (T_{n-k} + T_{n-k-2} + 2 T_{n-k-3}), n >= 3."""
-    if n < 3:
-        raise IndexTooSmall("defined for n >= 3")
-    return prop1_lhs_table(n)[n]
-
-
-def prop2_rhs_table(n_max: int) -> list[int]:
-    """prop2_rhs for n = 2..n_max at those indices (0 below): the plain
-    convolution of the printed weight, which depends only on d = n - l,
-    with l T_l."""
-    t = TriboSeq.ordinary().terms(n_max + 1)
-    weights = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        for i in range((d - 1) // 3 + 1):
-            m = d - i - 1
-            if m % 2 == 0:
-                weights[d] += 2**i * (-1) ** (m // 2) * comb(m // 2, i)
-    return plain_conv_prefix([weights, [l * t[l] for l in range(n_max + 1)]], n_max)
-
-
-def prop2_rhs(n: int) -> int:
-    """The weighted single-sequence sum equal to sum_k T_k T_{n-k}, n >= 2.
-
-    The inner weight as printed raises (-1) to possibly half-integer
-    powers; the adopted reading is i^m + i^(3m) with m = n - l - i - 1,
-    which vanishes for odd m and equals 2*(-1)^(m/2) for even m.  With the
-    printed 2^(i-1) prefactor the surviving weight is
-    2^i * (-1)^(m/2) * C(m/2, i).  This is the only reading that keeps
-    every term rational; it is validated against the brute-force pair
-    convolution in the identity catalog.
-    """
-    if n < 2:
-        raise IndexTooSmall("defined for n >= 2")
-    return prop2_rhs_table(n)[n]
-
-
 # -- truncated power series as integer coefficient lists -------------------
 #
 # A list [a_0, ..., a_N] is a_0 + a_1 x + ... + a_N x^N modulo x^(N+1), and
 # cauchy_convolve is its product.  The Tribonacci OGF's denominator has
 # constant term 1, so every series below has integer coefficients.
 
-_TRIBO_DENOM = (1, -1, -1, -1)
+TRIBO_DENOM = (1, -1, -1, -1)
 
 
 def series_reciprocal(a: Sequence, order: int) -> list:
@@ -297,7 +247,66 @@ def poly_times(poly: Sequence, s: Sequence) -> list:
 def series_T(order: int) -> list[int]:
     """x / (1 - x - x^2 - x^3) modulo x^(order+1), by exact series division;
     its coefficients are the ordinary Tribonacci numbers."""
-    return ([0] + series_reciprocal(_TRIBO_DENOM, order))[: order + 1]
+    return ([0] + series_reciprocal(TRIBO_DENOM, order))[: order + 1]
+
+
+# -- P1, P2 and T1 as generating-function identities -----------------------
+#
+# Each sides function returns an identity's two sides modulo x^(order+1).
+# Coefficient n of each side is the printed identity at index n, and the
+# sides agree at every coefficient, not only from the printed start.
+
+_T_PRIME_NUMERATOR = (1, 0, 1, 2)  # T'(x) = (1 + x^2 + 2x^3) / (1 - x - x^2 - x^3)^2
+_T1_POLY = (2, 6, 12, 0, 6, 6)
+
+
+def p1_sides(order: int) -> tuple[list[int], list[int]]:
+    """P1: T((1 + x^2 + 2x^3)T - x - x^2), whose coefficient n is the
+    printed sum of T_k (T_(n-k) + T_(n-k-2) + 2 T_(n-k-3)), against
+    (n-2) T_(n-1) - T_(n-2)."""
+    t = series_T(order)
+    inner = [a - b for a, b in zip(poly_times(_T_PRIME_NUMERATOR, t), [0, 1, 1] + [0] * order)]
+    xt, x2t = [0] + t, [0, 0] + t
+    return cauchy_convolve(t, inner), [(n - 2) * xt[n] - x2t[n] for n in range(order + 1)]
+
+
+def p2_sides(order: int) -> tuple[list[int], list[int]]:
+    """P2: T^2 against x / (1 + x^2 + 2x^3), whose coefficient d is the
+    printed weight (see prop2_rhs), times x T'(x) = sum_l l T_l x^l."""
+    t = series_T(order)
+    weight = ([0] + series_reciprocal(_T_PRIME_NUMERATOR, order))[: order + 1]
+    return cauchy_convolve(t, t), cauchy_convolve(weight, [0] + series_derivative(t))
+
+
+def t1_sides(order: int) -> tuple[list[int], list[int]]:
+    """T1: x^3 T''(x), whose coefficient n is (n-1)(n-2) T_(n-1), against
+    (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
+    t = series_T(order)
+    lhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
+    return lhs, poly_times(_T1_POLY, plain_conv_prefix([t, t, t], order))
+
+
+def prop1_lhs(n: int) -> int:
+    """sum_{k=0}^{n-3} T_k (T_{n-k} + T_{n-k-2} + 2 T_{n-k-3}), n >= 3."""
+    if n < 3:
+        raise IndexTooSmall("defined for n >= 3")
+    return p1_sides(n)[0][n]
+
+
+def prop2_rhs(n: int) -> int:
+    """The weighted single-sequence sum equal to sum_k T_k T_{n-k}, n >= 2.
+
+    The inner weight as printed raises (-1) to possibly half-integer
+    powers; the adopted reading is i^m + i^(3m) with m = n - l - i - 1,
+    which vanishes for odd m and equals 2*(-1)^(m/2) for even m.  With the
+    printed 2^(i-1) prefactor the surviving weight is
+    2^i * (-1)^(m/2) * C(m/2, i).  This is the only reading that keeps
+    every term rational; it is validated against the brute-force pair
+    convolution in the identity catalog.
+    """
+    if n < 2:
+        raise IndexTooSmall("defined for n >= 2")
+    return p2_sides(n)[1][n]
 
 
 def series_check_derivatives(order: int) -> bool:
@@ -305,15 +314,13 @@ def series_check_derivatives(order: int) -> bool:
     to the given truncation order:
 
     (i)  T'(x) = (1 + x^2 + 2x^3) / (1 - x - x^2 - x^3)^2
-    (ii) (2 + 6x + 12x^2 + 6x^4 + 6x^5) * T(x)^3 = x^3 * T''(x)
+    (ii) (2 + 6x + 12x^2 + 6x^4 + 6x^5) * T(x)^3 = x^3 * T''(x), T1's sides
     """
     if order < 6:
         raise ValueError("order must be at least 6")
-    t = series_T(order)
-    inv = series_reciprocal(_TRIBO_DENOM, order)
-    first = poly_times((1, 0, 1, 2), cauchy_convolve(inv, inv))
-    if series_derivative(t) != first[:order]:
+    inv = series_reciprocal(TRIBO_DENOM, order)
+    first = poly_times(_T_PRIME_NUMERATOR, cauchy_convolve(inv, inv))
+    if series_derivative(series_T(order)) != first[:order]:
         return False
-    lhs = poly_times((2, 6, 12, 0, 6, 6), plain_conv_prefix([t, t, t], order))
-    rhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
+    lhs, rhs = t1_sides(order)
     return lhs == rhs

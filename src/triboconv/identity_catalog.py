@@ -20,15 +20,16 @@ from math import prod
 from typing import Callable
 
 from .convolution import (
+    TRIBO_DENOM,
     ConstantSeq,
     WeightedSeq,
     multinomial_conv_prefix,
-    plain_conv_prefix,
+    p1_sides,
+    p2_sides,
     poly_times,
-    prop1_lhs_table,
-    prop2_rhs_table,
     series_T,
     series_check_derivatives,
+    t1_sides,
 )
 from .derivation import (
     CPower,
@@ -104,9 +105,6 @@ class RunContext:
         lo, hi = self.ranges[name]
         return range(lo, hi + 1)
 
-    def hi(self, name: str) -> int:
-        return self.ranges[name][1]
-
 
 @dataclass
 class VerifyReport:
@@ -174,43 +172,12 @@ def _draw_fraction(rng: random.Random) -> Fraction:
 
 # -- runners ---------------------------------------------------------------
 
-def _run_p1(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    t = TriboSeq.ordinary().terms(ns[-1] + 1)
-    lhs = prop1_lhs_table(ns[-1])
-    checks = [_check(f"n={n}", lhs[n], (n - 2) * t[n - 1] - t[n - 2]) for n in ns]
-    return RunOutcome(checks=checks)
-
-
-def _run_p2(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    t = TriboSeq.ordinary().terms(ns[-1] + 1)
-    brute = plain_conv_prefix([t, t], ns[-1])
-    rhs = prop2_rhs_table(ns[-1])
-    checks = [_check(f"n={n}", brute[n], rhs[n]) for n in ns]
-    return RunOutcome(checks=checks)
-
-
-def _run_t1(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
-    hi = ns[-1]
-    t = TriboSeq.ordinary().terms(hi + 1)
-    triple = plain_conv_prefix([t, t, t], hi)
-    checks = []
-    for n in ns:
-        lhs = (n - 1) * (n - 2) * t[n - 1]
-        rhs = (
-            6 * triple[n - 5] + 6 * triple[n - 4] + 12 * triple[n - 2]
-            + 6 * triple[n - 1] + 2 * triple[n]
-        )
-        checks.append(_check(f"n={n}", lhs, rhs))
-    return RunOutcome(checks=checks)
+def _run_ogf(sides: Callable[[int], tuple[list, list]], ctx: RunContext) -> RunOutcome:
+    """The one evaluator of the generating-function identities (P1, P2,
+    T1): coefficient n of both sides for every n in the range."""
+    ns = ctx.span("n")
+    lhs, rhs = sides(ns[-1])
+    return RunOutcome(checks=[_check(f"n={n}", lhs[n], rhs[n]) for n in ns])
 
 
 def _run_constants(ctx: RunContext) -> RunOutcome:
@@ -229,9 +196,7 @@ def _make_lemma_runner(power: int, scale: int, triple: tuple[int, int, int]):
     printed = ScaledSeq(Fraction(scale), triple)
 
     def run(ctx: RunContext) -> RunOutcome:
-        ks = list(ctx.span("k"))
-        if not ks:
-            return RunOutcome()
+        ks = ctx.span("k")
         elt = family_element(CPower(power))
         checks = [_check("derivation", derive(CPower(power)), printed)]
         seq = printed.sequence()
@@ -285,7 +250,7 @@ def _factor(f: tuple, n: int) -> tuple[WeightedSeq, Fraction]:
     return WeightedSeq(scaled.sequence(), base), scaled.scale
 
 
-def _fold_checks(r: int, n: int, ms: list[int], index: str, points) -> list[Check]:
+def _fold_checks(r: int, n: int, ms: range, index: str, points) -> list[Check]:
     """Checks of the r-fold identity at family index n for conv indices ms,
     one block per (label prefix, coefficients) point; the coefficients
     name the terms."""
@@ -316,16 +281,12 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
     (n, m), "pinned" its printed row at n = 1 over index n, and "family"
     T_(r-1)."""
     if kind == "GT":
-        ns, ms = list(ctx.span("n")), list(ctx.span("m"))
-        if not ns or not ms:
-            return RunOutcome()
+        ns, ms = ctx.span("n"), ctx.span("m")
         checks = []
         for n in ns:
             checks += _fold_checks(r, n, ms, "m", [(f"n={n},", PRINTED[r])])
         return RunOutcome(checks=checks)
-    ms = list(ctx.span("n"))
-    if not ms:
-        return RunOutcome()
+    ms = ctx.span("n")
     if kind == "pinned":
         return RunOutcome(checks=_fold_checks(r, 1, ms, "n", [("", PRINTED[r])]))
     names = FREE[r]
@@ -357,12 +318,9 @@ def _run_s1(ctx: RunContext) -> RunOutcome:
 
 
 def _run_s2(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
     checks, mismatches = [], []
     printed_seq = TriboSeq(242, 82, 245)
-    for n in ns:
+    for n in ctx.span("n"):
         elt = family_element(SumCofactorSqConst(n))
         checks.append(
             _check(f"n={n},corrected", derive(SumCofactorSqConst(n)),
@@ -409,11 +367,8 @@ PAIRSUMSQ_ORACLE: dict[int, tuple[int, tuple[int, int, int]]] = {
 
 
 def _run_s3(ctx: RunContext) -> RunOutcome:
-    ns = list(ctx.span("n"))
-    if not ns:
-        return RunOutcome()
     checks, mismatches = [], []
-    for n in ns:
+    for n in ctx.span("n"):
         derived = derive(PairSumSqPower(n))
         if n in PAIRSUMSQ_ORACLE:
             scale, triple = PAIRSUMSQ_ORACLE[n]
@@ -436,14 +391,11 @@ def _run_s3(ctx: RunContext) -> RunOutcome:
 
 
 def _run_gf(ctx: RunContext) -> RunOutcome:
-    orders = list(ctx.span("order"))
-    if not orders:
-        return RunOutcome()
-    order = orders[-1]
+    order = ctx.span("order")[-1]
     t = series_T(order)
     trib = TriboSeq.ordinary().terms(order + 1)
     checks = [_check(f"coeff k={k}", t[k], trib[k]) for k in range(order + 1)]
-    defining = poly_times((1, -1, -1, -1), t)
+    defining = poly_times(TRIBO_DENOM, t)
     checks.append(_check("defining-relation", defining == [0, 1] + [0] * (order - 1), True))
     checks.append(_check("derivative-relations", series_check_derivatives(order), True))
     return RunOutcome(checks=checks)
@@ -459,11 +411,11 @@ REGISTRY: dict[str, IdentityRecord] = {
     r.id: r
     for r in [
         _rec("P1", "sum T_k(T_{n-k}+T_{n-k-2}+2T_{n-k-3}) = (n-2)T_{n-1} - T_{n-2}",
-             [("n", 3, 200)], _run_p1),
+             [("n", 3, 200)], partial(_run_ogf, p1_sides)),
         _rec("P2", "sum T_k T_{n-k} as a weighted single sum (adopted reading of the "
-             "half-integer sign exponents)", [("n", 2, 100)], _run_p2),
+             "half-integer sign exponents)", [("n", 2, 100)], partial(_run_ogf, p2_sides)),
         _rec("T1", "(n-1)(n-2)T_{n-1} = weighted triple plain convolutions at shifts "
-             "n-5, n-4, n-2, n-1, n", [("n", 5, 120)], _run_t1),
+             "n-5, n-4, n-2, n-1, n", [("n", 5, 120)], partial(_run_ogf, t1_sides)),
         _rec("L-CONST", "root-coefficient constants: trace(c)=0, trace(xc)=1, "
              "trace(x^2 c)=1, norm(c)=1/44, trace(cofactor)=-1/22", [], _run_constants),
         _rec("L2", "c^2 family equals (1/22) T^(2,3,10)", [("k", 0, 50)],
@@ -527,8 +479,8 @@ def verify(
 
     nmax/mmax override the upper end of the record's first/second index
     range; a negative upper end, or a bound for a range the record lacks,
-    raises CatalogError, and one below the range start gives a vacuous
-    report.  params overrides the parameter sample where the record has one
+    raises CatalogError.  An upper end below its range's start gives a
+    vacuous report: no runner is called.  params overrides the parameter sample where the record has one
     (T2: iterable of D values; T3/T4: iterable of name-to-value mappings).
     """
     record = REGISTRY.get(identity_id)
@@ -553,7 +505,8 @@ def verify(
             )
         ranges[range_spec.name] = (range_spec.lo, hi)
     ctx = RunContext(ranges, random.Random(f"{seed}:{identity_id}"), params)
-    outcome = record.runner(ctx)
+    empty = any(lo > hi for lo, hi in ranges.values())
+    outcome = RunOutcome() if empty else record.runner(ctx)
     range_desc = ", ".join(f"{name}={lo}..{hi}" for name, (lo, hi) in ranges.items())
     return VerifyReport(
         id=record.id,

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from triboconv.identity_catalog import (
+    REGISTRY,
     RangeTooLarge,
     UnknownIdentity,
     identity_ids,
@@ -118,6 +119,11 @@ class TestT2Linearity:
             assert ca.rhs == cb.rhs
 
 
+#: Every identity whose first range starts above 0, so that an nmax of
+#: start - 1 empties it.
+FIRST_RANGE_ABOVE_ZERO = ["P1", "P2", "T1", "GT2", "GT3", "GT4", "GT5", "S1", "S2", "S3", "GF"]
+
+
 class TestRangesAndErrors:
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):
@@ -127,11 +133,20 @@ class TestRangesAndErrors:
         with pytest.raises(RangeTooLarge):
             verify("P1", nmax=10**6)
 
-    def test_empty_range_is_vacuous(self):
-        report = verify("P1", nmax=2)  # below the n >= 3 start
+    @pytest.mark.parametrize("identity", FIRST_RANGE_ABOVE_ZERO)
+    def test_empty_range_is_vacuous(self, identity):
+        start = REGISTRY[identity].ranges[0].lo
+        report = verify(identity, nmax=start - 1)  # just below the start
         assert report.status == "vacuous"
         assert report.checks == []
+        assert report.mismatches == []
+        assert report.params == []
+        assert report.notes == ""
         assert report.first_failure is None
+
+    def test_vacuous_cases_are_every_first_range_above_zero(self):
+        above = [i for i, r in REGISTRY.items() if r.ranges and r.ranges[0].lo > 0]
+        assert sorted(above) == sorted(FIRST_RANGE_ABOVE_ZERO)
 
     def test_report_fields_are_decimal_free(self):
         import re

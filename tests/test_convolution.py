@@ -1,4 +1,4 @@
-"""Convolution kernels, the two pair-sum tables, and the list series."""
+"""Convolution kernels, the list series, and P1, P2 and T1 as series rows."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -17,16 +17,17 @@ from triboconv.convolution import (
     binomial_convolve,
     cauchy_convolve,
     multinomial_conv_prefix,
+    p1_sides,
+    p2_sides,
     plain_conv_prefix,
     poly_times,
     prop1_lhs,
-    prop1_lhs_table,
     prop2_rhs,
-    prop2_rhs_table,
     series_T,
     series_check_derivatives,
     series_derivative,
     series_reciprocal,
+    t1_sides,
 )
 from triboconv.sequences import TriboSeq
 
@@ -178,6 +179,15 @@ def prop2_reference(n):
     return total
 
 
+def t1_reference(n, triple):
+    """T1's right side as the printed per-n shifted sum over the triple
+    plain convolution table, n >= 5."""
+    return (
+        6 * triple[n - 5] + 6 * triple[n - 4] + 12 * triple[n - 2]
+        + 6 * triple[n - 1] + 2 * triple[n]
+    )
+
+
 class TestProp1:
     def test_smallest_index(self):
         assert prop1_lhs(3) == 0
@@ -193,7 +203,7 @@ class TestProp1:
             prop1_lhs(2)
 
     def test_table_matches_per_n_sum(self):
-        table = prop1_lhs_table(300)
+        table, _ = p1_sides(300)
         assert len(table) == 301
         assert table[3:] == [prop1_reference(n) for n in range(3, 301)]
 
@@ -215,9 +225,28 @@ class TestProp2:
             prop2_rhs(1)
 
     def test_table_matches_per_n_double_sum(self):
-        table = prop2_rhs_table(300)
+        _, table = p2_sides(300)
         assert len(table) == 301
         assert table[2:] == [prop2_reference(n) for n in range(2, 301)]
+
+
+class TestT1:
+    def test_rows_match_printed_per_n_sides(self):
+        t = _t(301)
+        lhs, rhs = t1_sides(300)
+        triple = plain_conv_prefix([t, t, t], 300)
+        assert lhs[5:] == [(n - 1) * (n - 2) * t[n - 1] for n in range(5, 301)]
+        assert rhs[5:] == [t1_reference(n, triple) for n in range(5, 301)]
+
+
+@pytest.mark.parametrize("sides", [p1_sides, p2_sides, t1_sides])
+@pytest.mark.parametrize("order", [0, 1, 300])
+def test_sides_agree_at_every_coefficient(sides, order):
+    """The generating-function identity itself: both sides agree at every
+    coefficient 0..order, below the printed start too."""
+    lhs, rhs = sides(order)
+    assert len(lhs) == len(rhs) == order + 1
+    assert lhs == rhs
 
 
 class TestTruncSeries:

@@ -75,6 +75,7 @@ class TestRangeCap:
     @pytest.mark.parametrize("identity,nmax,expected_range", [
         ("P1", 1000, "n=3..1000"),
         ("P2", 1000, "n=2..1000"),
+        ("T1", 1000, "n=5..1000"),
         ("GF", 300, "order=40..300"),
     ])
     def test_verify_table_identities_at_large_nmax(self, identity, nmax, expected_range, tmp_path):
