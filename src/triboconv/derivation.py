@@ -2,13 +2,14 @@
 
 The authoritative derivation path is: build the family's field element
 exactly, take its n-th power, and normalize (``derive``).  A whole table
-n = 1..N steps the element by one field multiplication per row
-(``derive_table``).  The source tables also print per-family recursions
-for the initial triples and scales; those are replicated verbatim, in one
-replay per table (``replicate_paper_table``, ``derive_paper_recursive``),
-and compared against the direct path, because printed helper formulas of
-this kind are exactly where typographical slips hide.  A mismatch flags
-the printed recursion, never the direct path.
+n = 1..N carries the power as three integers over a power of one common
+denominator, one integer field product per row, and reads the element's
+sign at the real root once (``derive_table``).  The source tables also
+print per-family recursions for the initial triples and scales; those are
+replicated verbatim, in one replay per table (``replicate_paper_table``,
+``derive_paper_recursive``), and compared against the direct path, because
+printed helper formulas of this kind are exactly where typographical slips
+hide.  A mismatch flags the printed recursion, never the direct path.
 """
 
 from __future__ import annotations
@@ -19,8 +20,16 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .field import ONE, FieldElement, c_element, cofactor_element, sign_at_real_root, trace
-from .sequences import ScaledSeq, normalize_egf
+from .field import (
+    FieldElement,
+    c_element,
+    cofactor_element,
+    integral_coeffs,
+    mul_coeffs,
+    sign_at_real_root,
+    trace,
+)
+from .sequences import ScaledSeq, normalize_egf, normalize_integral
 
 # elementary symmetric functions of the three Binet coefficients
 _E1 = Fraction(0)
@@ -91,18 +100,27 @@ def derive(fam: PowerFamily) -> ScaledSeq:
     return normalize_egf(family_element(fam))
 
 
-def _powers(q: FieldElement, n_max: int) -> Iterator[FieldElement]:
-    """q, q^2, ..., q^n_max, one field multiplication per power."""
-    power = ONE
+def _scaled_powers(q: FieldElement, n_max: int) -> Iterator[ScaledSeq]:
+    """``normalize_egf(q**n)`` for n = 1..n_max.
+
+    q^n is carried as three integers over d^n, where q = (a0, a1, a2) / d:
+    one integer field product per row and no gcd per product.  The norm is
+    multiplicative, so sign(q^n) = sign(q)^n and q's sign is read once.
+    """
+    sign = sign_at_real_root(q)
+    coeffs, d = integral_coeffs(q)
+    power, denom, row_sign = (1, 0, 0), 1, 1
     for _ in range(n_max):
-        power = power * q
-        yield power
+        power = mul_coeffs(power, coeffs)
+        denom *= d
+        row_sign *= sign
+        yield normalize_integral(power, denom, row_sign)
 
 
 def derive_table(kind: FamilyKind, n_max: int) -> list[ScaledSeq]:
     """``derive(PowerFamily(kind, n))`` for n = 1..n_max, stepping the
     family element from one row to the next instead of a fresh power."""
-    return [normalize_egf(q) for q in _powers(family_element(PowerFamily(kind, 1)), n_max)]
+    return list(_scaled_powers(family_element(PowerFamily(kind, 1)), n_max))
 
 
 # -- replication of the printed recursions --------------------------------
@@ -266,8 +284,8 @@ def conjecture_check(n_max: int) -> ConjectureReport:
         raise ValueError("n_max must be >= 1")
     c_squared, cofactor = family_element(CPower(2)), family_element(CofactorPower(1))
     rows = []
-    powers = zip(_powers(c_squared, n_max), _powers(cofactor, n_max))
+    powers = zip(_scaled_powers(c_squared, n_max), _scaled_powers(cofactor, n_max))
     for n, (c_2n, cofactor_n) in enumerate(powers, start=1):
-        lhs, rhs = normalize_egf(c_2n).scale, normalize_egf(cofactor_n).scale
+        lhs, rhs = c_2n.scale, cofactor_n.scale
         rows.append(ConjectureRow(n, lhs, rhs, lhs == rhs))
     return ConjectureReport(tuple(rows), all(r.equal for r in rows))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 #: Power sums p_k of the three roots for k = 0, 1, 2 (Newton's identities
 #: from e1 = 1, e2 = -1, e3 = 1); enough to evaluate any trace.
@@ -105,15 +106,7 @@ class FieldElement:
             return FieldElement(k * self.a0, k * self.a1, k * self.a2)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        a0, a1, a2 = self.coeffs
-        b0, b1, b2 = other.coeffs
-        # plain polynomial product, then x^3 -> x^2+x+1 and x^4 -> 2x^2+2x+1
-        c0 = a0 * b0
-        c1 = a0 * b1 + a1 * b0
-        c2 = a0 * b2 + a1 * b1 + a2 * b0
-        c3 = a1 * b2 + a2 * b1
-        c4 = a2 * b2
-        return FieldElement(c0 + c3 + c4, c1 + c3 + 2 * c4, c2 + c3 + 2 * c4)
+        return FieldElement(*mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -145,6 +138,27 @@ def _coerce(v):
     if isinstance(v, (int, Fraction)):
         return FieldElement.constant(v)
     return NotImplemented
+
+
+def mul_coeffs(a: tuple, b: tuple) -> tuple:
+    """Product of a0 + a1*x + a2*x^2 and b0 + b1*x + b2*x^2 reduced modulo
+    x^3 - x^2 - x - 1, on coefficients of any ring (ints or Fractions)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    # plain polynomial product, then x^3 -> x^2+x+1 and x^4 -> 2x^2+2x+1
+    c0 = a0 * b0
+    c1 = a0 * b1 + a1 * b0
+    c2 = a0 * b2 + a1 * b1 + a2 * b0
+    c3 = a1 * b2 + a2 * b1
+    c4 = a2 * b2
+    return (c0 + c3 + c4, c1 + c3 + 2 * c4, c2 + c3 + 2 * c4)
+
+
+def integral_coeffs(q: FieldElement) -> tuple[tuple[int, int, int], int]:
+    """q as ((a0, a1, a2), d) with q = (a0 + a1*x + a2*x^2) / d, the a_i
+    integers and d > 0 the lcm of q's coefficient denominators."""
+    d = lcm(*(v.denominator for v in q.coeffs))
+    return tuple(v.numerator * (d // v.denominator) for v in q.coeffs), d
 
 
 ZERO = FieldElement(0, 0, 0)

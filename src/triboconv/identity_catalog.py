@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import prod
+from math import lcm, prod
 from typing import Callable
 
 from .convolution import (
@@ -74,6 +74,19 @@ class Check:
     rhs_value: object
     lhs = property(lambda self: str(self.lhs_value))
     rhs = property(lambda self: str(self.rhs_value))
+
+
+class _Quotient:
+    """num / den, shown as the reduced Fraction, which is formed only when
+    shown."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def __str__(self) -> str:
+        return str(Fraction(self.num, self.den))
 
 
 def _check(index: str, lhs, rhs) -> Check:
@@ -266,13 +279,20 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points) -> list[Check]:
         return table, prod(factors[f][1] for f in fs)
 
     lhs, lhs_scale = term(lhs_factors)
+    inv_lhs_scale = 1 / lhs_scale
     tables = {k: term(fs) for k, fs in terms.items()}
     checks = []
     for prefix, cs in points:
         weights = [(Fraction(c) / tables[k][1], tables[k][0]) for k, c in cs.items()]
+        # both sides over one common denominator: the comparison is on integers
+        common = lcm(inv_lhs_scale.denominator, *(w.denominator for w, _ in weights))
+        lhs_weight = inv_lhs_scale.numerator * (common // inv_lhs_scale.denominator)
+        rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
         for m in ms:
-            rhs = sum(w * table[m] for w, table in weights)
-            checks.append(_check(f"{prefix}{index}={m}", Fraction(lhs[m]) / lhs_scale, rhs))
+            lhs_num = lhs[m] * lhs_weight
+            rhs_num = sum(w * table[m] for w, table in rhs_weights)
+            checks.append(Check(f"{prefix}{index}={m}", lhs_num == rhs_num,
+                                _Quotient(lhs_num, common), _Quotient(rhs_num, common)))
     return checks
 
 

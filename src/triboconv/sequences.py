@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .field import FieldElement, sign_at_real_root
+from .field import FieldElement, integral_coeffs, sign_at_real_root
 
 InitTriple = tuple[int, int, int]
 
@@ -98,7 +98,7 @@ def egf_rational_terms(q: FieldElement, count: int) -> list[Fraction]:
     """Prefix [trace(q), trace(xq), ..., trace(x^(count-1) q)], by iterating
     the recurrence on the trace triple: never by repeated field
     multiplication."""
-    t = list(_trace_triple(q))
+    t = list(_trace_triple(q.coeffs))
     while len(t) < count:
         t.append(t[-1] + t[-2] + t[-3])
     return t[:count]
@@ -108,10 +108,11 @@ def egf_rational_terms(q: FieldElement, count: int) -> list[Fraction]:
 _TRACE_GRAM = ((3, 1, 3), (1, 3, 7), (3, 7, 11))
 
 
-def _trace_triple(q: FieldElement) -> tuple[Fraction, Fraction, Fraction]:
-    """(trace(q), trace(x q), trace(x^2 q)): the trace Gram matrix applied
-    to the coefficients of q."""
-    a0, a1, a2 = q.coeffs
+def _trace_triple(coeffs: tuple) -> tuple:
+    """(trace(q), trace(x q), trace(x^2 q)) for q = a0 + a1*x + a2*x^2: the
+    trace Gram matrix applied to coeffs = (a0, a1, a2), on any coefficient
+    ring (ints or Fractions)."""
+    a0, a1, a2 = coeffs
     return tuple(g0 * a0 + g1 * a1 + g2 * a2 for g0, g1, g2 in _TRACE_GRAM)
 
 
@@ -127,16 +128,22 @@ def normalize_egf(q: FieldElement) -> ScaledSeq:
     Raises ZeroAtRoot for q = 0 (degenerate coefficient function).
     """
     sign = sign_at_real_root(q)  # raises ZeroAtRoot for q = 0
-    t = _trace_triple(q)
-    denom_lcm = lcm(t[0].denominator, t[1].denominator, t[2].denominator)
-    ints = [int(v * denom_lcm) for v in t]
+    return normalize_integral(*integral_coeffs(q), sign)
+
+
+def normalize_integral(coeffs: tuple[int, int, int], d: int, sign: int) -> ScaledSeq:
+    """``normalize_egf`` of q = (a0 + a1*x + a2*x^2) / d, given the integers
+    ``coeffs`` = (a0, a1, a2), d > 0 and ``sign`` = sign_at_real_root(q).
+
+    The traces of q are (trace Gram matrix . coeffs) / d; dividing out the
+    gcd g of that integer triple leaves the primitive triple and the scale
+    d / g, both then multiplied by the sign.
+    """
+    ints = _trace_triple(coeffs)
     content = gcd(*ints)
-    triple = tuple(v // content for v in ints)
-    scale = Fraction(denom_lcm, content)
     if sign < 0:
-        scale = -scale
-        triple = tuple(-v for v in triple)
-    return ScaledSeq(scale, triple)
+        content = -content
+    return ScaledSeq(Fraction(d, content), tuple(v // content for v in ints))
 
 
 def binet_check(scaled: ScaledSeq, q: FieldElement, k_max: int) -> bool:

@@ -1,10 +1,13 @@
 """Identity registry, reports, and suite-level behavior."""
 
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 
+from triboconv.field import X, c_element, norm, trace
 from triboconv.identity_catalog import (
+    PRINTED,
     REGISTRY,
     RangeTooLarge,
     UnknownIdentity,
@@ -106,6 +109,41 @@ class TestSpecializationConsistency:
         for m in range(41):
             g, p = gt_by_m[f"n=1,m={m}"], p3_by_n[f"n={m}"]
             assert (g.lhs, g.rhs) == (p.lhs, p.rhs)
+
+
+class TestFoldFailureStrings:
+    """A failing fold check shows both sides as the reduced Fraction
+    strings of an independent Fraction evaluation."""
+
+    @staticmethod
+    def _sides(m, a, b, c):
+        # T2R with literals A, B, C: the terms are s3, e3 and s2*s1 of the
+        # symmetric expansion, each read from traces in the field
+        t = [trace(c_element() * X**k) for k in range(m + 1)]
+        lhs = sum(
+            F(factorial(m), factorial(i) * factorial(j) * factorial(m - i - j))
+            * t[i] * t[j] * t[m - i - j]
+            for i in range(m + 1) for j in range(m + 1 - i)
+        )
+        s3 = trace(c_element() ** 3 * (3 * X) ** m)
+        s2s1 = sum(comb(m, k) * trace(c_element() ** 2 * (2 * X) ** k) * t[m - k] for k in range(m + 1))
+        return lhs, a * s3 + b * norm(c_element()) + c * s2s1
+
+    def test_wrong_literal_fails_with_exact_strings(self, monkeypatch):
+        monkeypatch.setitem(PRINTED[3], "A", -1)
+        report = verify("T2R", nmax=20)
+        assert report.status == "fail"
+        first = report.first_failure
+        lhs, rhs = self._sides(int(first.index.removeprefix("n=")), -1, 6, 3)
+        assert (first.lhs, first.rhs) == (str(lhs), str(rhs))
+        for m, check in enumerate(report.checks):
+            lhs, rhs = self._sides(m, -1, 6, 3)
+            assert (check.ok, check.lhs, check.rhs) == (lhs == rhs, str(lhs), str(rhs))
+
+    def test_printed_literals_agree_with_the_fraction_evaluation(self):
+        for m, check in enumerate(verify("T2R", nmax=20).checks):
+            lhs, rhs = self._sides(m, -2, 6, 3)
+            assert lhs == rhs and (check.ok, check.lhs, check.rhs) == (True, str(lhs), str(rhs))
 
 
 class TestT2Linearity:

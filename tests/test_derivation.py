@@ -171,6 +171,12 @@ class TestStreamedTables:
     def test_derive_table_matches_derive(self, kind):
         assert derive_table(kind, 60) == [derive(PowerFamily(kind, n)) for n in range(1, 61)]
 
+    @pytest.mark.parametrize("kind", [FamilyKind.CPOWER, FamilyKind.PAIR_SUM_SQ_POWER])
+    def test_last_row_at_the_cap_matches_derive(self, kind):
+        # the pair-sum-square element is negative at the real root, so its
+        # table's sign alternates from row to row
+        assert derive_table(kind, 2000)[-1] == derive(PowerFamily(kind, 2000))
+
     @pytest.mark.parametrize("kind", REPLICABLE)
     def test_replicate_table_matches_derive_paper_recursive(self, kind):
         table = replicate_paper_table(kind, derive_table(kind, 60))
@@ -240,8 +246,8 @@ class TestConjecture:
             conjecture_check(0)
 
     def test_rows_match_per_n_derive(self):
-        assert [(r.cpower_scale, r.cofactor_scale) for r in conjecture_check(30).rows] == [
-            (derive(CPower(2 * n)).scale, derive(CofactorPower(n)).scale) for n in range(1, 31)
+        assert [(r.cpower_scale, r.cofactor_scale) for r in conjecture_check(120).rows] == [
+            (derive(CPower(2 * n)).scale, derive(CofactorPower(n)).scale) for n in range(1, 121)
         ]
 
 
