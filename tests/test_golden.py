@@ -9,8 +9,8 @@ where the convolution tables are extended by recurrence, and P1/P2/T1
 at nmax 400, past their default ranges, and
 cli_sha256.json pins by digest the CLI bytes of `conjecture` and
 `derive --replicate-paper` at the sizes of the scale_audit benchmark, too
-large to check in whole.  Regenerate them deliberately, after an intended
-change of output, with:
+large to check in whole, and of `symcheck` at the grid cap.  Regenerate
+them deliberately, after an intended change of output, with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -50,6 +50,7 @@ CLI_SHA256 = {
     "derive_cpower_47_replicate.json": ["derive", "cpower", "47", "--replicate-paper", "--format", "json"],
     "derive_cofactor_45_replicate.json": ["derive", "cofactor", "45", "--replicate-paper", "--format", "json"],
     "derive_pairsumsq_46_replicate.json": ["derive", "pairsumsq", "46", "--replicate-paper", "--format", "json"],
+    "symcheck_seed0_draws100_grid12.json": ["symcheck", "--seed", "0", "--draws", "100", "--grid", "12", "--format", "json"],
 }
 
 #: (file name, seed, {identity id: nmax or None for the default range}) of

@@ -1,10 +1,12 @@
 """Grid certification of the symmetric power expansions."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from triboconv.cli import main
 from triboconv.identity_catalog import PRINTED
 from triboconv.symmetric_identities import (
     DEPENDENT,
@@ -96,6 +98,26 @@ class TestGridCertification:
             verify_sym_identity(degree, {}, degree + 1)
         with pytest.raises(ValueError):
             random_params(degree, random.Random(0))
+
+
+class TestFailurePath:
+    """One printed constraint constant off by one must fail the grid."""
+
+    @pytest.fixture
+    def mutated(self, monkeypatch):
+        const, form = DEPENDENT[5]["A"]
+        monkeypatch.setitem(DEPENDENT[5], "A", (const + 1, form))
+
+    def test_mutated_constant_fails_grid(self, mutated):
+        assert DEPENDENT[5]["A"][0] == -13
+        assert not verify_sym_identity(5, random_params(5, random.Random(7)), 6)
+
+    def test_mutated_constant_fails_symcheck(self, mutated, capsys):
+        assert main(["symcheck", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [(row["degree"], row["status"]) for row in doc["rows"]] == [
+            ("3", "pass"), ("4", "pass"), ("5", "fail")]
+        assert doc["verdict"] == "fail"
 
 
 class TestParameterLinearity:
