@@ -26,6 +26,7 @@ from .field import (
     cofactor_element,
     integral_coeffs,
     mul_coeffs,
+    norm_coeffs,
     sign_at_real_root,
     trace,
 )
@@ -134,10 +135,10 @@ class PrintedRecursionResult:
     note: str = ""
 
 
-#: Inverse of the trace Gram matrix [trace(x^(i+j))] = ((3, 1, 3), (1, 3, 7), (3, 7, 11)).
-_INVERSE_TRACE_GRAM = tuple(
-    tuple(Fraction(v, 22) for v in row) for row in ((8, -5, 1), (-5, -12, 9), (1, 9, -4))
-)
+#: 22 times the inverse of the trace Gram matrix
+#: [trace(x^(i+j))] = ((3, 1, 3), (1, 3, 7), (3, 7, 11)), an integer matrix.
+_INVERSE_TRACE_GRAM_22 = ((8, -5, 1), (-5, -12, 9), (1, 9, -4))
+_INVERSE_TRACE_GRAM = tuple(tuple(Fraction(v, 22) for v in row) for row in _INVERSE_TRACE_GRAM_22)
 
 
 def element_with_traces(t0, t1, t2) -> FieldElement:
@@ -148,8 +149,14 @@ def element_with_traces(t0, t1, t2) -> FieldElement:
 
 def _eventually_positive(triple: tuple[int, int, int]) -> bool:
     """Sign convention for a candidate integer triple: the sequence is
-    eventually positive iff its dominant-root coefficient is positive."""
-    return sign_at_real_root(element_with_traces(*triple)) > 0
+    eventually positive iff its dominant-root coefficient is positive.
+
+    That coefficient is element_with_traces(*triple) at the real root.  22
+    times the element has integer coefficients and the same sign there,
+    which is the sign of its norm (see ``sign_at_real_root``), here an
+    integer determinant."""
+    integral = tuple(sum(m * t for m, t in zip(row, triple)) for row in _INVERSE_TRACE_GRAM_22)
+    return norm_coeffs(integral) > 0
 
 
 def _signed_triple(m: Fraction, n_ratio: Fraction) -> tuple[int, int, int]:

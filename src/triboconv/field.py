@@ -166,10 +166,11 @@ ONE = FieldElement(1, 0, 0)
 X = FieldElement(0, 1, 0)
 
 
-def _mult_matrix(q: FieldElement) -> list[list[Fraction]]:
-    """Matrix of multiplication by q in the basis (1, x, x^2); columns are
-    the coefficient vectors of q, q*x, q*x^2."""
-    a0, a1, a2 = q.coeffs
+def _mult_matrix(a: tuple) -> list[list]:
+    """Matrix of multiplication by a0 + a1*x + a2*x^2 in the basis
+    (1, x, x^2), on coefficients of any ring; columns are the coefficient
+    vectors of a, a*x, a*x^2."""
+    a0, a1, a2 = a
     return [
         [a0, a2, a1 + a2],
         [a1, a0 + a2, a1 + 2 * a2],
@@ -177,10 +178,10 @@ def _mult_matrix(q: FieldElement) -> list[list[Fraction]]:
     ]
 
 
-def _det_and_cofactors(q: FieldElement) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
-    """Determinant of q's multiplication matrix and the cofactors of its
+def _det_and_cofactors(a: tuple) -> tuple:
+    """Determinant of a's multiplication matrix and the cofactors of its
     first row, written out as 2x2 minors."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _mult_matrix(q)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _mult_matrix(a)
     cof = (m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20)
     return m00 * cof[0] + m01 * cof[1] + m02 * cof[2], cof
 
@@ -193,7 +194,7 @@ def inverse(q: FieldElement) -> FieldElement:
     """
     if q.is_zero():
         raise ZeroElement("cannot invert the zero element")
-    d, cof = _det_and_cofactors(q)
+    d, cof = _det_and_cofactors(q.coeffs)
     # d = norm(q), nonzero for q != 0 because K is a field
     return FieldElement(*(c / d for c in cof))
 
@@ -212,10 +213,16 @@ def norm(q: FieldElement) -> Fraction:
     return (t1**3 - 3 * t1 * t2 + 2 * t3) / 6
 
 
+def norm_coeffs(a: tuple):
+    """Norm of a0 + a1*x + a2*x^2, the determinant of its multiplication
+    matrix, on coefficients of any ring (ints or Fractions)."""
+    return _det_and_cofactors(a)[0]
+
+
 def norm_via_multiplication_matrix(q: FieldElement) -> Fraction:
     """Independent route to the norm: determinant of the multiplication
     matrix.  Kept as a cross-check against the trace route."""
-    return _det_and_cofactors(q)[0]
+    return norm_coeffs(q.coeffs)
 
 
 @lru_cache(maxsize=1)

@@ -11,15 +11,20 @@ are given and the dependent coefficients are always recomputed.
 
 Verification is by deterministic finite-grid evaluation: both sides have
 degree at most d in each of a, b, c, so agreement on a (d+1)^3 integer
-grid is a complete proof of the polynomial identity.
+grid is a complete proof of the polynomial identity.  The grid values of
+(a+b+c)^d and of every term are integers that depend only on TERMS, so
+they are tabulated once per (degree, grid); a draw clears its coefficient
+denominators once and is compared on integers at every point.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 #: term name -> blocks whose product is the term, per power r.
 TERMS = {
@@ -96,16 +101,33 @@ def rhs(r: int, params: dict, a, b, c) -> Fraction:
     return _combine(r, coeffs(r, params), _blocks(a, b, c))
 
 
+# 32 holds every (degree, grid) pair symcheck accepts: 4 degrees x grids 6..12.
+@lru_cache(maxsize=32)
+def _term_rows(r: int, grid_size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """((a+b+c)^r, values of the terms of TERMS[r] in term order) at every
+    point (a, b, c) of {0..grid_size-1}^3, all integers."""
+    rows = []
+    for a, b, c in product(range(grid_size), repeat=3):
+        blocks = _blocks(a, b, c)
+        terms = tuple(prod(blocks[x] for x in bs) for bs in TERMS[r].values())
+        rows.append(((a + b + c) ** r, terms))
+    return tuple(rows)
+
+
 def verify_sym_identity(degree: int, params: dict, grid_size: int) -> bool:
     """Evaluate (a+b+c)^degree against the parameterized right side at every
-    point of {0..grid_size-1}^3; grid_size >= degree+1 makes this a proof."""
-    cs = coeffs(degree, params)
+    point of {0..grid_size-1}^3; grid_size >= degree+1 makes this a proof.
+
+    Both sides are multiplied by den, the lcm of the coefficient
+    denominators, and compared as integers."""
+    cs = coeffs(degree, params).values()
     if grid_size < degree + 1:
         raise ValueError("grid must have at least degree+1 points per axis")
-    pts = range(grid_size)
+    den = lcm(*(v.denominator for v in cs))
+    nums = [v.numerator * (den // v.denominator) for v in cs]
     return all(
-        (a + b + c) ** degree == _combine(degree, cs, _blocks(a, b, c))
-        for a, b, c in product(pts, pts, pts)
+        den * lhs == sum(map(mul, nums, terms))
+        for lhs, terms in _term_rows(degree, grid_size)
     )
 
 

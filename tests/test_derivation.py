@@ -1,5 +1,6 @@
 """Power families: canonical tables, printed-recursion replication, conjecture."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from triboconv.derivation import (
     family_element,
     replicate_paper_table,
 )
-from triboconv.field import FieldElement, c_element, cofactor_element, trace
+from triboconv.field import FieldElement, c_element, cofactor_element, sign_at_real_root, trace
 from triboconv.identity_catalog import PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED
 from triboconv.sequences import ScaledSeq, binet_check, egf_rational_term
 
@@ -228,6 +229,28 @@ class TestElementWithTraces:
     def test_random_traces_round_trip(self, t):
         elt = element_with_traces(*t)
         assert [egf_rational_term(elt, k) for k in range(3)] == t
+
+
+class TestReplaySign:
+    """The replay's integer-determinant sign against the Fraction route."""
+
+    @pytest.mark.parametrize("digits", [1, 3, 30, 300])
+    def test_seeded_triples(self, digits):
+        rng = random.Random(f"replay-sign:{digits}")
+        bound = 10**digits
+        for _ in range(200):
+            t = tuple(rng.randint(-bound, bound) for _ in range(3))
+            if t != (0, 0, 0):
+                assert derivation._eventually_positive(t) is (
+                    sign_at_real_root(element_with_traces(*t)) > 0)
+
+    @pytest.mark.parametrize("t", [(1, 0, 0), (-1, 0, 0), (3, 1, 3), (-3, -1, -3),
+                                   (10**40, -(10**40), 1), (-(10**40), 10**40, -1)])
+    def test_hand_made_triples(self, t):
+        assert derivation._eventually_positive(t) is (
+            sign_at_real_root(element_with_traces(*t)) > 0)
+        assert derivation._eventually_positive(tuple(-v for v in t)) is not (
+            derivation._eventually_positive(t))
 
 
 class TestConjecture:

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,9 @@ from triboconv.symmetric_identities import (
     DEPENDENT,
     FREE,
     TERMS,
+    _blocks,
+    _combine,
+    _term_rows,
     coeffs,
     random_params,
     rhs,
@@ -98,6 +102,50 @@ class TestGridCertification:
             verify_sym_identity(degree, {}, degree + 1)
         with pytest.raises(ValueError):
             random_params(degree, random.Random(0))
+
+
+def _fraction_grid(r, params, grid_size):
+    """Oracle: the Fraction right side against (a+b+c)^r at every grid point."""
+    return all(
+        rhs(r, params, a, b, c) == (a + b + c) ** r
+        for a, b, c in product(range(grid_size), repeat=3)
+    )
+
+
+#: a degree-5 draw whose coefficients carry large coprime denominators.
+COPRIME_DRAW = {"D": F(1, 9973), "I": F(-7, 9967), "L": F(9972, 9973), "S": F(3, 9967)}
+
+
+class TestIntegerGrid:
+    """The integer grid path against the Fraction definition."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_term_rows_are_the_blocks_at_each_point(self, r):
+        rows = _term_rows(r, 6)
+        points = list(product(range(6), repeat=3))
+        assert len(rows) == len(points)
+        for (a, b, c), (lhs, terms) in zip(points, rows):
+            blocks = _blocks(a, b, c)
+            assert lhs == (a + b + c) ** r
+            assert terms == tuple(_combine(r, {j: int(j == k) for j in TERMS[r]}, blocks)
+                                  for k in TERMS[r])
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_seeded_draws_agree_with_fractions(self, r):
+        rng = random.Random(f"oracle:{r}")
+        for _ in range(5):
+            params = random_params(r, rng, bound=10**6)
+            assert verify_sym_identity(r, params, 6) is _fraction_grid(r, params, 6) is True
+
+    def test_coprime_denominators_agree_with_fractions(self):
+        assert verify_sym_identity(5, COPRIME_DRAW, 6) is _fraction_grid(5, COPRIME_DRAW, 6) is True
+
+    @pytest.mark.parametrize("r,term", [(r, k) for r in (2, 3, 4, 5) for k in DEPENDENT[r]])
+    def test_constraint_shifted_by_a_small_fraction_fails_both(self, r, term, monkeypatch):
+        const, form = DEPENDENT[r][term]
+        monkeypatch.setitem(DEPENDENT[r], term, (const + F(1, 9973), form))
+        params = COPRIME_DRAW if r == 5 else random_params(r, random.Random(r))
+        assert verify_sym_identity(r, params, 6) is _fraction_grid(r, params, 6) is False
 
 
 class TestFailurePath:
