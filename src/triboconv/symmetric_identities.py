@@ -101,7 +101,7 @@ def rhs(r: int, params: dict, a, b, c) -> Fraction:
     return _combine(r, coeffs(r, params), _blocks(a, b, c))
 
 
-# 32 holds every (degree, grid) pair symcheck accepts: 4 degrees x grids 6..12.
+# 32 covers degrees 2..5 at every grid symcheck accepts (6..12).
 @lru_cache(maxsize=32)
 def _term_rows(r: int, grid_size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """((a+b+c)^r, values of the terms of TERMS[r] in term order) at every
