@@ -10,7 +10,6 @@ from .field import (
     cofactor_element,
     inverse,
     norm,
-    norm_via_multiplication_matrix,
     sign_at_real_root,
     trace,
 )

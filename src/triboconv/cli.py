@@ -92,10 +92,11 @@ def _cmd_derive(args) -> int:
     replicated = derivation.replicate_paper_table(kind, direct) if args.replicate_paper else []
     rows, cells, lines = [], [], []
     for n, scaled in enumerate(direct, start=1):
-        row = {"n": str(n), "A": str(scaled.scale), "triple": [str(v) for v in scaled.triple]}
+        scale, triple = str(scaled.scale), [str(v) for v in scaled.triple]
+        row = {"n": str(n), "A": scale, "triple": triple}
         if not scaled.integral:
             row["note"] = "non-integral scale"
-        line = f"n={n}: A={row['A']} triple=({', '.join(row['triple'])})"
+        line = f"n={n}: A={scale} triple=({', '.join(triple)})"
         tail = ["-"] * 5 if args.replicate_paper else []
         if args.replicate_paper and n >= 2:
             result = replicated[n - 2]
@@ -105,14 +106,14 @@ def _cmd_derive(args) -> int:
                 row.update(replicated=None, match=match, note=result.note)
                 tail[-1] = match
             else:
-                rep_triple = [str(v) for v in rep.triple]
-                row.update(replicated={"A": str(rep.scale), "triple": rep_triple}, match=match)
-                tail = [str(rep.scale), *rep_triple, match]
-                line += f"  replicated: A={rep.scale} triple=({', '.join(rep_triple)}) match={match}"
+                rep_scale, rep_triple = str(rep.scale), [str(v) for v in rep.triple]
+                row.update(replicated={"A": rep_scale, "triple": rep_triple}, match=match)
+                tail = [rep_scale, *rep_triple, match]
+                line += f"  replicated: A={rep_scale} triple=({', '.join(rep_triple)}) match={match}"
         if row.get("replicated") is None and "note" in row:
             line += f"  [{row['note']}]"
         rows.append(row)
-        cells.append([row["n"], row["A"], *row["triple"], *tail])
+        cells.append([row["n"], scale, *triple, *tail])
         lines.append(line)
     _render(args, {"family": args.family, "rows": rows}, header, cells, lines)
     return 0

@@ -23,6 +23,7 @@ from math import lcm
 from .field import (
     FieldElement,
     c_element,
+    coeffs_from_traces_22,
     cofactor_element,
     integral_coeffs,
     mul_coeffs,
@@ -135,16 +136,9 @@ class PrintedRecursionResult:
     note: str = ""
 
 
-#: 22 times the inverse of the trace Gram matrix
-#: [trace(x^(i+j))] = ((3, 1, 3), (1, 3, 7), (3, 7, 11)), an integer matrix.
-_INVERSE_TRACE_GRAM_22 = ((8, -5, 1), (-5, -12, 9), (1, 9, -4))
-_INVERSE_TRACE_GRAM = tuple(tuple(Fraction(v, 22) for v in row) for row in _INVERSE_TRACE_GRAM_22)
-
-
 def element_with_traces(t0, t1, t2) -> FieldElement:
-    """The unique element q with trace(x^j q) = t_j for j = 0, 1, 2: the
-    inverse trace Gram matrix applied to (t0, t1, t2)."""
-    return FieldElement(*(row[0] * t0 + row[1] * t1 + row[2] * t2 for row in _INVERSE_TRACE_GRAM))
+    """The unique element q with trace(x^j q) = t_j for j = 0, 1, 2."""
+    return FieldElement(*(Fraction(v, 22) for v in coeffs_from_traces_22((t0, t1, t2))))
 
 
 def _eventually_positive(triple: tuple[int, int, int]) -> bool:
@@ -155,8 +149,7 @@ def _eventually_positive(triple: tuple[int, int, int]) -> bool:
     times the element has integer coefficients and the same sign there,
     which is the sign of its norm (see ``sign_at_real_root``), here an
     integer determinant."""
-    integral = tuple(sum(m * t for m, t in zip(row, triple)) for row in _INVERSE_TRACE_GRAM_22)
-    return norm_coeffs(integral) > 0
+    return norm_coeffs(coeffs_from_traces_22(triple)) > 0
 
 
 def _signed_triple(m: Fraction, n_ratio: Fraction) -> tuple[int, int, int]:

@@ -4,7 +4,8 @@ The minimal polynomial x^3 - x^2 - x - 1 is irreducible over Q with one
 real root (1.8392...) and a complex-conjugate pair.  An element is stored
 reduced in the power basis (1, x, x^2) with Fraction coefficients, so
 equality is plain coefficient comparison.  Trace and norm of any element
-are rational and are computed without ever constructing the roots.
+are rational and are computed without ever constructing the roots: the
+trace form is one Gram matrix, and the norm is one determinant.
 
 No floating point and no search is used anywhere: inverse and norm are
 closed forms in the coefficients, and :func:`sign_at_real_root` reads the
@@ -19,9 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-#: Power sums p_k of the three roots for k = 0, 1, 2 (Newton's identities
-#: from e1 = 1, e2 = -1, e3 = 1); enough to evaluate any trace.
-_POWER_SUMS = (Fraction(3), Fraction(1), Fraction(3))
+#: Trace Gram matrix [trace(x^(i+j))] for i, j = 0, 1, 2.  Row 0 holds the
+#: power sums of the three roots (Newton's identities from e1 = 1, e2 = -1,
+#: e3 = 1); the later rows follow from x^3 = x^2 + x + 1.
+_TRACE_GRAM = ((3, 1, 3), (1, 3, 7), (3, 7, 11))
+
+#: 22 times the inverse of the trace Gram matrix, an integer matrix.
+_TRACE_GRAM_INVERSE_22 = ((8, -5, 1), (-5, -12, 9), (1, 9, -4))
 
 
 class FieldError(ArithmeticError):
@@ -199,18 +204,27 @@ def inverse(q: FieldElement) -> FieldElement:
     return FieldElement(*(c / d for c in cof))
 
 
+def trace_triple(coeffs: tuple) -> tuple:
+    """(trace(q), trace(x q), trace(x^2 q)) for q = a0 + a1*x + a2*x^2: the
+    trace Gram matrix applied to coeffs = (a0, a1, a2), on any coefficient
+    ring (ints or Fractions)."""
+    a0, a1, a2 = coeffs
+    return tuple(g0 * a0 + g1 * a1 + g2 * a2 for g0, g1, g2 in _TRACE_GRAM)
+
+
+def coeffs_from_traces_22(traces: tuple) -> tuple:
+    """22 times the coefficients of the unique element q with
+    trace(x^j q) = traces[j] for j = 0, 1, 2: the inverse of
+    ``trace_triple``, scaled so integer traces give integer coefficients."""
+    t0, t1, t2 = traces
+    return tuple(m0 * t0 + m1 * t1 + m2 * t2 for m0, m1, m2 in _TRACE_GRAM_INVERSE_22)
+
+
 def trace(q: FieldElement) -> Fraction:
-    """Sum of the three embeddings, q(alpha) + q(beta) + q(gamma)."""
-    p0, p1, p2 = _POWER_SUMS
+    """Sum of the three embeddings, q(alpha) + q(beta) + q(gamma): row 0
+    of the trace Gram matrix applied to q's coefficients."""
+    p0, p1, p2 = _TRACE_GRAM[0]
     return p0 * q.a0 + p1 * q.a1 + p2 * q.a2
-
-
-def norm(q: FieldElement) -> Fraction:
-    """Product of the three embeddings, from the power sums t_k = trace(q^k)
-    by Newton's identities: (t1^3 - 3 t1 t2 + 2 t3) / 6."""
-    q2 = q * q
-    t1, t2, t3 = trace(q), trace(q2), trace(q2 * q)
-    return (t1**3 - 3 * t1 * t2 + 2 * t3) / 6
 
 
 def norm_coeffs(a: tuple):
@@ -219,9 +233,8 @@ def norm_coeffs(a: tuple):
     return _det_and_cofactors(a)[0]
 
 
-def norm_via_multiplication_matrix(q: FieldElement) -> Fraction:
-    """Independent route to the norm: determinant of the multiplication
-    matrix.  Kept as a cross-check against the trace route."""
+def norm(q: FieldElement) -> Fraction:
+    """Product of the three embeddings, q(alpha) q(beta) q(gamma)."""
     return norm_coeffs(q.coeffs)
 
 
@@ -252,7 +265,7 @@ def sign_at_real_root(q: FieldElement) -> int:
     """
     if q.is_zero():
         raise ZeroAtRoot("element vanishes at the real root")
-    return 1 if norm_via_multiplication_matrix(q) > 0 else -1
+    return 1 if norm(q) > 0 else -1
 
 
 @dataclass(frozen=True)

@@ -493,7 +493,6 @@ def verify(
     mmax: int | None = None,
     params=None,
     seed: int = DEFAULT_SEED,
-    range_cap: int = DEFAULT_RANGE_CAP,
 ) -> VerifyReport:
     """Run one identity over its (possibly overridden) range.
 
@@ -519,9 +518,9 @@ def verify(
             hi = mmax
         if hi < 0:
             raise CatalogError(f"{range_spec.name} upper bound {hi} is negative")
-        if hi > range_cap:
+        if hi > DEFAULT_RANGE_CAP:
             raise RangeTooLarge(
-                f"{range_spec.name} <= {hi} exceeds the configured cap {range_cap}"
+                f"{range_spec.name} <= {hi} exceeds the configured cap {DEFAULT_RANGE_CAP}"
             )
         ranges[range_spec.name] = (range_spec.lo, hi)
     ctx = RunContext(ranges, random.Random(f"{seed}:{identity_id}"), params)
@@ -571,8 +570,8 @@ class SuiteReport:
         }
 
 
-def verify_all(seed: int = DEFAULT_SEED, range_cap: int = DEFAULT_RANGE_CAP) -> SuiteReport:
+def verify_all(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Run every registered identity at its default range, deterministically
     for a given seed; entries are ordered by id."""
-    reports = [verify(i, seed=seed, range_cap=range_cap) for i in identity_ids()]
+    reports = [verify(i, seed=seed) for i in identity_ids()]
     return SuiteReport(seed=seed, reports=reports)

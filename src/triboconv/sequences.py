@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .field import FieldElement, integral_coeffs, sign_at_real_root
+from .field import FieldElement, integral_coeffs, sign_at_real_root, trace_triple
 
 InitTriple = tuple[int, int, int]
 
@@ -95,25 +95,10 @@ def egf_rational_term(q: FieldElement, k: int) -> Fraction:
 
 
 def egf_rational_terms(q: FieldElement, count: int) -> list[Fraction]:
-    """Prefix [trace(q), trace(xq), ..., trace(x^(count-1) q)], by iterating
-    the recurrence on the trace triple: never by repeated field
+    """Prefix [trace(q), trace(xq), ..., trace(x^(count-1) q)]: the
+    Tribonacci sequence from the trace triple, never repeated field
     multiplication."""
-    t = list(_trace_triple(q.coeffs))
-    while len(t) < count:
-        t.append(t[-1] + t[-2] + t[-3])
-    return t[:count]
-
-
-#: Trace Gram matrix [trace(x^(i+j))] for i, j = 0, 1, 2.
-_TRACE_GRAM = ((3, 1, 3), (1, 3, 7), (3, 7, 11))
-
-
-def _trace_triple(coeffs: tuple) -> tuple:
-    """(trace(q), trace(x q), trace(x^2 q)) for q = a0 + a1*x + a2*x^2: the
-    trace Gram matrix applied to coeffs = (a0, a1, a2), on any coefficient
-    ring (ints or Fractions)."""
-    a0, a1, a2 = coeffs
-    return tuple(g0 * a0 + g1 * a1 + g2 * a2 for g0, g1, g2 in _TRACE_GRAM)
+    return TriboSeq(*trace_triple(q.coeffs)).terms(count)
 
 
 def normalize_egf(q: FieldElement) -> ScaledSeq:
@@ -139,7 +124,7 @@ def normalize_integral(coeffs: tuple[int, int, int], d: int, sign: int) -> Scale
     gcd g of that integer triple leaves the primitive triple and the scale
     d / g, both then multiplied by the sign.
     """
-    ints = _trace_triple(coeffs)
+    ints = trace_triple(coeffs)
     content = gcd(*ints)
     if sign < 0:
         content = -content

@@ -1,8 +1,11 @@
 """Brute-force composition enumerators: small-n oracles for the plain and
-multinomial convolution tables of ``triboconv.convolution``."""
+multinomial convolution tables of ``triboconv.convolution``; and the norm
+by Newton's identities, an oracle for ``triboconv.field.norm``."""
 
 from math import factorial, prod
 from typing import Iterator, Sequence
+
+from triboconv.field import trace
 
 
 def compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -40,3 +43,12 @@ def _term(s, k: int):
     if isinstance(s, (list, tuple)):
         return s[k]
     return s.term(k)
+
+
+def norm_by_newton(q):
+    """Product of the three embeddings of q from the power sums
+    t_k = trace(q^k) by Newton's identities: (t1^3 - 3 t1 t2 + 2 t3) / 6.
+    Oracle for ``field.norm``, the determinant of the multiplication matrix."""
+    q2 = q * q
+    t1, t2, t3 = trace(q), trace(q2), trace(q2 * q)
+    return (t1**3 - 3 * t1 * t2 + 2 * t3) / 6

@@ -34,13 +34,12 @@ from triboconv.field import (
     c_element,
     cofactor_element,
     norm,
-    norm_via_multiplication_matrix,
     trace,
 )
 from triboconv.identity_catalog import PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED, verify
 from triboconv.sequences import ScaledSeq, TriboSeq, binet_check
 from triboconv.symmetric_identities import random_params, verify_sym_identity
-from oracles import multinomial_conv_enum, plain_conv_enum
+from oracles import multinomial_conv_enum, norm_by_newton, plain_conv_enum
 from test_derivation import COFACTOR_TABLE, CPOWER_TABLE
 
 
@@ -231,7 +230,7 @@ def test_criterion_7_oracle_equivalences():
             F(rng.randint(-30, 30), rng.randint(1, 10)),
             F(rng.randint(-30, 30), rng.randint(1, 10)),
         )
-        norm_ok &= norm(q) == norm_via_multiplication_matrix(q)
+        norm_ok &= norm(q) == norm_by_newton(q)
     ok = multi_ok and plain_ok and norm_ok
     _line(
         "7 oracle equivalences",

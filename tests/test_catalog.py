@@ -168,8 +168,10 @@ class TestRangesAndErrors:
             verify("NOPE")
 
     def test_range_too_large(self):
-        with pytest.raises(RangeTooLarge):
+        with pytest.raises(RangeTooLarge, match=r"^n <= 1000000 exceeds the configured cap 2000$"):
             verify("P1", nmax=10**6)
+        with pytest.raises(RangeTooLarge, match=r"^m <= 2001 exceeds the configured cap 2000$"):
+            verify("GT5", mmax=2001)
 
     @pytest.mark.parametrize("identity", FIRST_RANGE_ABOVE_ZERO)
     def test_empty_range_is_vacuous(self, identity):

@@ -20,10 +20,10 @@ from triboconv.field import (
     cofactor_element,
     inverse,
     norm,
-    norm_via_multiplication_matrix,
     sign_at_real_root,
     trace,
 )
+from oracles import norm_by_newton
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 elements = st.builds(FieldElement, fractions, fractions, fractions)
@@ -137,7 +137,7 @@ class TestTraceNorm:
 
     @given(elements)
     def test_norm_routes_agree(self, q):
-        assert norm(q) == norm_via_multiplication_matrix(q)
+        assert norm(q) == norm_by_newton(q)
 
     def test_trace_power_sequence_recurrence(self):
         # trace(x^k) follows the three-term recurrence from (3, 1, 3)
