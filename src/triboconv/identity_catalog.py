@@ -13,6 +13,7 @@ breaks.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -33,10 +34,12 @@ from .convolution import (
 )
 from .derivation import (
     CPower,
-    CofactorPower,
+    FamilyKind,
     PairSumSqPower,
+    PowerFamily,
     SumCofactorConst,
     SumCofactorSqConst,
+    _scaled_powers,
     derive,
     family_element,
 )
@@ -112,7 +115,8 @@ class RangeSpec:
 class RunContext:
     ranges: dict[str, tuple[int, int]]
     rng: random.Random
-    params_override: object = None
+    params_override: object
+    store: dict  # the run's fold factor rows and tables, shared by its entries
 
     def span(self, name: str) -> range:
         lo, hi = self.ranges[name]
@@ -254,16 +258,23 @@ PRINTED = {
 GENERIC = {3: {"D": 1}}
 
 
-def _factor(f: tuple, n: int) -> tuple[WeightedSeq, Fraction]:
+def _factor(f: tuple, n: int, store: dict) -> tuple[WeightedSeq, Fraction]:
     """Sequence (term k weighted by base^k) and scale of one factor at family index n."""
     family, base = f
     if family in ("one", "norm"):
         return WeightedSeq(ConstantSeq(1), base), Fraction(NORM_SCALE**n if family == "norm" else 1)
-    scaled = derive(CofactorPower(n) if family == "cof" else CPower(family * n))
+    kind, row = (FamilyKind.COFACTOR_POWER, n) if family == "cof" else (FamilyKind.CPOWER, family * n)
+    if kind not in store:
+        # unbounded: the family's rows are stepped on only as far as they are read
+        store[kind] = _scaled_powers(family_element(PowerFamily(kind, 1)), sys.maxsize), []
+    steps, rows = store[kind]
+    while len(rows) < row:
+        rows.append(next(steps))
+    scaled = rows[row - 1]
     return WeightedSeq(scaled.sequence(), base), scaled.scale
 
 
-def _fold_checks(r: int, n: int, ms: range, index: str, points) -> list[Check]:
+def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> list[Check]:
     """Checks of the r-fold identity at family index n for conv indices ms,
     one block per (label prefix, coefficients) point; the coefficients
     name the terms."""
@@ -271,12 +282,17 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points) -> list[Check]:
     lhs_factors = (C1,) * r
     terms = {k: tuple(f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]) for k in points[0][1]}
     needed = {f for fs in terms.values() for f in fs} | set(lhs_factors)
-    factors = {f: _factor(f, n) for f in needed}
+    factors = {f: _factor(f, n, store) for f in needed}
 
     def term(fs):
-        seqs = [factors[f][0] for f in fs]
-        table = seqs[0].prefix(count) if len(seqs) == 1 else multinomial_conv_prefix(seqs, count - 1)
-        return table, prod(factors[f][1] for f in fs)
+        # the convolution is commutative and term m reads terms 0..m only, so
+        # a table serves every order of fs and every count up to its length
+        key = tuple(sorted(fs, key=str)), n
+        if key not in store or len(store[key][0]) < count:
+            seqs = [factors[f][0] for f in key[0]]
+            table = seqs[0].prefix(count) if len(seqs) == 1 else multinomial_conv_prefix(seqs, count - 1)
+            store[key] = table, prod(factors[f][1] for f in fs)
+        return store[key]
 
     lhs, lhs_scale = term(lhs_factors)
     inv_lhs_scale = 1 / lhs_scale
@@ -304,11 +320,11 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
         ns, ms = ctx.span("n"), ctx.span("m")
         checks = []
         for n in ns:
-            checks += _fold_checks(r, n, ms, "m", [(f"n={n},", PRINTED[r])])
+            checks += _fold_checks(r, n, ms, "m", [(f"n={n},", PRINTED[r])], ctx.store)
         return RunOutcome(checks=checks)
     ms = ctx.span("n")
     if kind == "pinned":
-        return RunOutcome(checks=_fold_checks(r, 1, ms, "n", [("", PRINTED[r])]))
+        return RunOutcome(checks=_fold_checks(r, 1, ms, "n", [("", PRINTED[r])], ctx.store))
     names = FREE[r]
     points = ctx.params_override
     if points is None:
@@ -322,7 +338,7 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
         params_used.append({k: str(v) for k, v in vals.items()})
         tag = ",".join(f"{k}={v}" for k, v in params_used[-1].items())
         coeff_points.append((tag + ",", coeffs(r, vals)))
-    return RunOutcome(checks=_fold_checks(r, 1, ms, "n", coeff_points), params_used=params_used)
+    return RunOutcome(checks=_fold_checks(r, 1, ms, "n", coeff_points, ctx.store), params_used=params_used)
 
 
 def _run_s1(ctx: RunContext) -> RunOutcome:
@@ -493,6 +509,7 @@ def verify(
     mmax: int | None = None,
     params=None,
     seed: int = DEFAULT_SEED,
+    _store: dict | None = None,
 ) -> VerifyReport:
     """Run one identity over its (possibly overridden) range.
 
@@ -501,6 +518,7 @@ def verify(
     raises CatalogError.  An upper end below its range's start gives a
     vacuous report: no runner is called.  params overrides the parameter sample where the record has one
     (T2: iterable of D values; T3/T4: iterable of name-to-value mappings).
+    _store (private) holds the run's fold rows and tables; verify_all shares one.
     """
     record = REGISTRY.get(identity_id)
     if record is None:
@@ -523,7 +541,8 @@ def verify(
                 f"{range_spec.name} <= {hi} exceeds the configured cap {DEFAULT_RANGE_CAP}"
             )
         ranges[range_spec.name] = (range_spec.lo, hi)
-    ctx = RunContext(ranges, random.Random(f"{seed}:{identity_id}"), params)
+    ctx = RunContext(ranges, random.Random(f"{seed}:{identity_id}"), params,
+                     {} if _store is None else _store)
     empty = any(lo > hi for lo, hi in ranges.values())
     outcome = RunOutcome() if empty else record.runner(ctx)
     range_desc = ", ".join(f"{name}={lo}..{hi}" for name, (lo, hi) in ranges.items())
@@ -572,6 +591,7 @@ class SuiteReport:
 
 def verify_all(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Run every registered identity at its default range, deterministically
-    for a given seed; entries are ordered by id."""
-    reports = [verify(i, seed=seed) for i in identity_ids()]
+    for a given seed; entries are ordered by id and share one store."""
+    store: dict = {}
+    reports = [verify(i, seed=seed, _store=store) for i in identity_ids()]
     return SuiteReport(seed=seed, reports=reports)

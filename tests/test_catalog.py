@@ -1,10 +1,14 @@
 """Identity registry, reports, and suite-level behavior."""
 
+import json
 from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
 
+from test_golden import GOLDEN, _digest_doc
+from triboconv import identity_catalog
+from triboconv.convolution import _as_prefix
 from triboconv.field import X, c_element, norm, trace
 from triboconv.identity_catalog import (
     PRINTED,
@@ -140,6 +144,25 @@ class TestFoldFailureStrings:
             lhs, rhs = self._sides(m, -1, 6, 3)
             assert (check.ok, check.lhs, check.rhs) == (lhs == rhs, str(lhs), str(rhs))
 
+    def test_a_run_leaves_nothing_to_the_next(self, monkeypatch):
+        # rows and tables live in one run's store: a changed literal shows in
+        # the next run, and undoing it passes again
+        assert verify_all().verdict == "pass"
+        monkeypatch.setitem(PRINTED[3], "A", -1)
+        report = next(r for r in verify_all().reports if r.id == "T2R")
+        assert report.status == "fail"
+        first = report.first_failure
+        lhs, rhs = self._sides(int(first.index.removeprefix("n=")), -1, 6, 3)
+        assert (first.lhs, first.rhs) == (str(lhs), str(rhs))
+        monkeypatch.undo()
+        assert verify_all().verdict == "pass"
+
+    def test_a_call_leaves_nothing_to_the_next(self):
+        # GT3 builds T2R's tables at n = 1, shorter; T2R still matches its pin
+        verify("GT3")
+        pinned = json.loads((GOLDEN / "checks_seed42.json").read_text())["T2R"]
+        assert json.loads(_digest_doc(42, {"T2R": None}))["T2R"] == pinned
+
     def test_printed_literals_agree_with_the_fraction_evaluation(self):
         for m, check in enumerate(verify("T2R", nmax=20).checks):
             lhs, rhs = self._sides(m, -2, 6, 3)
@@ -207,6 +230,32 @@ class TestSuite:
         assert counts["known-discrepancy"] == 2
         assert suite.verdict == "pass"
         assert [r.id for r in suite.reports] == identity_ids()
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_shared_run_equals_per_identity_runs(self, seed):
+        def rows(checks):
+            return [(c.index, c.ok, c.lhs, c.rhs) for c in checks]
+
+        for report in verify_all(seed).reports:
+            alone = verify(report.id, seed=seed)
+            assert rows(report.checks) == rows(alone.checks), report.id
+            assert rows(report.mismatches) == rows(alone.mismatches), report.id
+
+    def test_each_run_builds_each_table_once(self, monkeypatch):
+        # once within a run, and again in the next: no table outlives its run
+        built = []
+
+        def recording(seqs, n_max):
+            built.append((n_max, tuple(tuple(_as_prefix(s, n_max + 1)) for s in seqs)))
+            return conv(seqs, n_max)
+
+        conv = identity_catalog.multinomial_conv_prefix
+        monkeypatch.setattr(identity_catalog, "multinomial_conv_prefix", recording)
+        verify_all()
+        first = built[:]
+        built.clear()
+        verify_all()
+        assert first and len(set(first)) == len(first) and built == first
 
     def test_deterministic_given_seed(self):
         assert verify_all(seed=42).to_dict() == verify_all(seed=42).to_dict()
