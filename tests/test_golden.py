@@ -7,7 +7,8 @@ ranges (passing JSON entries carry no values, so the digests are what pin
 the evaluators).  checks_deep.json pins T4/T3/T4R/P3 at the large nmax
 where the convolution tables are extended by recurrence, P1/P2/T1
 at nmax 400 and GT2..GT5 at family indices n up to 40/20/12/12, past
-their default ranges, and
+their default ranges, checks_cap.json pins P1, P2, T1 and GF at the
+range cap (2000), and
 cli_sha256.json pins by digest the CLI bytes of `conjecture` and
 `derive --replicate-paper` at the sizes of the scale_audit benchmark, too
 large to check in whole, and of `symcheck` at the grid cap.  Regenerate
@@ -63,6 +64,7 @@ DIGESTS = [
     ("checks_deep.json", 42,
      {"T4": 205, "T3": 248, "T4R": 280, "P3": 440, "P1": 400, "P2": 400, "T1": 400,
       "GT2": 40, "GT3": 20, "GT4": 12, "GT5": 12}),
+    ("checks_cap.json", 42, {"P1": 2000, "P2": 2000, "T1": 2000, "GF": 2000}),
 ]
 
 
