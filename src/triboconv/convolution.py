@@ -18,6 +18,11 @@ from the factors' polynomials (``_annihilator``, degree D).  When every
 factor declares a polynomial and D <= n_max, the schoolbook kernel gives
 terms 0..D-1 and the annihilator's integer recurrence the rest, in
 O(n * D) multiplications; otherwise the schoolbook kernel runs alone.
+
+The series of P1, P2, T1 and GF multiply by T = x/(1 - x - x^2 - x^3)
+and by x/(1 + x^2 + 2x^3): a shift and a division by a short polynomial
+(``series_divide``), so each side costs O(n).  The plain kernel is left
+for the tests and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -221,17 +226,22 @@ def _annihilator(polys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 TRIBO_DENOM = (1, -1, -1, -1)
 
 
-def series_reciprocal(a: Sequence, order: int) -> list:
-    """1/a modulo x^(order+1) (terms of a past its end are zero); a's
-    constant term must be 1, so no coefficient is ever divided."""
+def series_divide(s: Sequence, a: Sequence) -> list:
+    """s/a modulo x^len(s) (terms of a past its end are zero) by one pass of
+    a's recurrence; a's constant term must be 1, so nothing is divided."""
     if a[0] == 0:
         raise ZeroDivisionError("constant term is zero")
     if a[0] != 1:
         raise ValueError("constant term must be 1")
-    out = [1]
-    for k in range(1, order + 1):
-        out.append(-sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)))
+    out = []
+    for k in range(len(s)):
+        out.append(s[k] - sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)))
     return out
+
+
+def series_reciprocal(a: Sequence, order: int) -> list:
+    """1/a modulo x^(order+1); a's constant term must be 1."""
+    return series_divide([1] + [0] * order, a)
 
 
 def series_derivative(s: Sequence) -> list:
@@ -248,6 +258,11 @@ def series_T(order: int) -> list[int]:
     """x / (1 - x - x^2 - x^3) modulo x^(order+1), by exact series division;
     its coefficients are the ordinary Tribonacci numbers."""
     return ([0] + series_reciprocal(TRIBO_DENOM, order))[: order + 1]
+
+
+def times_T(s: Sequence) -> list:
+    """T(x) times the series s modulo x^len(s): x*s divided by TRIBO_DENOM."""
+    return series_divide([0, *s][: len(s)], TRIBO_DENOM)
 
 
 # -- P1, P2 and T1 as generating-function identities -----------------------
@@ -267,15 +282,15 @@ def p1_sides(order: int) -> tuple[list[int], list[int]]:
     t = series_T(order)
     inner = [a - b for a, b in zip(poly_times(_T_PRIME_NUMERATOR, t), [0, 1, 1] + [0] * order)]
     xt, x2t = [0] + t, [0, 0] + t
-    return cauchy_convolve(t, inner), [(n - 2) * xt[n] - x2t[n] for n in range(order + 1)]
+    return times_T(inner), [(n - 2) * xt[n] - x2t[n] for n in range(order + 1)]
 
 
 def p2_sides(order: int) -> tuple[list[int], list[int]]:
     """P2: T^2 against x / (1 + x^2 + 2x^3), whose coefficient d is the
     printed weight (see prop2_rhs), times x T'(x) = sum_l l T_l x^l."""
     t = series_T(order)
-    weight = ([0] + series_reciprocal(_T_PRIME_NUMERATOR, order))[: order + 1]
-    return cauchy_convolve(t, t), cauchy_convolve(weight, [0] + series_derivative(t))
+    x2_t_prime = ([0, 0] + series_derivative(t))[: order + 1]
+    return times_T(t), series_divide(x2_t_prime, _T_PRIME_NUMERATOR)
 
 
 def t1_sides(order: int) -> tuple[list[int], list[int]]:
@@ -283,7 +298,7 @@ def t1_sides(order: int) -> tuple[list[int], list[int]]:
     (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
     t = series_T(order)
     lhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
-    return lhs, poly_times(_T1_POLY, plain_conv_prefix([t, t, t], order))
+    return lhs, poly_times(_T1_POLY, times_T(times_T(t)))
 
 
 def prop1_lhs(n: int) -> int:
@@ -319,7 +334,7 @@ def series_check_derivatives(order: int) -> bool:
     if order < 6:
         raise ValueError("order must be at least 6")
     inv = series_reciprocal(TRIBO_DENOM, order)
-    first = poly_times(_T_PRIME_NUMERATOR, cauchy_convolve(inv, inv))
+    first = poly_times(_T_PRIME_NUMERATOR, series_divide(inv, TRIBO_DENOM))
     if series_derivative(series_T(order)) != first[:order]:
         return False
     lhs, rhs = t1_sides(order)

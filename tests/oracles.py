@@ -1,10 +1,20 @@
 """Brute-force composition enumerators: small-n oracles for the plain and
-multinomial convolution tables of ``triboconv.convolution``; and the norm
-by Newton's identities, an oracle for ``triboconv.field.norm``."""
+multinomial convolution tables of ``triboconv.convolution``; the sides of
+P1, P2, T1 and GF by the schoolbook product, oracles for the series
+division that builds them; and the norm by Newton's identities, an oracle
+for ``triboconv.field.norm``."""
 
 from math import factorial, prod
 from typing import Iterator, Sequence
 
+from triboconv.convolution import (
+    cauchy_convolve,
+    plain_conv_prefix,
+    poly_times,
+    series_derivative,
+    series_reciprocal,
+    series_T,
+)
 from triboconv.field import trace
 
 
@@ -43,6 +53,45 @@ def _term(s, k: int):
     if isinstance(s, (list, tuple)):
         return s[k]
     return s.term(k)
+
+
+# -- P1, P2, T1 and GF by the schoolbook product ---------------------------
+#
+# Each multiplies two series of length n + 1 in O(n^2) products where the
+# library divides by a short polynomial in O(n); the polynomials are written
+# out here, so a change to the library's copy shows as a disagreement.
+
+def p1_sides_schoolbook(order: int) -> tuple[list[int], list[int]]:
+    """P1: T((1 + x^2 + 2x^3)T - x - x^2) against (n-2) T_(n-1) - T_(n-2)."""
+    t = series_T(order)
+    inner = [a - b for a, b in zip(poly_times((1, 0, 1, 2), t), [0, 1, 1] + [0] * order)]
+    xt, x2t = [0] + t, [0, 0] + t
+    return cauchy_convolve(t, inner), [(n - 2) * xt[n] - x2t[n] for n in range(order + 1)]
+
+
+def p2_sides_schoolbook(order: int) -> tuple[list[int], list[int]]:
+    """P2: T^2 against x / (1 + x^2 + 2x^3) times x T'(x)."""
+    t = series_T(order)
+    weight = ([0] + series_reciprocal((1, 0, 1, 2), order))[: order + 1]
+    return cauchy_convolve(t, t), cauchy_convolve(weight, [0] + series_derivative(t))
+
+
+def t1_sides_schoolbook(order: int) -> tuple[list[int], list[int]]:
+    """T1: x^3 T''(x) against (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
+    t = series_T(order)
+    lhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
+    return lhs, poly_times((2, 6, 12, 0, 6, 6), plain_conv_prefix([t, t, t], order))
+
+
+def series_check_derivatives_schoolbook(order: int) -> bool:
+    """GF's two derivative relations: T' = (1 + x^2 + 2x^3) / D^2 with
+    D = 1 - x - x^2 - x^3, and T1's sides."""
+    inv = series_reciprocal((1, -1, -1, -1), order)
+    first = poly_times((1, 0, 1, 2), cauchy_convolve(inv, inv))
+    if series_derivative(series_T(order)) != first[:order]:
+        return False
+    lhs, rhs = t1_sides_schoolbook(order)
+    return lhs == rhs
 
 
 def norm_by_newton(q):

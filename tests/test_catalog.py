@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from test_golden import GOLDEN, _digest_doc
-from triboconv import identity_catalog
+from triboconv import convolution, identity_catalog
 from triboconv.convolution import _as_prefix
 from triboconv.field import X, c_element, norm, trace
 from triboconv.identity_catalog import (
@@ -256,6 +256,19 @@ class TestSuite:
         built.clear()
         verify_all()
         assert first and len(set(first)) == len(first) and built == first
+
+    def test_no_plain_product_on_a_verify_path(self, monkeypatch):
+        # P1, P2, T1 and GF divide by short polynomials in O(n); the O(n^2)
+        # plain kernel is kept for tests and must not be reached from verify
+        def forbidden(*args):
+            raise AssertionError("plain convolution on a verify path")
+
+        for name in ("cauchy_convolve", "plain_conv_prefix"):
+            for module in (convolution, identity_catalog):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        assert verify_all().verdict == "pass"
+        for identity in ("P1", "P2", "T1", "GF"):
+            assert verify(identity, nmax=2000).status == "pass", identity
 
     def test_deterministic_given_seed(self):
         assert verify_all(seed=42).to_dict() == verify_all(seed=42).to_dict()

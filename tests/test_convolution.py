@@ -1,4 +1,5 @@
-"""Convolution kernels, the list series, and P1, P2 and T1 as series rows."""
+"""Convolution kernels, the list series and their division, and P1, P2
+and T1 as series rows."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -26,12 +27,21 @@ from triboconv.convolution import (
     series_T,
     series_check_derivatives,
     series_derivative,
+    series_divide,
     series_reciprocal,
     t1_sides,
+    times_T,
 )
 from triboconv.sequences import TriboSeq
 
-from oracles import multinomial_conv_enum, plain_conv_enum
+from oracles import (
+    multinomial_conv_enum,
+    p1_sides_schoolbook,
+    p2_sides_schoolbook,
+    plain_conv_enum,
+    series_check_derivatives_schoolbook,
+    t1_sides_schoolbook,
+)
 
 
 def _t(count):
@@ -247,6 +257,50 @@ def test_sides_agree_at_every_coefficient(sides, order):
     lhs, rhs = sides(order)
     assert len(lhs) == len(rhs) == order + 1
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "sides,schoolbook",
+    [(p1_sides, p1_sides_schoolbook), (p2_sides, p2_sides_schoolbook),
+     (t1_sides, t1_sides_schoolbook)],
+    ids=["P1", "P2", "T1"],
+)
+@pytest.mark.parametrize("order", [*range(13), 600])
+def test_sides_equal_the_schoolbook_product(sides, schoolbook, order):
+    assert sides(order) == schoolbook(order)
+
+
+@pytest.mark.parametrize("order", [*range(6, 13), 600])
+def test_derivative_relations_equal_the_schoolbook_product(order):
+    assert series_check_derivatives(order) == series_check_derivatives_schoolbook(order)
+
+
+class TestSeriesDivide:
+    @given(
+        st.lists(st.integers(-10**6, 10**6), max_size=20)
+        | st.lists(st.fractions(-50, 50, max_denominator=9), max_size=20),
+        st.lists(st.integers(-9, 9), max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_product_with_the_divisor_gives_back_the_series(self, s, tail):
+        a = [1, *tail]
+        assert cauchy_convolve(series_divide(s, a), a + [0] * len(s)) == s
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=30))
+    @settings(max_examples=60)
+    def test_times_T_is_the_product_with_T(self, s):
+        assert times_T(s) == cauchy_convolve(series_T(len(s) - 1), s)
+
+    # series_reciprocal's two exceptions are tested in TestTruncSeries
+    @pytest.mark.parametrize("s", [[], [1, 2]])
+    def test_divisor_needs_unit(self, s):
+        with pytest.raises(ZeroDivisionError):
+            series_divide(s, [0, 1])
+
+    @pytest.mark.parametrize("s", [[], [1, 2]])
+    def test_divisor_needs_constant_term_one(self, s):
+        with pytest.raises(ValueError):
+            series_divide(s, [2, 1])
 
 
 class TestTruncSeries:
