@@ -7,8 +7,8 @@ ranges (passing JSON entries carry no values, so the digests are what pin
 the evaluators).  checks_deep.json pins T4/T3/T4R/P3 at the large nmax
 where the convolution tables are extended by recurrence, P1/P2/T1
 at nmax 400 and GT2..GT5 at family indices n up to 40/20/12/12, past
-their default ranges, checks_cap.json pins P1, P2, T1 and GF at the
-range cap (2000), and
+their default ranges, checks_cap.json pins P1, P2, T1, GF and the folds
+P3, T2..T4R at the range cap (2000) and GT2..GT5 at mmax 2000, and
 cli_sha256.json pins by digest the CLI bytes of `conjecture` and
 `derive --replicate-paper` at the sizes of the scale_audit benchmark, too
 large to check in whole, and of `symcheck` at the grid cap.  Regenerate
@@ -55,16 +55,19 @@ CLI_SHA256 = {
     "symcheck_seed0_draws100_grid12.json": ["symcheck", "--seed", "0", "--draws", "100", "--grid", "12", "--format", "json"],
 }
 
-#: (file name, seed, {identity id: nmax or None for the default range}) of
-#: the per-identity check digests; None in place of the mapping means every
-#: identity at its default range.
+#: (file name, seed, {identity id: nmax, or (nmax, mmax), with None for a
+#: default bound}) of the per-identity check digests; None in place of the
+#: mapping means every identity at its default range.
 DIGESTS = [
     ("checks_seed42.json", 42, None),
     ("checks_seed7.json", 7, {"T2": None, "T3": None, "T4": None}),
     ("checks_deep.json", 42,
      {"T4": 205, "T3": 248, "T4R": 280, "P3": 440, "P1": 400, "P2": 400, "T1": 400,
       "GT2": 40, "GT3": 20, "GT4": 12, "GT5": 12}),
-    ("checks_cap.json", 42, {"P1": 2000, "P2": 2000, "T1": 2000, "GF": 2000}),
+    ("checks_cap.json", 42,
+     {"P1": 2000, "P2": 2000, "T1": 2000, "GF": 2000}
+     | dict.fromkeys(["P3", "T2", "T2R", "T3", "T3R", "T4", "T4R"], 2000)
+     | dict.fromkeys(["GT2", "GT3", "GT4", "GT5"], (None, 2000))),
 ]
 
 
@@ -77,8 +80,9 @@ def _cli_bytes(tmp: Path, argv: list[str]) -> bytes:
 
 def _digest_doc(seed: int, ids) -> str:
     table = {}
-    for identity, nmax in (ids or dict.fromkeys(identity_ids())).items():
-        report = verify(identity, seed=seed, nmax=nmax)
+    for identity, bounds in (ids or dict.fromkeys(identity_ids())).items():
+        nmax, mmax = bounds if isinstance(bounds, tuple) else (bounds, None)
+        report = verify(identity, seed=seed, nmax=nmax, mmax=mmax)
         lines = "".join(
             f"{c.index}\t{'true' if c.ok else 'false'}\t{c.lhs}\t{c.rhs}\n"
             for c in report.checks + report.mismatches
