@@ -18,6 +18,9 @@ from the factors' polynomials (``_annihilator``, degree D).  When every
 factor declares a polynomial and D <= n_max, the schoolbook kernel gives
 terms 0..D-1 and the annihilator's integer recurrence the rest, in
 O(n * D) multiplications; otherwise the schoolbook kernel runs alone.
+``_roots_within`` tells exactly whether every root of one such polynomial
+is a root of another, so that a sum of tables whose annihilators pass
+against a common polynomial L can be extended once by L's recurrence.
 
 The series of P1, P2, T1 and GF multiply by T = x/(1 - x - x^2 - x^3)
 and by x/(1 + x^2 + 2x^3): a shift and a division by a short polynomial
@@ -215,6 +218,34 @@ def _annihilator(polys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     for poly, m in groups.items():
         total = binomial_convolve(total, _multiset_power_sums(_power_sums(poly, count), m))
     return _poly_from_power_sums(total)
+
+
+def _reduce(p: list, a: tuple) -> list:
+    """p modulo the monic polynomial a (both ascending), len(a) - 1 terms."""
+    d = len(a) - 1
+    p = p + [0] * (d - len(p))
+    for i in range(len(p) - 1, d - 1, -1):
+        c = p[i]
+        if c:
+            for j in range(d):
+                p[i - d + j] -= c * a[j]
+    return p[:d]
+
+
+@cache
+def _roots_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether every root of the monic integer polynomial a is a root of the
+    monic integer polynomial b: exactly when a divides b^e for any
+    e >= deg(a), and b is squared modulo a until e reaches deg(a)."""
+    d = len(a) - 1
+    power, e = _reduce(list(b), a), 1
+    while e < d:
+        square = [0] * (2 * d - 1)
+        for i, x in enumerate(power):
+            for j, y in enumerate(power):
+                square[i + j] += x * y
+        power, e = _reduce(square, a), 2 * e
+    return not any(power)
 
 
 # -- truncated power series as integer coefficient lists -------------------

@@ -24,6 +24,9 @@ from .convolution import (
     TRIBO_DENOM,
     ConstantSeq,
     WeightedSeq,
+    _annihilator,
+    _extend,
+    _roots_within,
     multinomial_conv_prefix,
     p1_sides,
     p2_sides,
@@ -243,6 +246,15 @@ def _make_lemma_runner(power: int, scale: int, triple: tuple[int, int, int]):
 
 C1, ALT, ONE, NORM = (1, 1), ("cof", -1), ("one", 1), ("norm", 1)
 NORM_SCALE = 44
+# With alpha_i the roots of x^3 - x^2 - x - 1, each block is a sum of
+# exponentials whose exponents are sums of alphas: j*alpha_i for s_j,
+# 1 - alpha_i = alpha_j + alpha_k for e2 (the cofactor family signed by -1,
+# times e^x) and 1 = alpha_1 + alpha_2 + alpha_3 for e3.  So every term of
+# (a+b+c)^r has exponents in {a*alpha_1 + b*alpha_2 + c*alpha_3 : a+b+c = r},
+# the C(r+2, 2) roots of the left side's annihilator L.  _fold_checks proves
+# this for each term's annihilator and then extends the combined right side
+# once by L; if a term fails the test (a changed factor), every term table
+# is built in full.
 #: block of the symmetric expansion -> its factors.
 BLOCK_FACTORS = {f"s{j}": ((j, j),) for j in range(1, 6)} | {"e2": (ALT, ONE), "e3": (NORM,)}
 
@@ -283,20 +295,27 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     terms = {k: tuple(f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]) for k in points[0][1]}
     needed = {f for fs in terms.values() for f in fs} | set(lhs_factors)
     factors = {f: _factor(f, n, store) for f in needed}
+    # the left side's annihilator L; when it vanishes at every root of every
+    # term's annihilator (see BLOCK_FACTORS), the term tables are built to
+    # deg L terms only and each point's right side is extended by L
+    rec = _annihilator((factors[C1][0].charpoly,) * r)
+    head = len(rec) - 1
+    if count <= head or not all(_shares_roots(fs, factors, rec) for fs in terms.values()):
+        head = count
 
-    def term(fs):
+    def term(fs, length):
         # the convolution is commutative and term m reads terms 0..m only, so
         # a table serves every order of fs and every count up to its length
         key = tuple(sorted(fs, key=str)), n
-        if key not in store or len(store[key][0]) < count:
+        if key not in store or len(store[key][0]) < length:
             seqs = [factors[f][0] for f in key[0]]
-            table = seqs[0].prefix(count) if len(seqs) == 1 else multinomial_conv_prefix(seqs, count - 1)
+            table = seqs[0].prefix(length) if len(seqs) == 1 else multinomial_conv_prefix(seqs, length - 1)
             store[key] = table, prod(factors[f][1] for f in fs)
         return store[key]
 
-    lhs, lhs_scale = term(lhs_factors)
+    lhs, lhs_scale = term(lhs_factors, count)
     inv_lhs_scale = 1 / lhs_scale
-    tables = {k: term(fs) for k, fs in terms.items()}
+    tables = {k: term(fs, head) for k, fs in terms.items()}
     checks = []
     for prefix, cs in points:
         weights = [(Fraction(c) / tables[k][1], tables[k][0]) for k, c in cs.items()]
@@ -304,12 +323,21 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
         common = lcm(inv_lhs_scale.denominator, *(w.denominator for w, _ in weights))
         lhs_weight = inv_lhs_scale.numerator * (common // inv_lhs_scale.denominator)
         rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
+        rhs = [sum(w * table[m] for w, table in rhs_weights) for m in range(head)]
+        if head < count:
+            rhs = _extend(rhs, rec, count - 1)
         for m in ms:
             lhs_num = lhs[m] * lhs_weight
-            rhs_num = sum(w * table[m] for w, table in rhs_weights)
-            checks.append(Check(f"{prefix}{index}={m}", lhs_num == rhs_num,
-                                _Quotient(lhs_num, common), _Quotient(rhs_num, common)))
+            checks.append(Check(f"{prefix}{index}={m}", lhs_num == rhs[m],
+                                _Quotient(lhs_num, common), _Quotient(rhs[m], common)))
     return checks
+
+
+def _shares_roots(fs: tuple, factors: dict, rec: tuple) -> bool:
+    """Whether rec vanishes at every root of the annihilator of the term with
+    factors fs, so that rec's recurrence holds on the term's table."""
+    polys = [factors[f][0].charpoly for f in fs]
+    return None not in polys and _roots_within(_annihilator(tuple(sorted(polys))), rec)
 
 
 def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:

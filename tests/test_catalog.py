@@ -6,11 +6,14 @@ from math import comb, factorial
 
 import pytest
 
-from test_golden import GOLDEN, _digest_doc
+from test_golden import DIGESTS, GOLDEN, _digest_doc
 from triboconv import convolution, identity_catalog
-from triboconv.convolution import _as_prefix
+from triboconv.convolution import _annihilator, _as_prefix, _roots_within, multinomial_conv_prefix
 from triboconv.field import X, c_element, norm, trace
 from triboconv.identity_catalog import (
+    BLOCK_FACTORS,
+    C1,
+    ONE,
     PRINTED,
     REGISTRY,
     RangeTooLarge,
@@ -19,6 +22,7 @@ from triboconv.identity_catalog import (
     verify,
     verify_all,
 )
+from triboconv.symmetric_identities import TERMS
 
 
 class TestSingleIdentities:
@@ -167,6 +171,105 @@ class TestFoldFailureStrings:
         for m, check in enumerate(verify("T2R", nmax=20).checks):
             lhs, rhs = self._sides(m, -2, 6, 3)
             assert lhs == rhs and (check.ok, check.lhs, check.rhs) == (True, str(lhs), str(rhs))
+
+
+class TestSharedAnnihilator:
+    """Every term of a fold has only exponents that are roots of the left
+    side's annihilator L, so each right side is extended once by L; a term
+    outside L keeps its own full-length table."""
+
+    #: e2 with the cofactor family unsigned: its roots leave L's.
+    BAD_E2 = (("cof", 1), ONE)
+
+    @staticmethod
+    def _terms(r):
+        store = {}
+        for k, blocks in TERMS[r].items():
+            fs = tuple(f for b in blocks for f in BLOCK_FACTORS[b])
+            seqs = [identity_catalog._factor(f, 1, store)[0] for f in fs]
+            yield k, seqs, _annihilator(tuple(sorted(s.charpoly for s in seqs)))
+
+    @staticmethod
+    def _rec(r):
+        return _annihilator((identity_catalog._factor(C1, 1, {})[0].charpoly,) * r)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_every_term_shares_the_left_roots(self, r):
+        assert all(_roots_within(poly, self._rec(r)) for _, _, poly in self._terms(r))
+
+    @pytest.mark.parametrize("r,bad_e2", [(r, bad) for r in (2, 3, 4, 5) for bad in (False, True)])
+    def test_helper_agrees_with_l_on_the_table(self, monkeypatch, r, bad_e2):
+        # the table is annihilated by its term's polynomial A, so L applied to
+        # deg A + deg L windows of it vanishes exactly when L holds throughout
+        if bad_e2:
+            monkeypatch.setitem(BLOCK_FACTORS, "e2", self.BAD_E2)
+        rec = self._rec(r)
+        results = set()
+        for k, seqs, poly in self._terms(r):
+            count = len(poly) + len(rec)
+            table = seqs[0].prefix(count) if len(seqs) == 1 else multinomial_conv_prefix(seqs, count - 1)
+            windows = [sum(c * table[m + i] for i, c in enumerate(rec)) for m in range(count - len(rec) + 1)]
+            assert _roots_within(poly, rec) == (not any(windows)), k
+            results.add(not any(windows))
+        assert results == ({True, False} if bad_e2 else {True})
+
+    @pytest.mark.parametrize("config", ["verify_all", "checks_deep.json"])
+    def test_no_fold_takes_the_fallback(self, monkeypatch, config):
+        # each point of each fold call extends its right side by L once
+        points, extended = [], []
+        fold_checks, extend = identity_catalog._fold_checks, identity_catalog._extend
+
+        def counting_folds(r, n, ms, index, pts, store):
+            points.extend(pts)
+            return fold_checks(r, n, ms, index, pts, store)
+
+        def counting_extend(*args):
+            extended.append(args)
+            return extend(*args)
+
+        monkeypatch.setattr(identity_catalog, "_fold_checks", counting_folds)
+        monkeypatch.setattr(identity_catalog, "_extend", counting_extend)
+        if config == "verify_all":
+            assert verify_all().verdict == "pass"
+        else:
+            _, seed, ids = next(d for d in DIGESTS if d[0] == config)
+            assert _digest_doc(seed, ids) == (GOLDEN / config).read_text()
+        assert points and len(extended) == len(points)
+
+    # the same counts, first failures and check digests as the per-term tables
+    @pytest.mark.parametrize("identity,nmax,failed,first,pin", [
+        ("T2", 150, 149, "D=1,n=2",
+         {"checks": 302, "mismatches": 0,
+          "sha256": "799e6b67bf35f2d80ca06427cd5a868ead2089d3ea72f0816e8ac01735cc5b0e"}),
+        ("T4", 150, 150, "D=3/4,I=5/4,L=5/3,N=4/3,P=2,Q=-1/2,R=1,S=-4,n=1",
+         {"checks": 302, "mismatches": 0,
+          "sha256": "6adc1a118abb307d50d002fb3657b2bc0cc6fe320851b11538962dca0cad19ab"}),
+    ])
+    def test_a_term_outside_l_falls_back(self, monkeypatch, identity, nmax, failed, first, pin):
+        monkeypatch.setitem(BLOCK_FACTORS, "e2", self.BAD_E2)
+        assert self._failures(monkeypatch, identity, nmax) == (failed, first, pin, False)
+
+    @pytest.mark.parametrize("identity,nmax,failed,first,pin", [
+        ("GT5", None, 244, "n=1,m=0",
+         {"checks": 244, "mismatches": 0,
+          "sha256": "85542b0735303b73325e31f64753cc52a1c9f1a867f510d5c97995b8e953f5c3"}),
+        ("T4R", 280, 281, "n=0",
+         {"checks": 281, "mismatches": 0,
+          "sha256": "5b0d8a7894b323a110d150bb12e372831895de35c57af9aa6246f3aad9d0f99e"}),
+    ])
+    def test_a_wrong_literal_fails_on_the_extended_side(self, monkeypatch, identity, nmax, failed, first, pin):
+        monkeypatch.setitem(PRINTED[5], "H", 11)
+        assert self._failures(monkeypatch, identity, nmax) == (failed, first, pin, True)
+
+    @staticmethod
+    def _failures(monkeypatch, identity, nmax):
+        """Failed checks, first failure, check digest, and whether the right
+        side was extended by L."""
+        extended, extend = [], identity_catalog._extend
+        monkeypatch.setattr(identity_catalog, "_extend", lambda *args: extended.append(1) or extend(*args))
+        report = verify(identity, nmax=nmax, seed=42)
+        return (sum(not c.ok for c in report.checks), report.first_failure.index,
+                json.loads(_digest_doc(42, {identity: nmax}))[identity], bool(extended))
 
 
 class TestT2Linearity:

@@ -15,6 +15,7 @@ from triboconv.convolution import (
     _annihilator,
     _annihilator_degree,
     _poly_from_power_sums,
+    _roots_within,
     binomial_convolve,
     cauchy_convolve,
     multinomial_conv_prefix,
@@ -166,6 +167,39 @@ class TestRecurrenceKernel:
         with pytest.raises(ArithmeticError):
             _poly_from_power_sums([2, 1, 2])
         assert _poly_from_power_sums([2, 1, 3]) == (-1, -1, 1)  # x^2 - x - 1
+
+
+class TestRootsWithin:
+    """_roots_within(a, b): every root of a is a root of b."""
+
+    L2 = _annihilator((TriboSeq.charpoly,) * 2)
+
+    @pytest.mark.parametrize("r,degree", [(2, 6), (3, 10), (4, 15), (5, 21)])
+    def test_degree_of_the_r_fold_annihilator(self, r, degree):
+        assert len(_annihilator((TriboSeq.charpoly,) * r)) - 1 == degree
+
+    @staticmethod
+    def _power(poly, k):
+        out = [1] + [0] * ((len(poly) - 1) * k)
+        for _ in range(k):
+            out = poly_times(poly, out)
+        return tuple(out)
+
+    def test_factors_and_repeated_roots_pass(self):
+        # L2 = (x^3 - 2x^2 - 4x - 8)(x^3 - 2x^2 + 2); a power of a factor has
+        # each root several times and still only roots of L2, and the fifth
+        # power needs L2^5, past the fourth power
+        g = (2, 0, -2, 1)
+        for a in [(1,), (-8, -4, -2, 1), g, self.L2, self._power(g, 2), self._power(g, 5)]:
+            assert _roots_within(a, self.L2), a
+        assert _roots_within(self._power((-1, 1), 5), (-1, 1))  # (x - 1)^5 against x - 1
+
+    def test_a_root_outside_fails(self):
+        assert not _roots_within((-2, 1), self.L2)  # x - 2
+        assert not _roots_within(TriboSeq.charpoly, self.L2)
+        # one root outside among roots of L2
+        assert not _roots_within(tuple(poly_times((-2, 1), [2, 0, -2, 1, 0])), self.L2)
+        assert not _roots_within(self._power((-1, 1), 5), (1, 1))  # (x - 1)^5 against x + 1
 
 
 def prop1_reference(n):
