@@ -2,7 +2,7 @@
 
 Runs ``python -m triboconv.cli`` once per entry of ``CLI_OUTPUTS`` (compare
 bytes with tests/golden/<name>) or of ``CLI_SHA256`` (compare the sha256
-digest with tests/golden/cli_sha256.json), both from tests/test_golden.py,
+digest with tests/golden/cli_sha256.json), both from tests/golden_runs.py,
 so CI checks exactly the runs the golden files pin.  A run that exits nonzero
 counts as a mismatch.  Prints one line per mismatch and exits 1 if there
 is any:
@@ -19,7 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_golden import CLI_OUTPUTS, CLI_SHA256, GOLDEN
+from golden_runs import CLI_OUTPUTS, CLI_SHA256, GOLDEN
 
 
 def _stdout(argv: list[str]) -> bytes | None:

@@ -6,7 +6,7 @@ import json
 import shutil
 
 from check_cli_stdout import byte_mismatches, sha256_mismatches
-from test_golden import CLI_OUTPUTS, GOLDEN
+from golden_runs import CLI_OUTPUTS, GOLDEN
 
 NAME = "seq_011_30.txt"
 RUN = {NAME: CLI_OUTPUTS[NAME]}
