@@ -213,22 +213,29 @@ class TestSharedAnnihilator:
             results.add(not any(windows))
         assert results == ({True, False} if bad_e2 else {True})
 
+    @staticmethod
+    def _count_extensions(monkeypatch) -> list:
+        """The list to which each later right-side extension appends."""
+        extended, extend = [], identity_catalog._extend
+
+        def counting(*args):
+            extended.append(args)
+            return extend(*args)
+
+        monkeypatch.setattr(identity_catalog, "_extend", counting)
+        return extended
+
     @pytest.mark.parametrize("config", ["verify_all", "checks_deep.json"])
     def test_no_fold_takes_the_fallback(self, monkeypatch, config):
         # each point of each fold call extends its right side by L once
-        points, extended = [], []
-        fold_checks, extend = identity_catalog._fold_checks, identity_catalog._extend
+        points, fold_checks = [], identity_catalog._fold_checks
 
         def counting_folds(r, n, ms, index, pts, store):
             points.extend(pts)
             return fold_checks(r, n, ms, index, pts, store)
 
-        def counting_extend(*args):
-            extended.append(args)
-            return extend(*args)
-
         monkeypatch.setattr(identity_catalog, "_fold_checks", counting_folds)
-        monkeypatch.setattr(identity_catalog, "_extend", counting_extend)
+        extended = self._count_extensions(monkeypatch)
         if config == "verify_all":
             assert verify_all().verdict == "pass"
         else:
@@ -261,12 +268,11 @@ class TestSharedAnnihilator:
         monkeypatch.setitem(PRINTED[5], "H", 11)
         assert self._failures(monkeypatch, identity, nmax) == (failed, first, pin, True)
 
-    @staticmethod
-    def _failures(monkeypatch, identity, nmax):
+    @classmethod
+    def _failures(cls, monkeypatch, identity, nmax):
         """Failed checks, first failure, check digest, and whether the right
         side was extended by L."""
-        extended, extend = [], identity_catalog._extend
-        monkeypatch.setattr(identity_catalog, "_extend", lambda *args: extended.append(1) or extend(*args))
+        extended = cls._count_extensions(monkeypatch)
         report = verify(identity, nmax=nmax, seed=42)
         return (sum(not c.ok for c in report.checks), report.first_failure.index,
                 json.loads(_digest_doc(42, {identity: nmax}))[identity], bool(extended))
