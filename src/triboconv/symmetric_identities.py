@@ -11,10 +11,12 @@ are given and the dependent coefficients are always recomputed.
 
 Verification is by deterministic finite-grid evaluation: both sides have
 degree at most d in each of a, b, c, so agreement on a (d+1)^3 integer
-grid is a complete proof of the polynomial identity.  The grid values of
-(a+b+c)^d and of every term are integers that depend only on TERMS, so
-they are tabulated once per (degree, grid); a draw clears its coefficient
-denominators once and is compared on integers at every point.
+grid is a complete proof of the polynomial identity.  A draw's cleared
+coefficients (den, nums) pass exactly when they are orthogonal to the row
+(-(a+b+c)^d, term values) of every grid point, so to the rows' span.  The
+blocks are symmetric, so sorted points give every row; an integer echelon
+basis of the span, of rank len(DEPENDENT[d]), is built once per (degree,
+grid) and each draw is checked against those few equations only.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm, prod
+from itertools import combinations_with_replacement
+from math import gcd, lcm, prod
 from operator import mul
 
 #: term name -> blocks whose product is the term, per power r.
@@ -72,17 +74,28 @@ def _check_degree(r: int) -> None:
         raise ValueError("degree must be 2, 3, 4 or 5")
 
 
-def coeffs(r: int, params: dict) -> dict[str, Fraction]:
-    """Coefficient of every term of the power-r family, by name; free names
-    missing from params are 0."""
+def _cleared(r: int, params: dict) -> tuple[int, dict]:
+    """(den, den * coefficient of every term by name), exact integers: den
+    is the lcm of the parameter denominators times that of the constraint
+    entries, so every product in the constraints is integral."""
     _check_degree(r)
     unknown = set(params) - set(FREE[r])
     if unknown:
         raise ValueError(f"not free parameters of degree {r}: {', '.join(sorted(unknown))}")
-    cs = {k: Fraction(params.get(k, 0)) for k in FREE[r]}
+    free = {k: Fraction(params.get(k, 0)) for k in FREE[r]}
+    den = lcm(*(v.denominator for v in free.values())) * lcm(
+        *(x.denominator for const, form in DEPENDENT[r].values() for x in (const, *form.values())))
+    ns = {k: v.numerator * (den // v.denominator) for k, v in free.items()}
     for k, (const, form) in DEPENDENT[r].items():
-        cs[k] = sum((c * cs[name] for name, c in form.items()), Fraction(const))
-    return {k: cs[k] for k in TERMS[r]}
+        ns[k] = const * den + sum(c * ns[name] for name, c in form.items())
+    return den, ns
+
+
+def coeffs(r: int, params: dict) -> dict[str, Fraction]:
+    """Coefficient of every term of the power-r family, by name; free names
+    missing from params are 0."""
+    den, ns = _cleared(r, params)
+    return {k: Fraction(ns[k], den) for k in TERMS[r]}
 
 
 def _blocks(a, b, c) -> dict:
@@ -103,32 +116,34 @@ def rhs(r: int, params: dict, a, b, c) -> Fraction:
 
 # 32 covers degrees 2..5 at every grid symcheck accepts (6..12).
 @lru_cache(maxsize=32)
-def _term_rows(r: int, grid_size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """((a+b+c)^r, values of the terms of TERMS[r] in term order) at every
-    point (a, b, c) of {0..grid_size-1}^3, all integers."""
-    rows = []
-    for a, b, c in product(range(grid_size), repeat=3):
-        blocks = _blocks(a, b, c)
-        terms = tuple(prod(blocks[x] for x in bs) for bs in TERMS[r].values())
-        rows.append(((a + b + c) ** r, terms))
-    return tuple(rows)
+def _grid_equations(r: int, grid_size: int) -> tuple[tuple[int, ...], ...]:
+    """Integer echelon basis, each row divided by its gcd, of the span of
+    the rows (-(a+b+c)^r, values of the terms of TERMS[r] in term order) at
+    the points of {0..grid_size-1}^3; the sorted points give every row."""
+    basis = []
+    for point in combinations_with_replacement(range(grid_size), 3):
+        blocks = _blocks(*point)
+        row = [-sum(point) ** r, *(prod(blocks[x] for x in bs) for bs in TERMS[r].values())]
+        for pivot, b in basis:
+            row = [b[pivot] * x - row[pivot] * y for x, y in zip(row, b)]
+        if any(row):
+            g = gcd(*row)
+            basis.append((next(i for i, x in enumerate(row) if x), [x // g for x in row]))
+    return tuple(tuple(b) for _, b in basis)
 
 
 def verify_sym_identity(degree: int, params: dict, grid_size: int) -> bool:
     """Evaluate (a+b+c)^degree against the parameterized right side at every
     point of {0..grid_size-1}^3; grid_size >= degree+1 makes this a proof.
 
-    Both sides are multiplied by den, the lcm of the coefficient
-    denominators, and compared as integers."""
-    cs = coeffs(degree, params).values()
+    Both sides are multiplied by den, which clears the coefficient
+    denominators, and compared as integers: agreement at every point is
+    orthogonality to the span of the points' rows, so to _grid_equations."""
+    den, ns = _cleared(degree, params)
     if grid_size < degree + 1:
         raise ValueError("grid must have at least degree+1 points per axis")
-    den = lcm(*(v.denominator for v in cs))
-    nums = [v.numerator * (den // v.denominator) for v in cs]
-    return all(
-        den * lhs == sum(map(mul, nums, terms))
-        for lhs, terms in _term_rows(degree, grid_size)
-    )
+    vector = (den, *(ns[k] for k in TERMS[degree]))
+    return all(sum(map(mul, vector, row)) == 0 for row in _grid_equations(degree, grid_size))
 
 
 def random_params(degree: int, rng: random.Random, bound: int = 10) -> dict[str, Fraction]:

@@ -1,9 +1,14 @@
 """Brute-force composition enumerators: small-n oracles for the plain and
 multinomial convolution tables of ``triboconv.convolution``; the sides of
 P1, P2, T1 and GF by the schoolbook product, oracles for the series
-division that builds them; and the norm by Newton's identities, an oracle
-for ``triboconv.field.norm``."""
+division that builds them; the norm by Newton's identities, an oracle
+for ``triboconv.field.norm``; and the symmetric families' coefficients by
+Fraction arithmetic and grid rows at every point, oracles for
+``triboconv.symmetric_identities``."""
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -16,6 +21,7 @@ from triboconv.convolution import (
     series_T,
 )
 from triboconv.field import trace
+from triboconv.symmetric_identities import DEPENDENT, FREE, TERMS, _blocks
 
 
 def compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -101,3 +107,26 @@ def norm_by_newton(q):
     q2 = q * q
     t1, t2, t3 = trace(q), trace(q2), trace(q2 * q)
     return (t1**3 - 3 * t1 * t2 + 2 * t3) / 6
+
+
+# -- the symmetric families ------------------------------------------------
+
+def coeffs_by_fractions(r: int, params: dict) -> dict:
+    """Every term's coefficient by the printed constraints in Fraction
+    arithmetic; oracle for the integer evaluation behind ``coeffs``."""
+    cs = {k: Fraction(params.get(k, 0)) for k in FREE[r]}
+    for k, (const, form) in DEPENDENT[r].items():
+        cs[k] = sum((c * cs[name] for name, c in form.items()), Fraction(const))
+    return {k: cs[k] for k in TERMS[r]}
+
+
+@lru_cache(maxsize=None)
+def term_rows(r: int, grid_size: int) -> tuple:
+    """((a+b+c)^r, values of the terms of TERMS[r] in term order) at every
+    point (a, b, c) of {0..grid_size-1}^3, in ``product`` order; oracle for
+    the grid equations, which keep only a basis of these rows."""
+    rows = []
+    for a, b, c in product(range(grid_size), repeat=3):
+        blocks = _blocks(a, b, c)
+        rows.append(((a + b + c) ** r, tuple(prod(blocks[x] for x in bs) for bs in TERMS[r].values())))
+    return tuple(rows)

@@ -4,9 +4,13 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import prod
+from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import coeffs_by_fractions, term_rows
 from triboconv.cli import main
 from triboconv.identity_catalog import PRINTED
 from triboconv.symmetric_identities import (
@@ -14,8 +18,9 @@ from triboconv.symmetric_identities import (
     FREE,
     TERMS,
     _blocks,
+    _cleared,
     _combine,
-    _term_rows,
+    _grid_equations,
     coeffs,
     random_params,
     rhs,
@@ -121,7 +126,7 @@ class TestIntegerGrid:
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_term_rows_are_the_blocks_at_each_point(self, r):
-        rows = _term_rows(r, 6)
+        rows = term_rows(r, 6)
         points = list(product(range(6), repeat=3))
         assert len(rows) == len(points)
         for (a, b, c), (lhs, terms) in zip(points, rows):
@@ -148,6 +153,107 @@ class TestIntegerGrid:
         assert verify_sym_identity(r, params, 6) is _fraction_grid(r, params, 6) is False
 
 
+class TestIntegerCoefficients:
+    """coeffs, the Fraction view of the integer constraint evaluation,
+    against the constraints evaluated in Fractions."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_seeded_draws_match_the_fraction_loop(self, r):
+        rng = random.Random(f"cleared:{r}")
+        for _ in range(20):
+            params = random_params(r, rng, bound=10**6)
+            assert coeffs(r, params) == coeffs_by_fractions(r, params)
+
+    def test_coprime_draw_matches_the_fraction_loop(self):
+        assert coeffs(5, COPRIME_DRAW) == coeffs_by_fractions(5, COPRIME_DRAW)
+
+    def test_fraction_constraint_entries_stay_integral(self, monkeypatch):
+        # a Fraction constant and a Fraction coefficient of a Fraction
+        # parameter: with den the lcm of all denominators, 1/3 * (den / 3)
+        # would not be an integer
+        const, form = DEPENDENT[4]["A"]
+        monkeypatch.setitem(DEPENDENT[4], "A", (const + F(1, 9973), {**form, "D": F(1, 3)}))
+        params = {"D": F(1, 3), "E": F(2, 9973), "H": F(-5, 7)}
+        den, ns = _cleared(4, params)
+        assert all(F(n).denominator == 1 for n in ns.values())
+        assert coeffs(4, params) == coeffs_by_fractions(4, params)
+
+
+def _point_row(r, point):
+    """(-(a+b+c)^r, term values) at one point, from the blocks."""
+    blocks = _blocks(*point)
+    return (-sum(point) ** r, *(prod(blocks[x] for x in bs) for bs in TERMS[r].values()))
+
+
+def _rank(rows):
+    """Rank over Q by Fraction elimination."""
+    rows, rank = [list(map(F, row)) for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _null_basis(r):
+    """Integer vectors (den, term coefficients) spanning every valid draw:
+    den = 1 at all free parameters 0, and den = 0 with one free parameter 1."""
+    zero = coeffs_by_fractions(r, {})
+    vectors = [(1, *zero.values())]
+    for k in FREE[r]:
+        unit = coeffs_by_fractions(r, {k: 1})
+        vectors.append((0, *(unit[t] - zero[t] for t in TERMS[r])))
+    return [tuple(int(x) for x in v) for v in vectors]
+
+
+@st.composite
+def _grid_vectors(draw):
+    """(r, grid, integer vector, whether it is a null-space combination):
+    a combination of _null_basis, half of them with one coordinate off by 1."""
+    r = draw(st.sampled_from([2, 3, 4, 5]))
+    grid = draw(st.sampled_from([r + 1, 6, 12]))
+    basis = _null_basis(r)
+    weights = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(basis), max_size=len(basis)))
+    vector = [sum(w * v[i] for w, v in zip(weights, basis)) for i in range(len(basis[0]))]
+    shift = draw(st.none() | st.tuples(st.integers(0, len(vector) - 1), st.sampled_from([-1, 1])))
+    if shift is not None:
+        vector[shift[0]] += shift[1]
+    return r, grid, tuple(vector), shift is None
+
+
+class TestGridEquations:
+    """The few basis rows against the rows of every grid point."""
+
+    @pytest.mark.parametrize("r,grid", [(r, g) for r in (2, 3, 4, 5) for g in sorted({r + 1, 6, 12})])
+    def test_rank_is_the_dependent_count(self, r, grid):
+        rows = _grid_equations(r, grid)
+        assert len(rows) == _rank(rows) == len(DEPENDENT[r])
+
+    @pytest.mark.parametrize("r,grid", [(r, g) for r in (2, 3, 4, 5) for g in (6, 12)])
+    def test_every_point_row_is_its_sorted_point_row_in_the_span(self, r, grid):
+        basis = _grid_equations(r, grid)
+        rows = set()
+        for point in product(range(grid), repeat=3):
+            row = _point_row(r, point)
+            assert row == _point_row(r, sorted(point))
+            rows.add(row)
+        rank = _rank(basis)
+        assert all(_rank([*basis, row]) == rank for row in rows)
+
+    @given(_grid_vectors())
+    def test_basis_check_is_the_all_points_check(self, case):
+        r, grid, vector, in_null_space = case
+        by_basis = all(sum(map(mul, vector, row)) == 0 for row in _grid_equations(r, grid))
+        by_points = all(vector[0] * lhs == sum(map(mul, vector[1:], terms))
+                        for lhs, terms in term_rows(r, grid))
+        assert by_basis is by_points is in_null_space
+
+
 class TestFailurePath:
     """One printed constraint constant off by one must fail the grid."""
 
@@ -165,6 +271,17 @@ class TestFailurePath:
         doc = json.loads(capsys.readouterr().out)
         assert [(row["degree"], row["status"]) for row in doc["rows"]] == [
             ("3", "pass"), ("4", "pass"), ("5", "fail")]
+        assert doc["verdict"] == "fail"
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_shifted_constant_fails_symcheck_at_the_cap(self, r, monkeypatch, capsys):
+        term = next(iter(DEPENDENT[r]))
+        const, form = DEPENDENT[r][term]
+        monkeypatch.setitem(DEPENDENT[r], term, (const + 1, form))
+        assert main(["symcheck", "--draws", "2000", "--grid", "12", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [(row["degree"], row["status"]) for row in doc["rows"]] == [
+            (str(d), "fail" if d == r else "pass") for d in (3, 4, 5)]
         assert doc["verdict"] == "fail"
 
 
