@@ -15,10 +15,10 @@ hide.  A mismatch flags the printed recursion, never the direct path.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .field import (
     FieldElement,
@@ -47,14 +47,27 @@ class FamilyKind(str, Enum):
     PAIR_SUM_SQ_POWER = "pairsumsq"
 
 
-@dataclass(frozen=True)
 class PowerFamily:
-    kind: FamilyKind
-    n: int
+    """The family ``kind`` at exponent n >= 1, immutable like FieldElement."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("_fields",)
+
+    kind = property(lambda self: self._fields[0])
+    n = property(lambda self: self._fields[1])
+
+    def __init__(self, kind: FamilyKind, n: int):
+        if n < 1:
             raise ValueError("family exponent must be >= 1")
+        self._fields = (kind, n)
+
+    def __eq__(self, other):
+        return self._fields == other._fields if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        return f"PowerFamily(kind={self.kind!r}, n={self.n!r})"
 
 
 def CPower(n: int) -> PowerFamily:
@@ -127,8 +140,7 @@ def derive_table(kind: FamilyKind, n_max: int) -> list[ScaledSeq]:
 
 # -- replication of the printed recursions --------------------------------
 
-@dataclass(frozen=True)
-class PrintedRecursionResult:
+class PrintedRecursionResult(NamedTuple):
     family: PowerFamily
     direct: ScaledSeq
     recursive: ScaledSeq | None
@@ -261,16 +273,14 @@ def derive_paper_recursive(fam: PowerFamily) -> PrintedRecursionResult:
 
 # -- the scale conjecture --------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
     n: int
     cpower_scale: Fraction  # scale of the 2n-th power-of-c family
     cofactor_scale: Fraction  # scale of the n-th cofactor family
     equal: bool
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     rows: tuple[ConjectureRow, ...]
     all_equal: bool
 

@@ -15,10 +15,10 @@ positive number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 #: Trace Gram matrix [trace(x^(i+j))] for i, j = 0, 1, 2.  Row 0 holds the
 #: power sums of the three roots (Newton's identities from e1 = 1, e2 = -1,
@@ -52,22 +52,22 @@ def _frac(v) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """a0 + a1*x + a2*x^2 modulo x^3 - x^2 - x - 1, coefficients exact.
 
-    Instances are immutable and hashable; all operators return new
-    elements, so values are safe to share between threads.
+    Instances are immutable (read-only properties over one slot, as in
+    Fraction) and hashable; all operators return new elements, so values
+    are safe to share between threads.
     """
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
+    __slots__ = ("_coeffs",)
+
+    a0 = property(lambda self: self._coeffs[0])
+    a1 = property(lambda self: self._coeffs[1])
+    a2 = property(lambda self: self._coeffs[2])
 
     def __init__(self, a0=0, a1=0, a2=0):
-        object.__setattr__(self, "a0", _frac(a0))
-        object.__setattr__(self, "a1", _frac(a1))
-        object.__setattr__(self, "a2", _frac(a2))
+        self._coeffs = (_frac(a0), _frac(a1), _frac(a2))
 
     @classmethod
     def constant(cls, value) -> "FieldElement":
@@ -75,7 +75,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.a0, self.a1, self.a2)
+        return self._coeffs
 
     def is_zero(self) -> bool:
         return not (self.a0 or self.a1 or self.a2)
@@ -128,6 +128,15 @@ class FieldElement:
             base = base * base
             n >>= 1
         return result
+
+    def __eq__(self, other):
+        return self._coeffs == other._coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
+
+    def __repr__(self) -> str:
+        return f"FieldElement(a0={self.a0!r}, a1={self.a1!r}, a2={self.a2!r})"
 
     def __str__(self) -> str:
         parts = []
@@ -268,8 +277,7 @@ def sign_at_real_root(q: FieldElement) -> int:
     return 1 if norm(q) > 0 else -1
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(NamedTuple):
     """Rational bracket (lower, upper) around the real root; the minimal
     polynomial changes sign across it."""
 

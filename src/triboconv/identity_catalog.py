@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .convolution import (
     TRIBO_DENOM,
@@ -66,8 +65,7 @@ class RangeTooLarge(CatalogError):
     """A requested range exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Outcome of one exact comparison of two exact values.
 
     lhs/rhs read the values as decimal-free strings, made only when read:
@@ -99,23 +97,25 @@ def _check(index: str, lhs, rhs) -> Check:
     return Check(index, lhs == rhs, lhs, rhs)
 
 
-@dataclass
 class RunOutcome:
-    checks: list[Check] = field(default_factory=list)
-    mismatches: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    params_used: list[dict[str, str]] = field(default_factory=list)
+    """A runner's checks, mismatches, notes and parameter points; each list left out starts empty."""
+
+    __slots__ = ("checks", "mismatches", "notes", "params_used")
+
+    def __init__(self, checks=None, mismatches=None, notes=None, params_used=None):
+        self.checks: list[Check] = [] if checks is None else checks
+        self.mismatches: list[Check] = [] if mismatches is None else mismatches
+        self.notes: list[str] = [] if notes is None else notes
+        self.params_used: list[dict[str, str]] = [] if params_used is None else params_used
 
 
-@dataclass(frozen=True)
-class RangeSpec:
+class RangeSpec(NamedTuple):
     name: str
     lo: int
     hi: int
 
 
-@dataclass
-class RunContext:
+class RunContext(NamedTuple):
     ranges: dict[str, tuple[int, int]]
     rng: random.Random
     params_override: object
@@ -126,8 +126,7 @@ class RunContext:
         return range(lo, hi + 1)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Exact verification record for one identity.
 
     Holds the per-index statuses, the first failure with both side values
@@ -156,13 +155,7 @@ class VerifyReport:
 
     @property
     def first_failure(self) -> Check | None:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        for c in self.mismatches:
-            if not c.ok:
-                return c
-        return None
+        return next((c for checks in (self.checks, self.mismatches) for c in checks if not c.ok), None)
 
     def to_dict(self) -> dict:
         ff = self.first_failure
@@ -177,8 +170,7 @@ class VerifyReport:
         }
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     id: str
     label: str
     ranges: tuple[RangeSpec, ...]
@@ -574,20 +566,11 @@ def verify(
     empty = any(lo > hi for lo, hi in ranges.values())
     outcome = RunOutcome() if empty else record.runner(ctx)
     range_desc = ", ".join(f"{name}={lo}..{hi}" for name, (lo, hi) in ranges.items())
-    return VerifyReport(
-        id=record.id,
-        label=record.label,
-        range_desc=range_desc,
-        params=outcome.params_used,
-        expectation=record.expectation,
-        checks=outcome.checks,
-        mismatches=outcome.mismatches,
-        notes="; ".join(outcome.notes),
-    )
+    return VerifyReport(record.id, record.label, range_desc, outcome.params_used, record.expectation,
+                        outcome.checks, outcome.mismatches, "; ".join(outcome.notes))
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     seed: int
     reports: list[VerifyReport]
 

@@ -12,9 +12,9 @@ pins down the otherwise ambiguous choice of sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .field import FieldElement, integral_coeffs, sign_at_real_root, trace_triple
 
@@ -63,8 +63,7 @@ class TriboSeq:
         return f"TriboSeq{self.triple}"
 
 
-@dataclass(frozen=True)
-class ScaledSeq:
+class ScaledSeq(NamedTuple):
     """Canonical presentation (scale A, primitive integer triple) of an EGF
     combination: trace(x^k q) = T_k(triple) / scale for the source q.
 

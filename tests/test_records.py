@@ -1,8 +1,12 @@
 """Behaviour of the package's record types: constructors, equality, hash,
-repr, immutability and pickling."""
+repr, immutability and pickling; and a start-up that loads neither
+dataclasses nor inspect."""
 
 import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +138,11 @@ class TestConstructors:
                               checks=[check], mismatches=[], notes="")
         assert report.status == "fail" and report.first_failure is check
         assert RootInterval(F(1), F(3)).width() == 2
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import triboconv.cli as c; c.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
