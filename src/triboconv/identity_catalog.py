@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
@@ -350,8 +351,6 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
     if points is None:
         printed = {k: PRINTED[r].get(k, 0) for k in names}
         points = [printed, GENERIC.get(r) or {k: _draw_fraction(ctx.rng) for k in names}]
-    elif len(names) == 1:
-        points = [{names[0]: v} for v in points]
     params_used, coeff_points = [], []
     for point in points:
         vals = {k: Fraction(point[k]) for k in names}
@@ -522,6 +521,29 @@ def identity_ids() -> list[str]:
     return sorted(REGISTRY)
 
 
+#: Identity id -> the names its params set, the free names of its fold.
+PARAMETERS = {"T2": FREE[3], "T3": FREE[4], "T4": FREE[5]}
+
+
+def _param_points(identity_id: str, params) -> list[dict]:
+    """params as one name-to-value mapping per point: T2 takes bare D values,
+    T3 and T4 mappings that name every free parameter and no other."""
+    names = PARAMETERS.get(identity_id, ())
+    points = [p if len(names) > 1 else {names[0]: p} for p in params] if names else []
+    if not points:
+        problem = "params holds no parameter point" if names else "has no parameters to set by params"
+        raise CatalogError(f"{identity_id} {problem}")
+    form = "a mapping of" if len(names) > 1 else "a bare value of"
+    for point in points:
+        if not isinstance(point, Mapping) or any(isinstance(v, Mapping) for v in point.values()):
+            raise CatalogError(f"{identity_id} takes each params point as {form} {', '.join(names)}")
+        wrong = [f"point lacks parameter {k!r}" for k in names if k not in point]
+        wrong += [f"has no parameter {k!r}" for k in point if k not in names]
+        if wrong:
+            raise CatalogError(f"{identity_id} {wrong[0]}")
+    return points
+
+
 def verify(
     identity_id: str,
     *,
@@ -536,13 +558,15 @@ def verify(
     nmax/mmax override the upper end of the record's first/second index
     range; a negative upper end, or a bound for a range the record lacks,
     raises CatalogError.  An upper end below its range's start gives a
-    vacuous report: no runner is called.  params overrides the parameter sample where the record has one
-    (T2: iterable of D values; T3/T4: iterable of name-to-value mappings).
+    vacuous report: no runner is called.  params overrides the parameter
+    sample of T2, T3 or T4; ``_param_points`` says what raises CatalogError.
     _store (private) holds the run's fold rows and tables; verify_all shares one.
     """
     record = REGISTRY.get(identity_id)
     if record is None:
         raise UnknownIdentity(f"no identity registered under id {identity_id!r}")
+    if params is not None:
+        params = _param_points(identity_id, params)
     if nmax is not None and not record.ranges:
         raise CatalogError(f"{identity_id} has no index range for nmax")
     if mmax is not None and len(record.ranges) < 2:

@@ -1,7 +1,7 @@
 """Edge inputs (negative ranges, an nmax or mmax with no range to bound,
-counts and symcheck arguments above their caps, unwritable output paths,
-huge integers) and the agreement of the identities read from one fold
-table."""
+params with no parameter to set, counts and symcheck arguments above their
+caps, unwritable output paths, huge integers) and the agreement of the
+identities read from one fold table."""
 
 import json
 
@@ -44,6 +44,30 @@ class TestNmaxWithoutRange:
     def test_cli_nmax_is_usage_error(self, capsys):
         assert main(["verify", "L-CONST", "--nmax", "3"]) == 2
         assert capsys.readouterr() == ("", "error: L-CONST has no index range for nmax\n")
+
+
+class TestParamsOverride:
+    @pytest.mark.parametrize("identity", ["P1", "GT2", "T2R", "L2"])
+    def test_record_without_parameters_rejects_params(self, identity):
+        with pytest.raises(CatalogError, match=f"^{identity} has no parameters to set by params$"):
+            verify(identity, params=[5])
+
+    @pytest.mark.parametrize("identity", ["T2", "T3", "T4"])
+    def test_empty_params_is_rejected(self, identity):
+        with pytest.raises(CatalogError, match=f"^{identity} params holds no parameter point$"):
+            verify(identity, nmax=5, params=[])
+
+    def test_point_lacking_a_free_name_is_rejected(self):
+        with pytest.raises(CatalogError, match=r"^T3 point lacks parameter 'E'$"):
+            verify("T3", nmax=5, params=[{"D": 1, "G": 0, "H": 0}])
+
+    def test_t2_mapping_is_rejected(self):
+        with pytest.raises(CatalogError, match="^T2 takes each params point as a bare value of D$"):
+            verify("T2", nmax=5, params=[{"D": 1}])
+
+    def test_unknown_name_is_rejected(self):
+        with pytest.raises(CatalogError, match=r"^T3 has no parameter 'Z'$"):
+            verify("T3", nmax=5, params=[{"D": 3, "E": 0, "G": 0, "H": 0, "Z": 9}])
 
 
 class TestUnwritableOut:
