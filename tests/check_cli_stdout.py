@@ -7,8 +7,11 @@ so CI checks exactly the runs the golden files pin.  A run that exits nonzero
 counts as a mismatch.  Prints one line per mismatch and exits 1 if there
 is any:
 
-    PYTHONPATH=src python tests/check_cli_stdout.py bytes
-    PYTHONPATH=src python tests/check_cli_stdout.py sha256
+    PYTHONWARNINGS=error PYTHONPATH=src python tests/check_cli_stdout.py bytes
+    PYTHONWARNINGS=error PYTHONPATH=src python tests/check_cli_stdout.py sha256
+
+The CLI runs inherit ``PYTHONWARNINGS=error``, so a warning such as a
+DeprecationWarning ends a run with a nonzero exit and counts as a mismatch.
 """
 
 from __future__ import annotations
