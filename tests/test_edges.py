@@ -69,6 +69,10 @@ class TestParamsOverride:
         with pytest.raises(CatalogError, match=r"^T3 has no parameter 'Z'$"):
             verify("T3", nmax=5, params=[{"D": 3, "E": 0, "G": 0, "H": 0, "Z": 9}])
 
+    def test_parameters_lists_exactly_the_records_that_sample_points(self):
+        sampled = {r.id: tuple(r.params[0]) for r in identity_catalog.verify_all().reports if r.params}
+        assert sampled == identity_catalog.PARAMETERS
+
 
 class TestUnwritableOut:
     def test_missing_directory_is_one_line_usage_error(self, tmp_path, capsys):
