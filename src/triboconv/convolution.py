@@ -20,7 +20,9 @@ terms 0..D-1 and the annihilator's integer recurrence the rest, in
 O(n * D) multiplications; otherwise the schoolbook kernel runs alone.
 ``_roots_within`` tells exactly whether every root of one such polynomial
 is a root of another, so that a sum of tables whose annihilators pass
-against a common polynomial L can be extended once by L's recurrence.
+against a common polynomial L satisfies L's recurrence: it equals another
+such sequence everywhere once their first deg L terms agree, and can be
+extended by the recurrence from them otherwise.
 
 The series of P1, P2, T1 and GF multiply by T = x/(1 - x - x^2 - x^3)
 and by x/(1 + x^2 + 2x^3): a shift and a division by a short polynomial
@@ -33,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from math import comb, prod
+from operator import mul
 from typing import Sequence
 
 
@@ -142,10 +145,10 @@ def _extend(head: list, poly: tuple, n_max: int) -> list:
     """The D = len(head) initial terms continued to n = 0..n_max by the
     recurrence of the monic degree-D polynomial poly (ascending)."""
     d = len(poly) - 1
-    rec = [(i, -c) for i, c in enumerate(poly[:-1]) if c]
+    neg_coeffs = [-c for c in poly[:-1]]
     out = list(head)
     for n in range(n_max + 1 - d):
-        out.append(sum(c * out[n + i] for i, c in rec))
+        out.append(sum(map(mul, neg_coeffs, out[n:n + d])))
     return out
 
 

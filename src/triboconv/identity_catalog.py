@@ -245,9 +245,11 @@ NORM_SCALE = 44
 # times e^x) and 1 = alpha_1 + alpha_2 + alpha_3 for e3.  So every term of
 # (a+b+c)^r has exponents in {a*alpha_1 + b*alpha_2 + c*alpha_3 : a+b+c = r},
 # the C(r+2, 2) roots of the left side's annihilator L.  _fold_checks proves
-# this for each term's annihilator and then extends the combined right side
-# once by L; if a term fails the test (a changed factor), every term table
-# is built in full.
+# this for each term's annihilator and combines the right side on the first
+# deg L terms only: both sides satisfy L, so a right side whose head equals
+# the left side's is equal everywhere, and only a head that disagrees is
+# extended by L.  If a term fails the test (a changed factor), every term
+# table is built in full.
 #: block of the symmetric expansion -> its factors.
 BLOCK_FACTORS = {f"s{j}": ((j, j),) for j in range(1, 6)} | {"e2": (ALT, ONE), "e3": (NORM,)}
 
@@ -290,7 +292,7 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     factors = {f: _factor(f, n, store) for f in needed}
     # the left side's annihilator L; when it vanishes at every root of every
     # term's annihilator (see BLOCK_FACTORS), the term tables are built to
-    # deg L terms only and each point's right side is extended by L
+    # deg L terms only and each point's right side is settled there
     rec = _annihilator((factors[C1][0].charpoly,) * r)
     head = len(rec) - 1
     if count <= head or not all(_shares_roots(fs, factors, rec) for fs in terms.values()):
@@ -316,13 +318,17 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
         common = lcm(inv_lhs_scale.denominator, *(w.denominator for w, _ in weights))
         lhs_weight = inv_lhs_scale.numerator * (common // inv_lhs_scale.denominator)
         rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
+        lhs_num = [v * lhs_weight for v in lhs[:count]]
         rhs = [sum(w * table[m] for w, table in rhs_weights) for m in range(head)]
-        if head < count:
+        # both sides satisfy L, so heads that agree settle every m; a head
+        # that disagrees is extended to show each failing m
+        if rhs == lhs_num[:head]:
+            rhs = lhs_num
+        elif head < count:
             rhs = _extend(rhs, rec, count - 1)
         for m in ms:
-            lhs_num = lhs[m] * lhs_weight
-            checks.append(Check(f"{prefix}{index}={m}", lhs_num == rhs[m],
-                                _Quotient(lhs_num, common), _Quotient(rhs[m], common)))
+            checks.append(Check(f"{prefix}{index}={m}", lhs_num[m] == rhs[m],
+                                _Quotient(lhs_num[m], common), _Quotient(rhs[m], common)))
     return checks
 
 

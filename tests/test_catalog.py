@@ -175,8 +175,9 @@ class TestFoldFailureStrings:
 
 class TestSharedAnnihilator:
     """Every term of a fold has only exponents that are roots of the left
-    side's annihilator L, so each right side is extended once by L; a term
-    outside L keeps its own full-length table."""
+    side's annihilator L, so each term table is built on deg L terms and a
+    point whose right side agrees with the left side there is settled
+    without extension; a term outside L keeps its own full-length table."""
 
     #: e2 with the cofactor family unsigned: its roots leave L's.
     BAD_E2 = (("cof", 1), ONE)
@@ -227,21 +228,30 @@ class TestSharedAnnihilator:
 
     @pytest.mark.parametrize("config", ["verify_all", "checks_deep.json"])
     def test_no_fold_takes_the_fallback(self, monkeypatch, config):
-        # each point of each fold call extends its right side by L once
-        points, fold_checks = [], identity_catalog._fold_checks
+        # every point passes on its deg L head, so no right side is extended,
+        # and no term table outgrows deg L; the left side's table spans the range
+        calls, fold_checks = [], identity_catalog._fold_checks
 
-        def counting_folds(r, n, ms, index, pts, store):
-            points.extend(pts)
+        def recording_folds(r, n, ms, index, pts, store):
+            calls.append((r, n, pts, store))
             return fold_checks(r, n, ms, index, pts, store)
 
-        monkeypatch.setattr(identity_catalog, "_fold_checks", counting_folds)
+        monkeypatch.setattr(identity_catalog, "_fold_checks", recording_folds)
         extended = self._count_extensions(monkeypatch)
         if config == "verify_all":
             assert verify_all().verdict == "pass"
         else:
             _, seed, ids = next(d for d in DIGESTS if d[0] == config)
             assert _digest_doc(seed, ids) == (GOLDEN / config).read_text()
-        assert points and len(extended) == len(points)
+        assert calls and extended == []
+        lengths = {}
+        for r, n, pts, store in calls:
+            for k in pts[0][1]:
+                fs = tuple(f for b in TERMS[r][k] for f in BLOCK_FACTORS[b])
+                if fs != (C1,) * r:
+                    key = tuple(sorted(fs, key=str)), n
+                    lengths[key] = len(store[key][0]), len(self._rec(r)) - 1
+        assert lengths and all(length <= deg for length, deg in lengths.values())
 
     # the same counts, first failures and check digests as the per-term tables
     @pytest.mark.parametrize("identity,nmax,failed,first,pin", [
