@@ -532,8 +532,9 @@ PARAMETERS = {"T2": FREE[3], "T3": FREE[4], "T4": FREE[5]}
 
 
 def _param_points(identity_id: str, params) -> list[dict]:
-    """params as one name-to-value mapping per point: T2 takes bare D values,
-    T3 and T4 mappings that name every free parameter and no other."""
+    """params as one name-to-Fraction mapping per point: T2 takes bare D
+    values, T3 and T4 mappings that name every free parameter and no other;
+    each value is read by ``_param_value``."""
     names = PARAMETERS.get(identity_id, ())
     points = [p if len(names) > 1 else {names[0]: p} for p in params] if names else []
     if not points:
@@ -547,7 +548,18 @@ def _param_points(identity_id: str, params) -> list[dict]:
         wrong += [f"has no parameter {k!r}" for k in point if k not in names]
         if wrong:
             raise CatalogError(f"{identity_id} {wrong[0]}")
-    return points
+    return [{k: _param_value(identity_id, k, v) for k, v in point.items()} for point in points]
+
+
+def _param_value(identity_id: str, name: str, value) -> Fraction:
+    """value as a Fraction: an int (not a bool), a Fraction, or a string of one."""
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise CatalogError(f"{identity_id} parameter {name!r} takes an int, a Fraction or a string "
+                       f"of one, not {value!r}")
 
 
 def verify(

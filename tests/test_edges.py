@@ -4,6 +4,8 @@ caps, unwritable output paths, huge integers) and the agreement of the
 identities read from one fold table."""
 
 import json
+import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -68,6 +70,20 @@ class TestParamsOverride:
     def test_unknown_name_is_rejected(self):
         with pytest.raises(CatalogError, match=r"^T3 has no parameter 'Z'$"):
             verify("T3", nmax=5, params=[{"D": 3, "E": 0, "G": 0, "H": 0, "Z": 9}])
+
+    @pytest.mark.parametrize("value", ["abc", None, "1/0", float("nan"), 0.1, True],
+                             ids=["word", "none", "zero-denominator", "nan", "float", "bool"])
+    @pytest.mark.parametrize("identity", ["T2", "T3"])
+    def test_value_that_is_no_exact_rational_is_rejected(self, identity, value):
+        point = value if identity == "T2" else {"D": value, "E": 0, "G": 0, "H": 0}
+        message = f"{identity} parameter 'D' takes an int, a Fraction or a string of one, not {value!r}"
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            verify(identity, nmax=5, params=[point])
+
+    def test_int_fraction_and_string_values_are_read_exactly(self):
+        report = verify("T3", nmax=5, params=[{"D": "-3/6", "E": F(2, 3), "G": 7, "H": " 5 "}])
+        assert report.params == [{"D": "-1/2", "E": "2/3", "G": "7", "H": "5"}]
+        assert report.status == "pass"
 
     def test_parameters_lists_exactly_the_records_that_sample_points(self):
         sampled = {r.id: tuple(r.params[0]) for r in identity_catalog.verify_all().reports if r.params}
