@@ -1,5 +1,6 @@
 """Brute-force composition enumerators: small-n oracles for the plain and
-multinomial convolution tables of ``triboconv.convolution``; the sides of
+multinomial convolution tables of ``triboconv.convolution``, and a plain
+recurrence, the oracle for their extension by an annihilator; the sides of
 P1, P2, T1 and GF by the schoolbook product, oracles for the series
 division that builds them; the norm by Newton's identities, an oracle
 for ``triboconv.field.norm``; and the symmetric families' coefficients by
@@ -59,6 +60,18 @@ def _term(s, k: int):
     if isinstance(s, (list, tuple)):
         return s[k]
     return s.term(k)
+
+
+def extend_by_recurrence(head: Sequence, poly: Sequence, n_max: int) -> list:
+    """head continued to n = 0..n_max, term by term, by the recurrence of
+    the monic polynomial poly (ascending), skipping its zero coefficients;
+    oracle for convolution._extend."""
+    d = len(poly) - 1
+    out = list(head)
+    while len(out) <= n_max:
+        n = len(out) - d
+        out.append(-sum(c * out[n + i] for i, c in enumerate(poly[:d]) if c != 0))
+    return out
 
 
 # -- P1, P2, T1 and GF by the schoolbook product ---------------------------

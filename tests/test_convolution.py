@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triboconv.convolution import (
     ConstantSeq,
@@ -14,6 +14,7 @@ from triboconv.convolution import (
     WeightedSeq,
     _annihilator,
     _annihilator_degree,
+    _extend,
     _poly_from_power_sums,
     _roots_within,
     binomial_convolve,
@@ -36,6 +37,7 @@ from triboconv.convolution import (
 from triboconv.sequences import TriboSeq
 
 from oracles import (
+    extend_by_recurrence,
     multinomial_conv_enum,
     p1_sides_schoolbook,
     p2_sides_schoolbook,
@@ -167,6 +169,31 @@ class TestRecurrenceKernel:
         with pytest.raises(ArithmeticError):
             _poly_from_power_sums([2, 1, 2])
         assert _poly_from_power_sums([2, 1, 3]) == (-1, -1, 1)  # x^2 - x - 1
+
+
+@st.composite
+def _recurrences(draw):
+    """A head of D values (ints or Fractions), a monic integer polynomial of
+    degree D, often with zero coefficients, and n_max of D - 1, D or D + 5."""
+    d = draw(st.integers(1, 6))
+    coeff = st.just(0) | st.integers(-9, 9)
+    poly = (*draw(st.lists(coeff, min_size=d, max_size=d)), 1)
+    value = st.integers(-99, 99) | st.fractions(max_denominator=12)
+    head = draw(st.lists(value, min_size=d, max_size=d))
+    return head, poly, d - 1 + draw(st.sampled_from([0, 1, 6]))
+
+
+class TestExtend:
+    @given(_recurrences())
+    @example(([3], (-2, 1), 0))
+    @example(([F(1, 3)], (5, 1), 6))
+    @example(([1, 0, F(-2, 7)], (-1, 0, 0, 1), 3))
+    @example(([2, -1, 0, 4], (3, 0, -1, 0, 1), 9))
+    def test_matches_the_plain_recurrence(self, case):
+        assert _extend(*case) == extend_by_recurrence(*case)
+
+    def test_tribonacci_from_its_head(self):
+        assert _extend([0, 0, 1], (-1, -1, -1, 1), 9) == [0, 0, 1, 1, 2, 4, 7, 13, 24, 44]
 
 
 class TestRootsWithin:
