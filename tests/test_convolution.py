@@ -192,9 +192,6 @@ class TestExtend:
     def test_matches_the_plain_recurrence(self, case):
         assert _extend(*case) == extend_by_recurrence(*case)
 
-    def test_tribonacci_from_its_head(self):
-        assert _extend([0, 0, 1], (-1, -1, -1, 1), 9) == [0, 0, 1, 1, 2, 4, 7, 13, 24, 44]
-
 
 class TestRootsWithin:
     """_roots_within(a, b): every root of a is a root of b."""
