@@ -8,7 +8,10 @@ the evaluators).  checks_deep.json pins T4/T3/T4R/P3 at the large nmax
 where the convolution tables are extended by recurrence, P1/P2/T1
 at nmax 400 and GT2..GT5 at family indices n up to 40/20/12/12, past
 their default ranges, checks_cap.json pins P1, P2, T1, GF and the folds
-P3, T2..T4R at the range cap (2000) and GT2..GT5 at mmax 2000, and
+P3, T2..T4R at the range cap (2000) and GT2..GT5 at mmax 2000,
+checks_claims.json pins the printed power-family claims past their
+default ranges (S1, S2 and the lemmas L2, L7, L8, L9 at nmax 400, S3 at
+nmax 60, where its n > 6 rows are checked against Binet sums), and
 cli_sha256.json pins by digest the CLI bytes of `conjecture` and
 `derive --replicate-paper` at the sizes of the scale_audit benchmark, too
 large to check in whole, and of `symcheck` at the grid cap.  Regenerate
@@ -40,6 +43,8 @@ DIGESTS = [
      {"P1": 2000, "P2": 2000, "T1": 2000, "GF": 2000}
      | dict.fromkeys(["P3", "T2", "T2R", "T3", "T3R", "T4", "T4R"], 2000)
      | dict.fromkeys(["GT2", "GT3", "GT4", "GT5"], (None, 2000))),
+    ("checks_claims.json", 42,
+     {"S1": 400, "S2": 400, "S3": 60} | dict.fromkeys(["L2", "L7", "L8", "L9"], 400)),
 ]
 
 
