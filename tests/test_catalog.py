@@ -9,11 +9,15 @@ import pytest
 from test_golden import DIGESTS, GOLDEN, _digest_doc
 from triboconv import convolution, identity_catalog
 from triboconv.convolution import _annihilator, _as_prefix, _roots_within, multinomial_conv_prefix
+from triboconv.derivation import SumCofactorSqConst, family_element
 from triboconv.field import X, c_element, norm, trace
 from triboconv.identity_catalog import (
     BLOCK_FACTORS,
     C1,
+    LEMMAS,
     ONE,
+    PAIRSUMSQ_ORACLE,
+    PAIRSUMSQ_PRINTED,
     PRINTED,
     REGISTRY,
     RangeTooLarge,
@@ -106,6 +110,48 @@ class TestKnownDiscrepancies:
 
     def test_s3_note_explains_the_discrepancy(self):
         assert "printed triples" in verify("S3").notes
+
+    # the rule "a printed row that disagrees is reported, never failed" is
+    # the claims evaluator's routing; these change its data and watch it
+
+    def test_a_printed_row_that_agrees_is_a_check(self, monkeypatch):
+        monkeypatch.setitem(PAIRSUMSQ_PRINTED, 3, PAIRSUMSQ_ORACLE[3])
+        report = verify("S3")
+        assert report.status == "known-discrepancy"
+        assert [c.index for c in report.mismatches] == [f"n={n},printed" for n in (2, 4, 5, 6)]
+        assert [c.index for c in report.checks if c.index.endswith(",printed")] == ["n=1,printed", "n=3,printed"]
+        assert all(c.ok for c in report.checks)
+
+    def test_a_wrong_oracle_row_fails(self, monkeypatch):
+        scale, (s0, s1, s2) = PAIRSUMSQ_ORACLE[4]
+        monkeypatch.setitem(PAIRSUMSQ_ORACLE, 4, (scale, (s0, s1, s2 + 1)))
+        report = verify("S3")
+        assert report.status == "fail"
+        first = report.first_failure
+        # the derived side is still the exact row that the unchanged table holds
+        assert (first.index, first.lhs, first.rhs) == (
+            "n=4,oracle", f"(A={scale}, triple={(s0, s1, s2)})", f"(A={scale}, triple={(s0, s1, s2 + 1)})")
+
+    @pytest.mark.parametrize("identity,power", zip(["L2", "L7", "L8", "L9"], sorted(LEMMAS)))
+    def test_a_changed_lemma_triple_fails_every_row(self, monkeypatch, identity, power):
+        scale, triple = LEMMAS[power]
+        # the difference is the Tribonacci sequence from (1, 1, 1), never 0
+        monkeypatch.setitem(LEMMAS, power, (scale, tuple(v + 1 for v in triple)))
+        report = verify(identity)
+        assert report.status == "fail"
+        assert [c.index for c in report.checks] == ["derivation"] + [f"k={k}" for k in range(51)]
+        assert not any(c.ok for c in report.checks)
+
+    def test_s2_printed_term_is_121_over_120_of_the_exact_one(self):
+        # for every n: 242 / (2^6*5*11^2*484^(n-1)) against trace(q_n) = 3/484^n,
+        # so the printed presentation already disagrees at k = 0 and no later
+        # term needs comparing
+        for n in range(1, 2001):
+            printed = F(242, 2**6 * 5 * 11**2 * 484 ** (n - 1))
+            assert printed / trace(family_element(SumCofactorSqConst(n))) == F(121, 120)
+        report = verify("S2", nmax=2000)
+        assert [c.index for c in report.mismatches] == [f"n={n},k=0,printed" for n in range(1, 2001)]
+        assert {c.rhs_value / c.lhs_value for c in report.mismatches} == {F(121, 120)}
 
 
 class TestSpecializationConsistency:
