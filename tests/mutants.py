@@ -1,0 +1,151 @@
+"""A checked-in mutation table: faults that the test suite must catch.
+
+Each row names a source file, an exact text that occurs in it exactly once,
+the text that replaces it, and the tests that must then fail.  For each row
+the script copies src/, tests/ and pyproject.toml to a temporary directory,
+applies the edit there and runs the row's tests with pytest.  A row whose
+text is missing or occurs more than once breaks the table, so a moved line
+is reported instead of silently skipping its mutant.  Before any mutant, the
+union of the selections runs once on an unmutated copy and must pass, so
+that each failure is the mutant's.  Exits 1 if a row is broken or a mutant
+survives:
+
+    python tests/mutants.py
+
+Standard library only, like check_cli_stdout.py; the selected tests need
+pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+CATALOG = "src/triboconv/identity_catalog.py"
+CONVOLUTION = "src/triboconv/convolution.py"
+SYMMETRIC = "src/triboconv/symmetric_identities.py"
+KNOWN_DISCREPANCIES = ("tests/test_catalog.py::TestKnownDiscrepancies",)
+SEED42_DIGESTS = ("tests/test_golden.py::test_check_digests[checks_seed42.json]",)
+NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes_the_fallback",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    # the printed power-family claims and their known-discrepancy routing
+    Mutant("pairsumsq-printed-row-set-to-oracle", CATALOG,
+           "    2: (22**2, (6, -6, 19)),", "    2: (22**2, (6, 6, -7)),", KNOWN_DISCREPANCIES),
+    Mutant("pairsumsq-oracle-row-perturbed", CATALOG,
+           "    4: (22**4 * 2, (-140, 151, -50)),", "    4: (22**4 * 2, (-140, 151, -49)),",
+           KNOWN_DISCREPANCIES),
+    Mutant("lemma-triple-changed", CATALOG,
+           "LEMMAS = {2: (22, (2, 3, 10)),", "LEMMAS = {2: (22, (3, 4, 11)),", SEED42_DIGESTS),
+    Mutant("claims-route-by-verdict-only", CATALOG,
+           "outcome.mismatches if printed and not check.ok else", "outcome.mismatches if not check.ok else",
+           KNOWN_DISCREPANCIES),
+    Mutant("claims-printed-rows-always-mismatches", CATALOG,
+           "outcome.mismatches if printed and not check.ok else", "outcome.mismatches if printed else",
+           KNOWN_DISCREPANCIES),
+    Mutant("s2-printed-scale-off-by-484", CATALOG,
+           "Fraction(242, 2**6 * 5 * 11**2 * 484 ** (n - 1))", "Fraction(242, 2**6 * 5 * 11**2 * 484 ** n)",
+           KNOWN_DISCREPANCIES),
+    # GT5's printed literal H, T1's 6x^5 and the fold's head comparison
+    Mutant("gt5-printed-h-11", CATALOG,
+           '5: {"A": -14, "C": 5, "D": 15, "E": 5, "H": 10},', '5: {"A": -14, "C": 5, "D": 15, "E": 5, "H": 11},',
+           SEED42_DIGESTS),
+    Mutant("t1-6x5-to-7x5", CONVOLUTION,
+           "_T1_POLY = (2, 6, 12, 0, 6, 6)", "_T1_POLY = (2, 6, 12, 0, 6, 7)",
+           ("tests/test_convolution.py::TestT1",)),
+    Mutant("fold-head-comparison-false", CATALOG,
+           "        if rhs == lhs_num[:head]:", "        if False:", NO_FALLBACK),
+    # the fold's block map, the printed constraints and the proofs under the folds
+    Mutant("block-factors-e2-changed", CATALOG,
+           '{"e2": (ALT, ONE), "e3": (NORM,)}', '{"e2": (("cof", 1), ONE), "e3": (NORM,)}', SEED42_DIGESTS),
+    Mutant("dependent-3-constant-plus-1", SYMMETRIC,
+           '"B": (6, {"D": -3})', '"B": (7, {"D": -3})', ("tests/test_symmetric.py",)),
+    Mutant("dependent-4-constant-plus-1", SYMMETRIC,
+           '"C": (4, {"E": -1, "G": -2, "H": -1})', '"C": (5, {"E": -1, "G": -2, "H": -1})',
+           ("tests/test_symmetric.py",)),
+    Mutant("dependent-5-constant-plus-1", SYMMETRIC,
+           '"E": (5, {"I": -1,', '"E": (6, {"I": -1,', ("tests/test_symmetric.py",)),
+    Mutant("grid-equations-last-row-dropped", SYMMETRIC,
+           "    return tuple(tuple(b) for _, b in basis)", "    return tuple(tuple(b) for _, b in basis[:-1])",
+           ("tests/test_symmetric.py::TestGridEquations",)),
+    Mutant("roots-within-always-true", CONVOLUTION,
+           "    return not any(power)", "    return True", ("tests/test_convolution.py::TestRootsWithin",)),
+    Mutant("roots-within-always-false", CONVOLUTION,
+           "    return not any(power)", "    return False", NO_FALLBACK),
+    Mutant("extend-coefficients-reversed", CONVOLUTION,
+           "sum(map(mul, neg_coeffs, out[n:n + d]))", "sum(map(mul, neg_coeffs[::-1], out[n:n + d]))",
+           ("tests/test_convolution.py::TestExtend",)),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                         cwd=tree, env=env, capture_output=True)
+    return run.returncode
+
+
+def _broken(mutant: Mutant) -> str | None:
+    """Why the row cannot be applied, or None."""
+    count = (ROOT / mutant.file).read_text().count(mutant.old)
+    return None if count == 1 else f"old text occurs {count} times in {mutant.file}"
+
+
+def main() -> int:
+    problems = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        selections = sorted({t for m in MUTANTS for t in m.tests})
+        if _pytest(clean, selections) != 0:
+            print("the selected tests fail on the unmutated tree; no mutant can be judged")
+            return 1
+        for index, mutant in enumerate(MUTANTS):
+            why = _broken(mutant)
+            if why is not None:
+                print(f"BROKEN    {mutant.name}: {why}")
+                problems += 1
+                continue
+            tree = Path(tmp) / f"mutant{index}"
+            _copy_tree(tree)
+            path = tree / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
+            start = time.perf_counter()
+            code = _pytest(tree, mutant.tests)
+            seconds = time.perf_counter() - start
+            # pytest exits 1 when tests ran and some failed; any other code
+            # (an error in collection, no test selected) shows nothing
+            if code == 1:
+                print(f"killed    {mutant.name} ({seconds:.1f} s)")
+            else:
+                print(f"SURVIVED  {mutant.name}: pytest exit {code} ({seconds:.1f} s)")
+                problems += 1
+            shutil.rmtree(tree)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
