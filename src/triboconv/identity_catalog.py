@@ -237,7 +237,7 @@ GENERIC = {3: {"D": 1}}
 
 
 def _row(kind: FamilyKind, n: int, store: dict) -> ScaledSeq:
-    """derive(PowerFamily(kind, n)), read from the run's integer rows of the family."""
+    """Row n of the family ``kind`` as ``derive`` gives it, read from the run's integer rows."""
     if kind not in store:
         # unbounded: the family's rows are stepped on only as far as they are read
         store[kind] = _scaled_powers(family_element(PowerFamily(kind, 1)), sys.maxsize), []
