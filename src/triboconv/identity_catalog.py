@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
@@ -118,7 +118,6 @@ class RangeSpec(NamedTuple):
 class RunContext(NamedTuple):
     ranges: dict[str, tuple[int, int]]
     rng: random.Random
-    params_override: object
     store: dict  # the run's fold factor rows and tables, shared by its entries
 
     def span(self, name: str) -> range:
@@ -318,7 +317,7 @@ def _shares_roots(fs: tuple, factors: dict, rec: tuple) -> bool:
 def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
     """The one evaluator of the r-fold identities: kind "GT" runs GT_r over
     (n, m), "pinned" its printed row at n = 1 over index n, and "family"
-    T_(r-1)."""
+    T_(r-1) at its printed point and at GENERIC's point or a seeded draw."""
     if kind == "GT":
         ns, ms = ctx.span("n"), ctx.span("m")
         checks = []
@@ -329,16 +328,13 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
     if kind == "pinned":
         return RunOutcome(checks=_fold_checks(r, 1, ms, "n", [("", PRINTED[r])], ctx.store))
     names = FREE[r]
-    points = ctx.params_override
-    if points is None:
-        printed = {k: PRINTED[r].get(k, 0) for k in names}
-        points = [printed, GENERIC.get(r) or {k: _draw_fraction(ctx.rng) for k in names}]
+    printed = {k: PRINTED[r].get(k, 0) for k in names}
+    points = [printed, GENERIC.get(r) or {k: _draw_fraction(ctx.rng) for k in names}]
     params_used, coeff_points = [], []
     for point in points:
-        vals = {k: Fraction(point[k]) for k in names}
-        params_used.append({k: str(v) for k, v in vals.items()})
+        params_used.append({k: str(v) for k, v in point.items()})
         tag = ",".join(f"{k}={v}" for k, v in params_used[-1].items())
-        coeff_points.append((tag + ",", coeffs(r, vals)))
+        coeff_points.append((tag + ",", coeffs(r, point)))
     return RunOutcome(checks=_fold_checks(r, 1, ms, "n", coeff_points, ctx.store), params_used=params_used)
 
 
@@ -429,16 +425,19 @@ PAIRSUMSQ_ORACLE: dict[int, tuple[int, tuple[int, int, int]]] = {
 def _s3_rows(ctx: RunContext) -> Iterator[tuple]:
     """The derived presentation against the oracle row, or past the table
     against its Binet sums, and the printed row against the derived one."""
+    step = family_element(PairSumSqPower(1))
+    element = step  # q_n, stepped in the field apart from the run's rows; S3's range starts at 1
     for n in ctx.span("n"):
         derived = _row(FamilyKind.PAIR_SUM_SQ_POWER, n, ctx.store)
         if n in PAIRSUMSQ_ORACLE:
             scale, triple = PAIRSUMSQ_ORACLE[n]
             yield f"n={n},oracle", derived, ScaledSeq(Fraction(scale), triple), False
         else:
-            yield f"n={n},binet", binet_check(derived, family_element(PairSumSqPower(n)), 30), True, False
+            yield f"n={n},binet", binet_check(derived, element, 30), True, False
         if n in PAIRSUMSQ_PRINTED:
             scale, triple = PAIRSUMSQ_PRINTED[n]
             yield f"n={n},printed", ScaledSeq(Fraction(scale), triple), derived, True
+        element *= step
 
 
 S3_NOTE = ("printed triples for n >= 2 fail the exact oracle (the printed triple/scale "
@@ -524,47 +523,11 @@ def identity_ids() -> list[str]:
     return sorted(REGISTRY)
 
 
-#: Identity id -> the names its params set, the free names of its fold.
-PARAMETERS = {"T2": FREE[3], "T3": FREE[4], "T4": FREE[5]}
-
-
-def _param_points(identity_id: str, params) -> list[dict]:
-    """params as one name-to-Fraction mapping per point: T2 takes bare D
-    values, T3 and T4 mappings that name every free parameter and no other;
-    each value is read by ``_param_value``."""
-    names = PARAMETERS.get(identity_id, ())
-    points = [p if len(names) > 1 else {names[0]: p} for p in params] if names else []
-    if not points:
-        problem = "params holds no parameter point" if names else "has no parameters to set by params"
-        raise CatalogError(f"{identity_id} {problem}")
-    form = "a mapping of" if len(names) > 1 else "a bare value of"
-    for point in points:
-        if not isinstance(point, Mapping) or any(isinstance(v, Mapping) for v in point.values()):
-            raise CatalogError(f"{identity_id} takes each params point as {form} {', '.join(names)}")
-        wrong = [f"point lacks parameter {k!r}" for k in names if k not in point]
-        wrong += [f"has no parameter {k!r}" for k in point if k not in names]
-        if wrong:
-            raise CatalogError(f"{identity_id} {wrong[0]}")
-    return [{k: _param_value(identity_id, k, v) for k, v in point.items()} for point in points]
-
-
-def _param_value(identity_id: str, name: str, value) -> Fraction:
-    """value as a Fraction: an int (not a bool), a Fraction, or a string of one."""
-    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise CatalogError(f"{identity_id} parameter {name!r} takes an int, a Fraction or a string "
-                       f"of one, not {value!r}")
-
-
 def verify(
     identity_id: str,
     *,
     nmax: int | None = None,
     mmax: int | None = None,
-    params=None,
     seed: int = DEFAULT_SEED,
     _store: dict | None = None,
 ) -> VerifyReport:
@@ -573,15 +536,12 @@ def verify(
     nmax/mmax override the upper end of the record's first/second index
     range; a negative upper end, or a bound for a range the record lacks,
     raises CatalogError.  An upper end below its range's start gives a
-    vacuous report: no runner is called.  params overrides the parameter
-    sample of T2, T3 or T4; ``_param_points`` says what raises CatalogError.
+    vacuous report: no runner is called.
     _store (private) holds the run's fold rows and tables; verify_all shares one.
     """
     record = REGISTRY.get(identity_id)
     if record is None:
         raise UnknownIdentity(f"no identity registered under id {identity_id!r}")
-    if params is not None:
-        params = _param_points(identity_id, params)
     if nmax is not None and not record.ranges:
         raise CatalogError(f"{identity_id} has no index range for nmax")
     if mmax is not None and len(record.ranges) < 2:
@@ -600,8 +560,7 @@ def verify(
                 f"{range_spec.name} <= {hi} exceeds the configured cap {DEFAULT_RANGE_CAP}"
             )
         ranges[range_spec.name] = (range_spec.lo, hi)
-    ctx = RunContext(ranges, random.Random(f"{seed}:{identity_id}"), params,
-                     {} if _store is None else _store)
+    ctx = RunContext(ranges, random.Random(f"{seed}:{identity_id}"), {} if _store is None else _store)
     empty = any(lo > hi for lo, hi in ranges.values())
     outcome = RunOutcome() if empty else record.runner(ctx)
     range_desc = ", ".join(f"{name}={lo}..{hi}" for name, (lo, hi) in ranges.items())

@@ -131,7 +131,9 @@ def normalize_integral(coeffs: tuple[int, int, int], d: int, sign: int) -> Scale
 
 
 def binet_check(scaled: ScaledSeq, q: FieldElement, k_max: int) -> bool:
-    """True iff T_k(triple) = scale * trace(x^k q) exactly for all k <= k_max."""
-    seq = scaled.sequence()
-    traces = egf_rational_terms(q, k_max + 1)
-    return all(seq.term(k) == scaled.scale * traces[k] for k in range(k_max + 1))
+    """True iff T_k(triple) = scale * trace(x^k q) exactly for all k <= k_max, compared on integers:
+    T_k(triple) * d * den == num * T_k(trace_triple(a)) for q = a / d and scale = num / den."""
+    coeffs, d = integral_coeffs(q)
+    num, den = scaled.scale.numerator, scaled.scale.denominator
+    traces = TriboSeq(*trace_triple(coeffs)).terms(k_max + 1)
+    return all(t * d * den == num * u for t, u in zip(scaled.sequence().terms(k_max + 1), traces))

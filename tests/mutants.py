@@ -76,6 +76,11 @@ MUTANTS = [
            '{"e2": (ALT, ONE), "e3": (NORM,)}', '{"e2": (("cof", 1), ONE), "e3": (NORM,)}', SEED42_DIGESTS),
     Mutant("dependent-3-constant-plus-1", SYMMETRIC,
            '"B": (6, {"D": -3})', '"B": (7, {"D": -3})', ("tests/test_symmetric.py",)),
+    # the same edit, seen first by a @given test: a failing Hypothesis test must
+    # report a failure (exit 1), not stop pytest with an internal error
+    Mutant("dependent-3-constant-plus-1-given-test", SYMMETRIC,
+           '"B": (6, {"D": -3})', '"B": (7, {"D": -3})',
+           ("tests/test_symmetric.py::TestGridEquations::test_basis_check_is_the_all_points_check",)),
     Mutant("dependent-4-constant-plus-1", SYMMETRIC,
            '"C": (4, {"E": -1, "G": -2, "H": -1})', '"C": (5, {"E": -1, "G": -2, "H": -1})',
            ("tests/test_symmetric.py",)),

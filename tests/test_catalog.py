@@ -26,7 +26,7 @@ from triboconv.identity_catalog import (
     verify,
     verify_all,
 )
-from triboconv.symmetric_identities import TERMS
+from triboconv.symmetric_identities import DEPENDENT, TERMS, coeffs
 
 
 class TestSingleIdentities:
@@ -60,11 +60,6 @@ class TestSingleIdentities:
     def test_t2_default_parameter_sample(self):
         report = verify("T2", nmax=25)
         assert report.params == [{"D": "0"}, {"D": "1"}]
-        assert report.status == "pass"
-
-    def test_t2_parameter_override(self):
-        report = verify("T2", nmax=20, params=[F(0), F(5, 3)])
-        assert report.params == [{"D": "0"}, {"D": "5/3"}]
         assert report.status == "pass"
 
     def test_t3_runs_remark_and_generic_point(self):
@@ -334,15 +329,36 @@ class TestSharedAnnihilator:
                 json.loads(_digest_doc(42, {identity: nmax}))[identity], bool(extended))
 
 
-class TestT2Linearity:
-    def test_rhs_d_coefficient_vanishes(self):
-        # the identity holds at two distinct D values; since the right side
-        # is affine in D, its D-coefficient must vanish termwise, certifying
-        # the full one-parameter family
-        a = verify("T2", nmax=60, params=[F(2)])
-        b = verify("T2", nmax=60, params=[F(5)])
-        for ca, cb in zip(a.checks, b.checks):
-            assert ca.rhs == cb.rhs
+class TestFamilyPoints:
+    """T2..T4 at points other than their default ones, through the fold
+    evaluator.  The right side is affine in the free parameters, so passing
+    at two D values certifies the whole one-parameter family T2."""
+
+    POINTS = [
+        (3, {"D": F(0)}),
+        (3, {"D": F(5, 3)}),
+        (3, {"D": F(2)}),
+        (3, {"D": F(5)}),
+        (4, {"D": F(-1, 2), "E": F(2, 3), "G": F(7), "H": F(5)}),
+        (5, {"D": F(-2), "I": F(1, 3), "L": F(0), "N": F(7, 2), "P": F(-1), "Q": F(2, 5), "R": F(4),
+             "S": F(-3, 4)}),
+    ]
+
+    @staticmethod
+    def _checks(r, cs):
+        return identity_catalog._fold_checks(r, 1, range(61), "n", [("", cs)], {})
+
+    @pytest.mark.parametrize("r,point", POINTS,
+                             ids=[f"T{r - 1}-" + ",".join(f"{k}={v}" for k, v in p.items()) for r, p in POINTS])
+    def test_every_check_passes(self, r, point):
+        checks = self._checks(r, coeffs(r, point))
+        assert len(checks) == 61 and all(c.ok for c in checks)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_a_dependent_coefficient_plus_one_fails(self, r):
+        cs = coeffs(r, {})
+        cs[next(iter(DEPENDENT[r]))] += 1
+        assert not any(c.ok for c in self._checks(r, cs))
 
 
 #: Every identity whose first range starts above 0, so that an nmax of

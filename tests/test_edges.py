@@ -1,11 +1,9 @@
 """Edge inputs (negative ranges, an nmax or mmax with no range to bound,
-params with no parameter to set, counts and symcheck arguments above their
-caps, unwritable output paths, huge integers) and the agreement of the
-identities read from one fold table."""
+counts and symcheck arguments above their caps, unwritable output paths,
+huge integers) and the agreement of the identities read from one fold
+table."""
 
 import json
-import re
-from fractions import Fraction as F
 
 import pytest
 
@@ -46,48 +44,6 @@ class TestNmaxWithoutRange:
     def test_cli_nmax_is_usage_error(self, capsys):
         assert main(["verify", "L-CONST", "--nmax", "3"]) == 2
         assert capsys.readouterr() == ("", "error: L-CONST has no index range for nmax\n")
-
-
-class TestParamsOverride:
-    @pytest.mark.parametrize("identity", ["P1", "GT2", "T2R", "L2"])
-    def test_record_without_parameters_rejects_params(self, identity):
-        with pytest.raises(CatalogError, match=f"^{identity} has no parameters to set by params$"):
-            verify(identity, params=[5])
-
-    @pytest.mark.parametrize("identity", ["T2", "T3", "T4"])
-    def test_empty_params_is_rejected(self, identity):
-        with pytest.raises(CatalogError, match=f"^{identity} params holds no parameter point$"):
-            verify(identity, nmax=5, params=[])
-
-    def test_point_lacking_a_free_name_is_rejected(self):
-        with pytest.raises(CatalogError, match=r"^T3 point lacks parameter 'E'$"):
-            verify("T3", nmax=5, params=[{"D": 1, "G": 0, "H": 0}])
-
-    def test_t2_mapping_is_rejected(self):
-        with pytest.raises(CatalogError, match="^T2 takes each params point as a bare value of D$"):
-            verify("T2", nmax=5, params=[{"D": 1}])
-
-    def test_unknown_name_is_rejected(self):
-        with pytest.raises(CatalogError, match=r"^T3 has no parameter 'Z'$"):
-            verify("T3", nmax=5, params=[{"D": 3, "E": 0, "G": 0, "H": 0, "Z": 9}])
-
-    @pytest.mark.parametrize("value", ["abc", None, "1/0", float("nan"), 0.1, True],
-                             ids=["word", "none", "zero-denominator", "nan", "float", "bool"])
-    @pytest.mark.parametrize("identity", ["T2", "T3"])
-    def test_value_that_is_no_exact_rational_is_rejected(self, identity, value):
-        point = value if identity == "T2" else {"D": value, "E": 0, "G": 0, "H": 0}
-        message = f"{identity} parameter 'D' takes an int, a Fraction or a string of one, not {value!r}"
-        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
-            verify(identity, nmax=5, params=[point])
-
-    def test_int_fraction_and_string_values_are_read_exactly(self):
-        report = verify("T3", nmax=5, params=[{"D": "-3/6", "E": F(2, 3), "G": 7, "H": " 5 "}])
-        assert report.params == [{"D": "-1/2", "E": "2/3", "G": "7", "H": "5"}]
-        assert report.status == "pass"
-
-    def test_parameters_lists_exactly_the_records_that_sample_points(self):
-        sampled = {r.id: tuple(r.params[0]) for r in identity_catalog.verify_all().reports if r.params}
-        assert sampled == identity_catalog.PARAMETERS
 
 
 class TestUnwritableOut:

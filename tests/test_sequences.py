@@ -125,3 +125,8 @@ class TestBinetCheck:
 
     def test_perturbed_triple_fails(self):
         assert not binet_check(ScaledSeq(F(22), (2, 3, 11)), c_element() ** 2, 20)
+
+    def test_non_integral_scale(self):
+        # trace(x^k * 3c^2) = 3 T_k(2, 3, 10) / 22, so the scale is 22/3
+        assert binet_check(ScaledSeq(F(22, 3), (2, 3, 10)), 3 * c_element() ** 2, 20)
+        assert not binet_check(ScaledSeq(F(22, 3), (2, 3, 10)), c_element() ** 2, 20)
