@@ -33,6 +33,9 @@ CLI_SHA256 = {
     "derive_cpower_47_replicate.json": ["derive", "cpower", "47", "--replicate-paper", "--format", "json"],
     "derive_cofactor_45_replicate.json": ["derive", "cofactor", "45", "--replicate-paper", "--format", "json"],
     "derive_pairsumsq_46_replicate.json": ["derive", "pairsumsq", "46", "--replicate-paper", "--format", "json"],
+    "derive_cpower_2000_replicate.json": ["derive", "cpower", "2000", "--replicate-paper", "--format", "json"],
+    "derive_cofactor_2000_replicate.json": ["derive", "cofactor", "2000", "--replicate-paper", "--format", "json"],
+    "derive_pairsumsq_2000_replicate.json": ["derive", "pairsumsq", "2000", "--replicate-paper", "--format", "json"],
     "symcheck_seed0_draws100_grid12.json": ["symcheck", "--seed", "0", "--draws", "100", "--grid", "12", "--format", "json"],
     "symcheck_seed0_draws2000_grid12.json": ["symcheck", "--seed", "0", "--draws", "2000", "--grid", "12", "--format", "json"],
 }
