@@ -9,7 +9,11 @@ print per-family recursions for the initial triples and scales; those are
 replicated verbatim, in one replay per table (``replicate_paper_table``,
 ``derive_paper_recursive``), and compared against the direct path, because
 printed helper formulas of this kind are exactly where typographical slips
-hide.  A mismatch flags the printed recursion, never the direct path.
+hide.  A mismatch flags the printed recursion, never the direct path.  Each
+printed step is evaluated on integers: its printed numerators and
+denominators as written, multiplied out to one integer vector proportional
+to (1, M, N) and reduced by one gcd, with a ZeroDivisionError at each
+printed denominator that vanishes; only the scale stays a Fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import NamedTuple
 
 from .field import (
@@ -164,49 +168,69 @@ def _eventually_positive(triple: tuple[int, int, int]) -> bool:
     return norm_coeffs(coeffs_from_traces_22(triple)) > 0
 
 
-def _signed_triple(m: Fraction, n_ratio: Fraction) -> tuple[int, int, int]:
-    """Triple (s0, M*s0, N*s0) with |s0| = lcm of the reduced denominators
-    and the sign chosen so the sequence is eventually positive."""
-    s0 = lcm(m.denominator, n_ratio.denominator)
-    candidate = (s0, int(m * s0), int(n_ratio * s0))
+def _signed_triple(v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The triple of a printed step from v, an integer vector proportional
+    to (1, M, N) with v[0] != 0.
+
+    v divided by the gcd of its entries is, up to sign, (s0, M*s0, N*s0)
+    with s0 the lcm of the reduced denominators of M and N.  The sign is
+    the one that makes the sequence eventually positive, read from an
+    integer norm; the norm is odd, norm(-t) = -norm(t), so that rule alone
+    fixes it, whatever the sign of v[0]."""
+    g = gcd(*v)
+    candidate = (v[0] // g, v[1] // g, v[2] // g)
     if not _eventually_positive(candidate):
-        candidate = tuple(-v for v in candidate)
+        candidate = (-candidate[0], -candidate[1], -candidate[2])
     return candidate
 
 
+def _printed_denominator(value: int, text: str) -> int:
+    """value, a denominator of the printed recursion, which must not vanish."""
+    if value == 0:
+        raise ZeroDivisionError(f"{text} = 0")
+    return value
+
+
+# Each printed step keeps the printed numerators and denominators and
+# scales (1, M, N) by its denominators to an integer vector; its one gcd
+# replaces the Fractions' reductions.  The denominators are tested in the
+# order the printed formulas divide by them.
+
 def _step_cpower(s: tuple[int, int, int], a: Fraction):
-    s0, s1, s2 = (Fraction(v) for v in s)
-    denom = 5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1
-    b = (2 * s2 * s1 + 5 * s1 * s0 + s1 * s1) / denom
+    s0, s1, s2 = s
+    denom = _printed_denominator(5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1, "5*s2*s1 - 4*s1*s0 - 3*s1^2")
+    b_num = 2 * s2 * s1 + 5 * s1 * s0 + s1 * s1
     d = 9 * s2 * s2 * s1 + 6 * s2 * s1 * s0 + 18 * s2 * s1 * s1 - 2 * s1 * s1 * s0 - 7 * s1**3
-    c = d / ((3 * s2 - s1) * denom)
-    triple = _signed_triple(b, c)
-    a_new = (a / s1) * (3 * triple[2] - 2 * triple[1] - triple[0])
+    e = _printed_denominator(3 * s2 - s1, "3*s2 - s1")
+    # M = b_num / denom, N = d / (e * denom)
+    triple = _signed_triple((e * denom, b_num * e, d))
+    a_new = a * Fraction(3 * triple[2] - 2 * triple[1] - triple[0], s1)
     return triple, a_new
 
 
 def _step_cofactor(s: tuple[int, int, int], a: Fraction):
-    s0, s1, s2 = (Fraction(v) for v in s)
+    s0, s1, s2 = s
     ah = 10 * s2 - 10 * s1 - 2 * s0
     bh = -6 * s2 + 6 * s1 - 12 * s0
     ch = -8 * s2 + 8 * s1 + 6 * s0
     dh = -6 * s2 + 14 * s1 - 2 * s0
     eh = 8 * s2 - 26 * s1 + 10 * s0
     fh = 18 * s2 - 20 * s1 - 16 * s0
-    m = (fh * ah - ch * dh) / (bh * dh - ah * eh)
-    n_ratio = (-1 / ah) * (bh * m + ch)
-    triple = _signed_triple(m, n_ratio)
-    a_new = a / (s2 - s1 - s0) * (-8 * triple[2] + 18 * triple[1] + 2 * triple[0])
+    p = fh * ah - ch * dh
+    q = _printed_denominator(bh * dh - ah * eh, "bh*dh - ah*eh")
+    _printed_denominator(ah, "ah")
+    # M = p / q, N = -(bh * M + ch) / ah; the scale's s2 - s1 - s0 divides q
+    triple = _signed_triple((ah * q, ah * p, -(bh * p + ch * q)))
+    a_new = a * Fraction(-8 * triple[2] + 18 * triple[1] + 2 * triple[0], s2 - s1 - s0)
     return triple, a_new
 
 
 def _step_pairsumsq(s: tuple[int, int, int], a: Fraction):
-    s0, s1, s2 = (Fraction(v) for v in s)
-    denom = s2 - 4 * s1 + 3 * s0
-    m = (3 * s2 - 4 * s1 - s0) / denom
-    n_ratio = (-7 * s2 + 10 * s1 + 5 * s0) / denom
-    triple = _signed_triple(m, n_ratio)
-    a_new = 44 * a * triple[0] / denom
+    s0, s1, s2 = s
+    denom = _printed_denominator(s2 - 4 * s1 + 3 * s0, "s2 - 4*s1 + 3*s0")
+    # M = (3*s2 - 4*s1 - s0) / denom, N = (-7*s2 + 10*s1 + 5*s0) / denom
+    triple = _signed_triple((denom, 3 * s2 - 4 * s1 - s0, -7 * s2 + 10 * s1 + 5 * s0))
+    a_new = a * Fraction(44 * triple[0], denom)
     return triple, a_new
 
 

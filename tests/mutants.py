@@ -31,9 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CATALOG = "src/triboconv/identity_catalog.py"
 CONVOLUTION = "src/triboconv/convolution.py"
 SYMMETRIC = "src/triboconv/symmetric_identities.py"
+DERIVATION = "src/triboconv/derivation.py"
 KNOWN_DISCREPANCIES = ("tests/test_catalog.py::TestKnownDiscrepancies",)
 SEED42_DIGESTS = ("tests/test_golden.py::test_check_digests[checks_seed42.json]",)
 NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes_the_fallback",)
+INTEGER_STEPS = ("tests/test_derivation.py::TestIntegerSteps",)
 
 
 class Mutant(NamedTuple):
@@ -96,6 +98,17 @@ MUTANTS = [
     Mutant("extend-coefficients-reversed", CONVOLUTION,
            "sum(map(mul, neg_coeffs, out[n:n + d]))", "sum(map(mul, neg_coeffs[::-1], out[n:n + d]))",
            ("tests/test_convolution.py::TestExtend",)),
+    # the integer steps of the printed triple/scale recursions
+    Mutant("signed-triple-gcd-division-dropped", DERIVATION,
+           "    g = gcd(*v)", "    g = 1", INTEGER_STEPS),
+    Mutant("signed-triple-sign-flip-never", DERIVATION,
+           "    if not _eventually_positive(candidate):", "    if False:", INTEGER_STEPS),
+    Mutant("cpower-denominator-check-dropped", DERIVATION,
+           'denom = _printed_denominator(5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1, "5*s2*s1 - 4*s1*s0 - 3*s1^2")',
+           "denom = 5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1", INTEGER_STEPS),
+    Mutant("pairsumsq-printed-n-numerator-changed", DERIVATION,
+           "-7 * s2 + 10 * s1 + 5 * s0))", "-7 * s2 + 10 * s1 + 4 * s0))",
+           ("tests/test_derivation.py::TestPaperRecursion::test_pairsumsq_replicates_full_printed_table",)),
 ]
 
 

@@ -3,14 +3,16 @@ multinomial convolution tables of ``triboconv.convolution``, and a plain
 recurrence, the oracle for their extension by an annihilator; the sides of
 P1, P2, T1 and GF by the schoolbook product, oracles for the series
 division that builds them; the norm by Newton's identities, an oracle
-for ``triboconv.field.norm``; and the symmetric families' coefficients by
+for ``triboconv.field.norm``; the printed triple/scale recursions in
+Fraction arithmetic, oracles for the integer steps of
+``triboconv.derivation``; and the symmetric families' coefficients by
 Fraction arithmetic and grid rows at every point, oracles for
 ``triboconv.symmetric_identities``."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator, Sequence
 
 from triboconv.convolution import (
@@ -21,6 +23,7 @@ from triboconv.convolution import (
     series_reciprocal,
     series_T,
 )
+from triboconv.derivation import FamilyKind, _eventually_positive
 from triboconv.field import trace
 from triboconv.symmetric_identities import DEPENDENT, FREE, TERMS, _blocks
 
@@ -120,6 +123,66 @@ def norm_by_newton(q):
     q2 = q * q
     t1, t2, t3 = trace(q), trace(q2), trace(q2 * q)
     return (t1**3 - 3 * t1 * t2 + 2 * t3) / 6
+
+
+# -- the printed triple/scale recursions in Fraction arithmetic -------------
+#
+# Each printed ratio is a Fraction and the triple is scaled by the lcm of
+# the reduced denominators, independently of the integer vector and gcd of
+# ``derivation``'s steps; the sign rule is the library's.
+
+def _signed_triple(m: Fraction, n_ratio: Fraction) -> tuple[int, int, int]:
+    """Triple (s0, M*s0, N*s0) with |s0| = lcm of the reduced denominators
+    and the sign chosen so the sequence is eventually positive."""
+    s0 = lcm(m.denominator, n_ratio.denominator)
+    candidate = (s0, int(m * s0), int(n_ratio * s0))
+    if not _eventually_positive(candidate):
+        candidate = tuple(-v for v in candidate)
+    return candidate
+
+
+def _step_cpower(s: tuple[int, int, int], a: Fraction):
+    s0, s1, s2 = (Fraction(v) for v in s)
+    denom = 5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1
+    b = (2 * s2 * s1 + 5 * s1 * s0 + s1 * s1) / denom
+    d = 9 * s2 * s2 * s1 + 6 * s2 * s1 * s0 + 18 * s2 * s1 * s1 - 2 * s1 * s1 * s0 - 7 * s1**3
+    c = d / ((3 * s2 - s1) * denom)
+    triple = _signed_triple(b, c)
+    a_new = (a / s1) * (3 * triple[2] - 2 * triple[1] - triple[0])
+    return triple, a_new
+
+
+def _step_cofactor(s: tuple[int, int, int], a: Fraction):
+    s0, s1, s2 = (Fraction(v) for v in s)
+    ah = 10 * s2 - 10 * s1 - 2 * s0
+    bh = -6 * s2 + 6 * s1 - 12 * s0
+    ch = -8 * s2 + 8 * s1 + 6 * s0
+    dh = -6 * s2 + 14 * s1 - 2 * s0
+    eh = 8 * s2 - 26 * s1 + 10 * s0
+    fh = 18 * s2 - 20 * s1 - 16 * s0
+    m = (fh * ah - ch * dh) / (bh * dh - ah * eh)
+    n_ratio = (-1 / ah) * (bh * m + ch)
+    triple = _signed_triple(m, n_ratio)
+    a_new = a / (s2 - s1 - s0) * (-8 * triple[2] + 18 * triple[1] + 2 * triple[0])
+    return triple, a_new
+
+
+def _step_pairsumsq(s: tuple[int, int, int], a: Fraction):
+    s0, s1, s2 = (Fraction(v) for v in s)
+    denom = s2 - 4 * s1 + 3 * s0
+    m = (3 * s2 - 4 * s1 - s0) / denom
+    n_ratio = (-7 * s2 + 10 * s1 + 5 * s0) / denom
+    triple = _signed_triple(m, n_ratio)
+    a_new = 44 * a * triple[0] / denom
+    return triple, a_new
+
+
+#: family kind -> its printed step in Fraction arithmetic.
+FRACTION_STEPS = {
+    FamilyKind.CPOWER: _step_cpower,
+    FamilyKind.COFACTOR_POWER: _step_cofactor,
+    FamilyKind.PAIR_SUM_SQ_POWER: _step_pairsumsq,
+}
 
 
 # -- the symmetric families ------------------------------------------------

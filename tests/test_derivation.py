@@ -1,10 +1,13 @@
 """Power families: canonical tables, printed-recursion replication, conjecture."""
 
 import random
+import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import FRACTION_STEPS
 
 from triboconv import derivation
 from triboconv.derivation import (
@@ -214,6 +217,58 @@ class TestStreamedTables:
                 assert result.match and result.recursive == direct[n - 1] and result.note == ""
             else:
                 assert (result.recursive, result.match, result.note) == (None, False, note)
+
+
+def _step_outcome(step, triple, scale):
+    """step's (triple, scale), or ZeroDivisionError if a printed denominator
+    vanishes; the messages differ by design and are not compared."""
+    try:
+        return step(triple, scale)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+class TestIntegerSteps:
+    """The integer printed steps against their Fraction form in oracles.py."""
+
+    @pytest.mark.parametrize("kind", REPLICABLE)
+    def test_small_triples(self, kind):
+        step, oracle = derivation._STEPS[kind], FRACTION_STEPS[kind]
+        for triple in product(range(-6, 7), repeat=3):
+            for scale in (F(1), F(-22), F(7, 3)):
+                got = _step_outcome(step, triple, scale)
+                assert got == _step_outcome(oracle, triple, scale), (triple, scale)
+
+    @pytest.mark.parametrize("kind", REPLICABLE)
+    def test_replayed_rows(self, kind):
+        # every (triple, scale) the replay steps from, up to n = 400
+        step, oracle = derivation._STEPS[kind], FRACTION_STEPS[kind]
+        scale, triple = derive_table(kind, 1)[0]
+        for _ in range(2, 401):
+            want = oracle(triple, scale)
+            assert step(triple, scale) == want
+            triple, scale = want
+
+    # a triple whose first vanishing printed denominator, in the order the
+    # step divides, is the named one; (1, 0, 0) and (0, 1, 1) make both of
+    # their family's denominators vanish
+    @pytest.mark.parametrize("kind,triple,denominator", [
+        (FamilyKind.CPOWER, (2, -1, 1), "5*s2*s1 - 4*s1*s0 - 3*s1^2"),
+        (FamilyKind.CPOWER, (1, 0, 0), "5*s2*s1 - 4*s1*s0 - 3*s1^2"),
+        (FamilyKind.CPOWER, (0, 3, 1), "3*s2 - s1"),
+        (FamilyKind.COFACTOR_POWER, (1, 0, 1), "bh*dh - ah*eh"),
+        (FamilyKind.COFACTOR_POWER, (0, 1, 1), "bh*dh - ah*eh"),
+        (FamilyKind.COFACTOR_POWER, (5, 0, 1), "ah"),
+        (FamilyKind.PAIR_SUM_SQ_POWER, (1, 1, 1), "s2 - 4*s1 + 3*s0"),
+    ])
+    def test_vanishing_denominator(self, kind, triple, denominator):
+        step = derivation._STEPS[kind]
+        with pytest.raises(ZeroDivisionError, match=f"^{re.escape(denominator)} = 0$"):
+            step(triple, F(1))
+        with pytest.raises(ZeroDivisionError):
+            FRACTION_STEPS[kind](triple, F(1))
+        note = f"printed denominator vanished during replication: {denominator} = 0"
+        assert list(derivation._replay(step, ScaledSeq(F(1), triple), 6)) == [note] * 5
 
 
 class TestElementWithTraces:
