@@ -156,7 +156,7 @@ def _cmd_verify(args) -> int:
     )
     header = ["id", "status", "range", "params", "first_failure", "notes"]
     _render(args, doc, header, rows, lines)
-    return 0 if suite.verdict == "pass" else 1
+    return 0 if doc["summary"]["verdict"] == "pass" else 1
 
 
 # -- conjecture ----------------------------------------------------------------

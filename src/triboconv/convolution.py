@@ -22,7 +22,9 @@ O(n * D) multiplications; otherwise the schoolbook kernel runs alone.
 is a root of another, so that a sum of tables whose annihilators pass
 against a common polynomial L satisfies L's recurrence: it equals another
 such sequence everywhere once their first deg L terms agree, and can be
-extended by the recurrence from them otherwise.
+extended by the recurrence from them otherwise.  ``multiset_table`` keeps
+such tables by sorted factor tuple and builds each from the table of its
+factors but the last, so tables that share factors share sub-products.
 
 The series of P1, P2, T1 and GF multiply by T = x/(1 - x - x^2 - x^3)
 and by x/(1 + x^2 + 2x^3): a shift and a division by a short polynomial
@@ -139,6 +141,34 @@ def _binomial_kernel(seqs: Sequence, n_max: int) -> list:
     for s in seqs[1:]:
         acc = binomial_convolve(acc, _as_prefix(s, n_max + 1))
     return acc
+
+
+def multiset_table(tables: dict, factors: tuple, seqs: dict, length: int) -> list:
+    """At least ``length`` terms of the multinomial convolution of seqs[f]
+    for f in ``factors``, a sorted tuple of keys; tables holds every table
+    built so far, by its sorted tuple, and receives this one.
+
+    The convolution is commutative, so one table serves every order of its
+    factors.  It is the table of factors[:-1] convolved with the last
+    factor on its head, min(length, D) terms for D the degree of its
+    annihilator, and continued by the annihilator's recurrence; a stored
+    table of D or more terms is continued from its first D terms instead of
+    rebuilt.  A factor that declares no polynomial makes D unbounded.
+    """
+    table = tables.get(factors)
+    if table is not None and len(table) >= length:
+        return table
+    polys = [getattr(seqs[f], "charpoly", None) for f in factors]
+    rec = None if None in polys else _annihilator(tuple(sorted(polys)))
+    deg = length if rec is None else min(length, len(rec) - 1)
+    if table is None or len(table) < deg:
+        last = _as_prefix(seqs[factors[-1]], deg)
+        rest = factors[:-1]
+        table = binomial_convolve(multiset_table(tables, rest, seqs, deg), last) if rest else last
+    if len(table) < length:
+        table = _extend(table[:deg], rec, length - 1)
+    tables[factors] = table
+    return table
 
 
 def _extend(head: list, poly: tuple, n_max: int) -> list:
@@ -267,10 +297,12 @@ def series_divide(s: Sequence, a: Sequence) -> list:
         raise ZeroDivisionError("constant term is zero")
     if a[0] != 1:
         raise ValueError("constant term must be 1")
-    out = []
+    d = len(a) - 1
+    neg_coeffs = [-c for c in a[:0:-1]]  # -a_d, ..., -a_1, aligned with the window
+    out = [0] * d  # coefficient k sits at out[k + d]; the d zeros stand before the series
     for k in range(len(s)):
-        out.append(s[k] - sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)))
-    return out
+        out.append(s[k] + sum(map(mul, neg_coeffs, out[k:k + d])))
+    return out[d:]
 
 
 def series_reciprocal(a: Sequence, order: int) -> list:

@@ -120,13 +120,16 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return inverse(self) ** (-n)
-        result = ONE
+        if not n:
+            return ONE
         base = self
-        while n:
+        while not n & 1:  # up to the lowest set bit, which starts the result
+            base, n = base * base, n >> 1
+        result = base
+        while n := n >> 1:  # one square per higher bit, none past the top one
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
         return result
 
     def __eq__(self, other):

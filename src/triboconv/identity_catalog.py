@@ -27,7 +27,8 @@ from .convolution import (
     _annihilator,
     _extend,
     _roots_within,
-    multinomial_conv_prefix,
+    multinomial_conv_prefix,  # not called here; perfbench's tracer test wraps this binding
+    multiset_table,
     p1_sides,
     p2_sides,
     poly_times,
@@ -45,8 +46,8 @@ from .derivation import (
     derive,  # not called here; perfbench's tracer test wraps this binding
     family_element,
 )
-from .field import X, c_element, cofactor_element, norm, trace
-from .sequences import ScaledSeq, TriboSeq, binet_check, egf_rational_terms
+from .field import X, c_element, cofactor_element, integral_coeffs, mul_coeffs, norm, trace, trace_triple
+from .sequences import ScaledSeq, TriboSeq, binet_check
 from .symmetric_identities import FREE, TERMS, coeffs
 
 DEFAULT_RANGE_CAP = 2000
@@ -82,12 +83,15 @@ class Check(NamedTuple):
 
 class _Quotient:
     """num / den, shown as the reduced Fraction, which is formed only when
-    shown."""
+    shown; it equals an integer t exactly when num == t * den."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
         self.num, self.den = num, den
+
+    def __eq__(self, other):
+        return self.num == other * self.den if isinstance(other, int) else NotImplemented
 
     def __str__(self) -> str:
         return str(Fraction(self.num, self.den))
@@ -262,44 +266,46 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     name the terms."""
     count = ms[-1] + 1
     lhs_factors = (C1,) * r
-    terms = {k: tuple(f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]) for k in points[0][1]}
+    terms = {k: tuple(sorted((f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]), key=str))
+             for k in points[0][1]}
     needed = {f for fs in terms.values() for f in fs} | set(lhs_factors)
     factors = {f: _factor(f, n, store) for f in needed}
+    seqs = {f: seq for f, (seq, _) in factors.items()}
+    # the run's tables at family index n by sorted factor tuple, each built
+    # from the table of its factors but the last (multiset_table), and the
+    # products of their factors' scales
+    tables, scales = store.setdefault(n, ({}, {}))
+    for fs in terms.values():
+        if fs not in scales:
+            scales[fs] = prod(factors[f][1] for f in fs)
     # the left side's annihilator L; when it vanishes at every root of every
     # term's annihilator (see BLOCK_FACTORS), the term tables are built to
     # deg L terms only and each point's right side is settled there
-    rec = _annihilator((factors[C1][0].charpoly,) * r)
+    rec = _annihilator((seqs[C1].charpoly,) * r)
     head = len(rec) - 1
-    if count <= head or not all(_shares_roots(fs, factors, rec) for fs in terms.values()):
+    if count <= head or not all(_shares_roots(fs, seqs, rec) for fs in terms.values()):
         head = count
-
-    def term(fs, length):
-        # the convolution is commutative and term m reads terms 0..m only, so
-        # a table serves every order of fs and every count up to its length
-        key = tuple(sorted(fs, key=str)), n
-        if key not in store or len(store[key][0]) < length:
-            seqs = [factors[f][0] for f in key[0]]
-            table = seqs[0].prefix(length) if len(seqs) == 1 else multinomial_conv_prefix(seqs, length - 1)
-            store[key] = table, prod(factors[f][1] for f in fs)
-        return store[key]
-
-    lhs, lhs_scale = term(lhs_factors, count)
-    inv_lhs_scale = 1 / lhs_scale
-    tables = {k: term(fs, head) for k, fs in terms.items()}
+    lhs = multiset_table(tables, lhs_factors, seqs, count)
+    inv_lhs_scale = 1 / factors[C1][1] ** r
+    term_tables = {k: (multiset_table(tables, fs, seqs, head), scales[fs]) for k, fs in terms.items()}
     checks = []
     for prefix, cs in points:
-        weights = [(Fraction(c) / tables[k][1], tables[k][0]) for k, c in cs.items()]
+        weights = [(Fraction(c) / term_tables[k][1], term_tables[k][0]) for k, c in cs.items()]
         # both sides over one common denominator: the comparison is on integers
         common = lcm(inv_lhs_scale.denominator, *(w.denominator for w, _ in weights))
         lhs_weight = inv_lhs_scale.numerator * (common // inv_lhs_scale.denominator)
         rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
         lhs_num = [v * lhs_weight for v in lhs[:count]]
         rhs = [sum(w * table[m] for w, table in rhs_weights) for m in range(head)]
-        # both sides satisfy L, so heads that agree settle every m; a head
-        # that disagrees is extended to show each failing m
+        # both sides satisfy L, so heads that agree settle every m, and each
+        # check shows one value as both sides; a head that disagrees is
+        # extended to show each failing m
         if rhs == lhs_num[:head]:
-            rhs = lhs_num
-        elif head < count:
+            for m in ms:
+                shown = _Quotient(lhs_num[m], common)
+                checks.append(Check(f"{prefix}{index}={m}", True, shown, shown))
+            continue
+        if head < count:
             rhs = _extend(rhs, rec, count - 1)
         for m in ms:
             checks.append(Check(f"{prefix}{index}={m}", lhs_num[m] == rhs[m],
@@ -307,10 +313,10 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     return checks
 
 
-def _shares_roots(fs: tuple, factors: dict, rec: tuple) -> bool:
+def _shares_roots(fs: tuple, seqs: dict, rec: tuple) -> bool:
     """Whether rec vanishes at every root of the annihilator of the term with
     factors fs, so that rec's recurrence holds on the term's table."""
-    polys = [factors[f][0].charpoly for f in fs]
+    polys = [seqs[f].charpoly for f in fs]
     return None not in polys and _roots_within(_annihilator(tuple(sorted(polys))), rec)
 
 
@@ -367,15 +373,20 @@ LEMMAS = {2: (22, (2, 3, 10)), 3: (44, (3, 3, 5)), 4: (484, (2, 14, 21)), 5: (96
 
 
 def _lemma_rows(power: int, ctx: RunContext) -> Iterator[tuple]:
-    """The printed c^power against its derivation, then against its traces at every k."""
+    """The printed c^power against its derivation, then against its traces
+    at every k, on integers: with c^power = a / d and scale = num / den,
+    T_k(triple) = scale * trace(x^k c^power) exactly when
+    T_k(triple) * d * den == num * T_k(trace_triple(a))."""
     scale, triple = LEMMAS[power]
     printed = ScaledSeq(Fraction(scale), triple)
     yield "derivation", _row(FamilyKind.CPOWER, power, ctx.store), printed, False
     ks = ctx.span("k")
-    seq = printed.sequence()
-    traces = egf_rational_terms(family_element(CPower(power)), ks[-1] + 1)
+    a, d = integral_coeffs(family_element(CPower(power)))
+    num, den = printed.scale.numerator, printed.scale.denominator
+    terms = printed.sequence().terms(ks[-1] + 1)
+    traces = TriboSeq(*trace_triple(a)).terms(ks[-1] + 1)
     for k in ks:
-        yield f"k={k}", Fraction(seq.term(k)), printed.scale * traces[k], False
+        yield f"k={k}", terms[k], _Quotient(num * traces[k], d * den), False
 
 
 def _s1_rows(ctx: RunContext) -> Iterator[tuple]:
@@ -425,19 +436,20 @@ PAIRSUMSQ_ORACLE: dict[int, tuple[int, tuple[int, int, int]]] = {
 def _s3_rows(ctx: RunContext) -> Iterator[tuple]:
     """The derived presentation against the oracle row, or past the table
     against its Binet sums, and the printed row against the derived one."""
-    step = family_element(PairSumSqPower(1))
-    element = step  # q_n, stepped in the field apart from the run's rows; S3's range starts at 1
+    # q_n = power / denom on integers, stepped apart from the run's rows; S3's range starts at 1
+    step, d = integral_coeffs(family_element(PairSumSqPower(1)))
+    power, denom = step, d
     for n in ctx.span("n"):
         derived = _row(FamilyKind.PAIR_SUM_SQ_POWER, n, ctx.store)
         if n in PAIRSUMSQ_ORACLE:
             scale, triple = PAIRSUMSQ_ORACLE[n]
             yield f"n={n},oracle", derived, ScaledSeq(Fraction(scale), triple), False
         else:
-            yield f"n={n},binet", binet_check(derived, element, 30), True, False
+            yield f"n={n},binet", binet_check(derived, (power, denom), 30), True, False
         if n in PAIRSUMSQ_PRINTED:
             scale, triple = PAIRSUMSQ_PRINTED[n]
             yield f"n={n},printed", ScaledSeq(Fraction(scale), triple), derived, True
-        element *= step
+        power, denom = mul_coeffs(power, step), denom * d
 
 
 S3_NOTE = ("printed triples for n >= 2 fail the exact oracle (the printed triple/scale "
@@ -573,29 +585,40 @@ class SuiteReport(NamedTuple):
     reports: list[VerifyReport]
 
     def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "known-discrepancy": 0, "vacuous": 0}
-        for report in self.reports:
-            out[report.status] += 1
-        return out
+        return _tally(r.status for r in self.reports)
 
     @property
     def verdict(self) -> str:
-        return "pass" if self.counts()["fail"] == 0 else "fail"
+        return _verdict(self.counts())
 
     def to_dict(self) -> dict:
-        counts = self.counts()
+        """The report document; each entry's status is read once, and the
+        summary is counted from those."""
+        entries = [r.to_dict() for r in self.reports]
+        counts = _tally(e["status"] for e in entries)
         return {
             "config": {"seed": str(self.seed)},
-            "entries": [r.to_dict() for r in self.reports],
+            "entries": entries,
             "summary": {
                 "pass": str(counts["pass"]),
                 "fail": str(counts["fail"]),
                 "known_discrepancy": str(counts["known-discrepancy"]),
                 "vacuous": str(counts["vacuous"]),
                 "total": str(len(self.reports)),
-                "verdict": self.verdict,
+                "verdict": _verdict(counts),
             },
         }
+
+
+def _tally(statuses) -> dict[str, int]:
+    out = {"pass": 0, "fail": 0, "known-discrepancy": 0, "vacuous": 0}
+    for status in statuses:
+        out[status] += 1
+    return out
+
+
+def _verdict(counts: dict[str, int]) -> str:
+    return "pass" if counts["fail"] == 0 else "fail"
 
 
 def verify_all(seed: int = DEFAULT_SEED) -> SuiteReport:

@@ -130,10 +130,11 @@ def normalize_integral(coeffs: tuple[int, int, int], d: int, sign: int) -> Scale
     return ScaledSeq(Fraction(d, content), tuple(v // content for v in ints))
 
 
-def binet_check(scaled: ScaledSeq, q: FieldElement, k_max: int) -> bool:
+def binet_check(scaled: ScaledSeq, q: FieldElement | tuple, k_max: int) -> bool:
     """True iff T_k(triple) = scale * trace(x^k q) exactly for all k <= k_max, compared on integers:
-    T_k(triple) * d * den == num * T_k(trace_triple(a)) for q = a / d and scale = num / den."""
-    coeffs, d = integral_coeffs(q)
+    T_k(triple) * d * den == num * T_k(trace_triple(a)) for q = a / d and scale = num / den.
+    q is a field element or already the pair (a, d) of integer coefficients a and integer d != 0."""
+    coeffs, d = integral_coeffs(q) if isinstance(q, FieldElement) else q
     num, den = scaled.scale.numerator, scaled.scale.denominator
     traces = TriboSeq(*trace_triple(coeffs)).terms(k_max + 1)
     return all(t * d * den == num * u for t, u in zip(scaled.sequence().terms(k_max + 1), traces))

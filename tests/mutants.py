@@ -95,6 +95,16 @@ MUTANTS = [
            "    return not any(power)", "    return True", ("tests/test_convolution.py::TestRootsWithin",)),
     Mutant("roots-within-always-false", CONVOLUTION,
            "    return not any(power)", "    return False", NO_FALLBACK),
+    # the fold tables built from sub-products, the lemma rows on integers and
+    # the series division's window
+    Mutant("multiset-table-extended-from-its-whole-list", CONVOLUTION,
+           "table = _extend(table[:deg], rec, length - 1)", "table = _extend(table, rec, length - 1)",
+           ("tests/test_catalog.py::TestMultisetTables",)),
+    Mutant("lemma-cross-multiplication-without-d", CATALOG,
+           "_Quotient(num * traces[k], d * den)", "_Quotient(num * traces[k], den)", SEED42_DIGESTS),
+    Mutant("series-divide-window-off-by-one", CONVOLUTION,
+           "sum(map(mul, neg_coeffs, out[k:k + d]))", "sum(map(mul, neg_coeffs, out[k + 1:k + d + 1]))",
+           ("tests/test_convolution.py::TestSeriesDivide::test_equals_the_division_by_definition",)),
     Mutant("extend-coefficients-reversed", CONVOLUTION,
            "sum(map(mul, neg_coeffs, out[n:n + d]))", "sum(map(mul, neg_coeffs[::-1], out[n:n + d]))",
            ("tests/test_convolution.py::TestExtend",)),

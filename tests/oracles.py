@@ -1,6 +1,7 @@
 """Brute-force composition enumerators: small-n oracles for the plain and
 multinomial convolution tables of ``triboconv.convolution``, and a plain
-recurrence, the oracle for their extension by an annihilator; the sides of
+recurrence, the oracle for their extension by an annihilator; series
+division term by term from its definition; the sides of
 P1, P2, T1 and GF by the schoolbook product, oracles for the series
 division that builds them; the norm by Newton's identities, an oracle
 for ``triboconv.field.norm``; the printed triple/scale recursions in
@@ -74,6 +75,15 @@ def extend_by_recurrence(head: Sequence, poly: Sequence, n_max: int) -> list:
     while len(out) <= n_max:
         n = len(out) - d
         out.append(-sum(c * out[n + i] for i, c in enumerate(poly[:d]) if c != 0))
+    return out
+
+
+def series_divide_by_definition(s: Sequence, a: Sequence) -> list:
+    """s/a modulo x^len(s) for a[0] = 1, coefficient k solved from
+    coefficient k of a * out = s; oracle for convolution.series_divide."""
+    out = []
+    for k in range(len(s)):
+        out.append(s[k] - sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)))
     return out
 
 

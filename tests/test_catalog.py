@@ -2,13 +2,15 @@
 
 import json
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_golden import DIGESTS, GOLDEN, _digest_doc
 from triboconv import convolution, identity_catalog
-from triboconv.convolution import _annihilator, _as_prefix, _roots_within, multinomial_conv_prefix
+from triboconv.convolution import _annihilator, _roots_within, multinomial_conv_prefix, multiset_table
 from triboconv.derivation import SumCofactorSqConst, family_element
 from triboconv.field import X, c_element, norm, trace
 from triboconv.identity_catalog import (
@@ -270,7 +272,9 @@ class TestSharedAnnihilator:
     @pytest.mark.parametrize("config", ["verify_all", "checks_deep.json"])
     def test_no_fold_takes_the_fallback(self, monkeypatch, config):
         # every point passes on its deg L head, so no right side is extended,
-        # and no term table outgrows deg L; the left side's table spans the range
+        # and no term table outgrows the deg L of a fold that reads it, as a
+        # term or as a sub-product a term is built from; only the left sides,
+        # powers of C1, span the range
         calls, fold_checks = [], identity_catalog._fold_checks
 
         def recording_folds(r, n, ms, index, pts, store):
@@ -287,11 +291,13 @@ class TestSharedAnnihilator:
         assert calls and extended == []
         lengths = {}
         for r, n, pts, store in calls:
+            deg = len(self._rec(r)) - 1
             for k in pts[0][1]:
-                fs = tuple(f for b in TERMS[r][k] for f in BLOCK_FACTORS[b])
-                if fs != (C1,) * r:
-                    key = tuple(sorted(fs, key=str)), n
-                    lengths[key] = len(store[key][0]), len(self._rec(r)) - 1
+                fs = tuple(sorted((f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]), key=str))
+                for part in (fs[:j] for j in range(1, len(fs) + 1)):
+                    if set(part) != {C1}:
+                        bound = lengths.get((id(store), n, part), (0, 0))[1]
+                        lengths[id(store), n, part] = len(store[n][0][part]), max(bound, deg)
         assert lengths and all(length <= deg for length, deg in lengths.values())
 
     # the same counts, first failures and check digests as the per-term tables
@@ -327,6 +333,58 @@ class TestSharedAnnihilator:
         report = verify(identity, nmax=nmax, seed=42)
         return (sum(not c.ok for c in report.checks), report.first_failure.index,
                 json.loads(_digest_doc(42, {identity: nmax}))[identity], bool(extended))
+
+
+def _multisets():
+    """Every term's sorted factor tuple in TERMS[2..5], and the left sides."""
+    for r, terms in TERMS.items():
+        yield (C1,) * r
+        for blocks in terms.values():
+            yield tuple(sorted((f for b in blocks for f in BLOCK_FACTORS[b]), key=str))
+
+
+_ROWS: dict = {}  # the factor rows, shared by the tests of this module's tables
+
+
+def _seqs(n, fs):
+    return [identity_catalog._factor(f, n, _ROWS)[0] for f in fs]
+
+
+def _table_requests():
+    """(n, factors, length) for n = 1..3 and lengths deg - 1, deg and
+    deg + 40, deg the degree of the factors' annihilator."""
+    for n in (1, 2, 3):
+        for fs in dict.fromkeys(_multisets()):
+            deg = len(_annihilator(tuple(sorted(s.charpoly for s in _seqs(n, fs))))) - 1
+            for length in (deg - 1, deg, deg + 40):
+                yield n, fs, length
+
+
+TABLE_REQUESTS = list(_table_requests())
+
+
+class TestMultisetTables:
+    """A fold table is built from the run's table of its factors but the
+    last, on the head of its annihilator, so which tables a store holds,
+    and how long, depends on the order of the requests; their values must
+    not."""
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _expected(n, fs, length):
+        return multinomial_conv_prefix(_seqs(n, fs), length - 1)
+
+    @given(st.permutations(range(len(TABLE_REQUESTS))))
+    @settings(max_examples=12, deadline=None)
+    def test_any_order_gives_the_multinomial_convolution(self, order):
+        seqs = {n: {f: seq for fs in _multisets() for f, seq in zip(fs, _seqs(n, fs))} for n in (1, 2, 3)}
+        store = {n: {} for n in (1, 2, 3)}
+        for i in order:
+            n, fs, length = TABLE_REQUESTS[i]
+            table = multiset_table(store[n], fs, seqs[n], length)
+            assert table[:length] == self._expected(n, fs, length), (n, fs, length)
+        for n, fs, length in TABLE_REQUESTS:
+            assert store[n][fs][:length] == self._expected(n, fs, length), (n, fs, length)
 
 
 class TestFamilyPoints:
@@ -423,20 +481,25 @@ class TestSuite:
             assert rows(report.mismatches) == rows(alone.mismatches), report.id
 
     def test_each_run_builds_each_table_once(self, monkeypatch):
-        # once within a run, and again in the next: no table outlives its run
+        # a table's head is one binomial convolution with its last factor, made
+        # once within a run and again in the next: no table outlives its run
         built = []
 
-        def recording(seqs, n_max):
-            built.append((n_max, tuple(tuple(_as_prefix(s, n_max + 1)) for s in seqs)))
-            return conv(seqs, n_max)
+        def recording(f, g):
+            built.append((tuple(f), tuple(g)))
+            return conv(f, g)
 
-        conv = identity_catalog.multinomial_conv_prefix
-        monkeypatch.setattr(identity_catalog, "multinomial_conv_prefix", recording)
+        verify_all()  # the annihilators' own convolutions are cached past the run
+        conv = convolution.binomial_convolve
+        monkeypatch.setattr(convolution, "binomial_convolve", recording)
         verify_all()
         first = built[:]
         built.clear()
         verify_all()
         assert first and len(set(first)) == len(first) and built == first
+        # the heads share their sub-products, so a warm run stays within 5,000
+        # products (a table convolving all of its factors afresh needs 12,742)
+        assert sum(n * (n + 1) // 2 for n in (min(len(f), len(g)) for f, g in first)) <= 5000
 
     def test_no_plain_product_on_a_verify_path(self, monkeypatch):
         # P1, P2, T1 and GF divide by short polynomials in O(n); the O(n^2)

@@ -43,6 +43,7 @@ from oracles import (
     p2_sides_schoolbook,
     plain_conv_enum,
     series_check_derivatives_schoolbook,
+    series_divide_by_definition,
     t1_sides_schoolbook,
 )
 
@@ -343,6 +344,13 @@ class TestSeriesDivide:
     def test_product_with_the_divisor_gives_back_the_series(self, s, tail):
         a = [1, *tail]
         assert cauchy_convolve(series_divide(s, a), a + [0] * len(s)) == s
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=40), st.lists(st.integers(-9, 9), max_size=5))
+    @example([3, -4, 5], [])  # a = (1,): the series itself
+    @settings(max_examples=80)
+    def test_equals_the_division_by_definition(self, s, tail):
+        a = (1, *tail)
+        assert series_divide(s, a) == series_divide_by_definition(s, a)
 
     @given(st.lists(st.integers(-10**6, 10**6), max_size=30))
     @settings(max_examples=60)

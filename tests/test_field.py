@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from triboconv import field
 from triboconv.field import (
     ONE,
     REAL_ROOT_BRACKET,
@@ -19,6 +20,7 @@ from triboconv.field import (
     c_element,
     cofactor_element,
     inverse,
+    mul_coeffs,
     norm,
     sign_at_real_root,
     trace,
@@ -74,6 +76,31 @@ class TestAddMul:
     def test_scalar_multiplication(self):
         assert 2 * X == FieldElement(0, 2, 0)
         assert F(1, 3) * FieldElement(3, 6, 9) == FieldElement(1, 2, 3)
+
+
+class TestPower:
+    def test_equals_repeated_multiplication(self):
+        x, product = c_element(), ONE
+        for n in range(65):
+            assert x**n == product, n
+            product = product * x
+
+    def test_negative_power_is_the_inverse_power(self):
+        assert c_element() ** -3 == inverse(c_element()) ** 3
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 64, 65])
+    def test_one_product_per_square_and_per_set_bit_past_the_lowest(self, monkeypatch, n):
+        # no product with ONE, and no square past the top bit: n = 1 takes none
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mul_coeffs(a, b)
+
+        monkeypatch.setattr(field, "mul_coeffs", counting)
+        c_element() ** n
+        expected = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1
+        assert len(calls) == expected
 
 
 class TestInverse:

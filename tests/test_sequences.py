@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from triboconv.field import FieldElement, X, ZERO, ZeroAtRoot, c_element, cofactor_element, trace
+from triboconv.field import FieldElement, X, ZERO, ZeroAtRoot, c_element, cofactor_element, integral_coeffs, trace
 from triboconv.sequences import (
     ScaledSeq,
     TriboSeq,
@@ -125,6 +125,15 @@ class TestBinetCheck:
 
     def test_perturbed_triple_fails(self):
         assert not binet_check(ScaledSeq(F(22), (2, 3, 11)), c_element() ** 2, 20)
+
+    @given(nonzero_elements, st.integers(1, 5))
+    def test_integer_pair_agrees_with_the_element(self, q, scale):
+        # q = a / d on integers, with a and d multiplied by any common factor
+        coeffs, d = integral_coeffs(q)
+        scaled = normalize_egf(q)
+        for pair in ((coeffs, d), (tuple(scale * v for v in coeffs), scale * d)):
+            assert binet_check(scaled, pair, 20)
+            assert not binet_check(scaled._replace(scale=scaled.scale + 1), pair, 20)
 
     def test_non_integral_scale(self):
         # trace(x^k * 3c^2) = 3 T_k(2, 3, 10) / 22, so the scale is 22/3
