@@ -67,19 +67,16 @@ class WeightedSeq:
     def __init__(self, seq, base: int = 1):
         self.seq = seq
         self.base = base
+        # the source's polynomial with its roots scaled by base, or None when
+        # the source declares none or base is 0 (term 0 alone survives)
+        poly = getattr(seq, "charpoly", None)
+        self.charpoly: tuple | None = None
+        if poly is not None and base != 0:
+            d = len(poly) - 1
+            self.charpoly = tuple(c * base ** (d - i) for i, c in enumerate(poly))
 
     def term(self, k: int):
         return self.base**k * self.seq.term(k)
-
-    @property
-    def charpoly(self) -> tuple | None:
-        """The source's polynomial with its roots scaled by base, or None
-        when the source declares none or base is 0 (term 0 alone survives)."""
-        poly = getattr(self.seq, "charpoly", None)
-        if poly is None or self.base == 0:
-            return None
-        d = len(poly) - 1
-        return tuple(c * self.base ** (d - i) for i, c in enumerate(poly))
 
     def prefix(self, count: int) -> list:
         out = []

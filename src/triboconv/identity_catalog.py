@@ -97,6 +97,21 @@ class _Quotient:
         return str(Fraction(self.num, self.den))
 
 
+class _Settled:
+    """Index m of a settled fold point's left side, table()[m] * weight / common,
+    formed only when shown.  table() is the run's left-side table through the
+    range's end: the first read extends it there once, and later reads find it
+    extended."""
+
+    __slots__ = ("table", "weight", "common", "m")
+
+    def __init__(self, table: Callable[[], list], weight: int, common: int, m: int):
+        self.table, self.weight, self.common, self.m = table, weight, common, m
+
+    def __str__(self) -> str:
+        return str(Fraction(self.table()[self.m] * self.weight, self.common))
+
+
 def _check(index: str, lhs, rhs) -> Check:
     return Check(index, lhs == rhs, lhs, rhs)
 
@@ -222,8 +237,9 @@ NORM_SCALE = 44
 # this for each term's annihilator and combines the right side on the first
 # deg L terms only: both sides satisfy L, so a right side whose head equals
 # the left side's is equal everywhere, and only a head that disagrees is
-# extended by L.  If a term fails the test (a changed factor), every term
-# table is built in full.
+# extended by L.  The left side too is built to deg L terms; a settled
+# point's values are formed when read (_Settled).  If a term fails the test
+# (a changed factor), every table is built in full.
 #: block of the symmetric expansion -> its factors.
 BLOCK_FACTORS = {f"s{j}": ((j, j),) for j in range(1, 6)} | {"e2": (ALT, ONE), "e3": (NORM,)}
 
@@ -251,13 +267,17 @@ def _row(kind: FamilyKind, n: int, store: dict) -> ScaledSeq:
 
 
 def _factor(f: tuple, n: int, store: dict) -> tuple[WeightedSeq, Fraction]:
-    """Sequence (term k weighted by base^k) and scale of one factor at family index n."""
-    family, base = f
-    if family in ("one", "norm"):
-        return WeightedSeq(ConstantSeq(1), base), Fraction(NORM_SCALE**n if family == "norm" else 1)
-    kind, row = (FamilyKind.COFACTOR_POWER, n) if family == "cof" else (FamilyKind.CPOWER, family * n)
-    scaled = _row(kind, row, store)
-    return WeightedSeq(scaled.sequence(), base), scaled.scale
+    """Sequence (term k weighted by base^k) and scale of one factor at family
+    index n, made once per run and kept in its store under (f, n)."""
+    if (f, n) not in store:
+        family, base = f
+        if family in ("one", "norm"):
+            store[f, n] = WeightedSeq(ConstantSeq(1), base), Fraction(NORM_SCALE**n if family == "norm" else 1)
+        else:
+            kind, row = (FamilyKind.COFACTOR_POWER, n) if family == "cof" else (FamilyKind.CPOWER, family * n)
+            scaled = _row(kind, row, store)
+            store[f, n] = WeightedSeq(scaled.sequence(), base), scaled.scale
+    return store[f, n]
 
 
 def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> list[Check]:
@@ -285,7 +305,9 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     head = len(rec) - 1
     if count <= head or not all(_shares_roots(fs, seqs, rec) for fs in terms.values()):
         head = count
-    lhs = multiset_table(tables, lhs_factors, seqs, count)
+    # the left side to the range's end, built only when a point needs it
+    full_lhs = partial(multiset_table, tables, lhs_factors, seqs, count)
+    lhs = multiset_table(tables, lhs_factors, seqs, head)
     inv_lhs_scale = 1 / factors[C1][1] ** r
     term_tables = {k: (multiset_table(tables, fs, seqs, head), scales[fs]) for k, fs in terms.items()}
     checks = []
@@ -295,16 +317,17 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
         common = lcm(inv_lhs_scale.denominator, *(w.denominator for w, _ in weights))
         lhs_weight = inv_lhs_scale.numerator * (common // inv_lhs_scale.denominator)
         rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
-        lhs_num = [v * lhs_weight for v in lhs[:count]]
+        lhs_num = [v * lhs_weight for v in lhs[:head]]
         rhs = [sum(w * table[m] for w, table in rhs_weights) for m in range(head)]
         # both sides satisfy L, so heads that agree settle every m, and each
-        # check shows one value as both sides; a head that disagrees is
-        # extended to show each failing m
+        # check shows one value as both sides, formed when it is read; a head
+        # that disagrees is extended to show each failing m
         if rhs == lhs_num[:head]:
             for m in ms:
-                shown = _Quotient(lhs_num[m], common)
+                shown = _Settled(full_lhs, lhs_weight, common, m)
                 checks.append(Check(f"{prefix}{index}={m}", True, shown, shown))
             continue
+        lhs_num = [v * lhs_weight for v in full_lhs()[:count]]
         if head < count:
             rhs = _extend(rhs, rec, count - 1)
         for m in ms:
@@ -445,7 +468,9 @@ def _s3_rows(ctx: RunContext) -> Iterator[tuple]:
             scale, triple = PAIRSUMSQ_ORACLE[n]
             yield f"n={n},oracle", derived, ScaledSeq(Fraction(scale), triple), False
         else:
-            yield f"n={n},binet", binet_check(derived, (power, denom), 30), True, False
+            # T_k(triple) and scale * trace(x^k q_n) are both Tribonacci in k,
+            # so agreeing at k = 0..2 they agree at every k
+            yield f"n={n},binet", binet_check(derived, (power, denom), 2), True, False
         if n in PAIRSUMSQ_PRINTED:
             scale, triple = PAIRSUMSQ_PRINTED[n]
             yield f"n={n},printed", ScaledSeq(Fraction(scale), triple), derived, True

@@ -108,6 +108,15 @@ MUTANTS = [
     Mutant("extend-coefficients-reversed", CONVOLUTION,
            "sum(map(mul, neg_coeffs, out[n:n + d]))", "sum(map(mul, neg_coeffs[::-1], out[n:n + d]))",
            ("tests/test_convolution.py::TestExtend",)),
+    # a settled fold point's values, formed when read, and S3's stepped Binet element
+    Mutant("settled-value-reads-the-index-before", CATALOG,
+           "self.table()[self.m] * self.weight", "self.table()[self.m - 1] * self.weight", SEED42_DIGESTS),
+    Mutant("settled-value-without-its-weight", CATALOG,
+           "Fraction(self.table()[self.m] * self.weight, self.common)", "Fraction(self.table()[self.m], self.common)",
+           SEED42_DIGESTS),
+    Mutant("s3-stepped-denominator-not-times-d", CATALOG,
+           "power, denom = mul_coeffs(power, step), denom * d", "power, denom = mul_coeffs(power, step), denom",
+           ("tests/test_golden.py::test_check_digests[checks_claims.json]",)),
     # the integer steps of the printed triple/scale recursions
     Mutant("signed-triple-gcd-division-dropped", DERIVATION,
            "    g = gcd(*v)", "    g = 1", INTEGER_STEPS),

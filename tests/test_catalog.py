@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_golden import DIGESTS, GOLDEN, _digest_doc
+from test_golden import DIGESTS, GOLDEN, _digest_doc, _digest_entry
 from triboconv import convolution, identity_catalog
 from triboconv.convolution import _annihilator, _roots_within, multinomial_conv_prefix, multiset_table
 from triboconv.derivation import SumCofactorSqConst, family_element
@@ -333,6 +333,57 @@ class TestSharedAnnihilator:
         report = verify(identity, nmax=nmax, seed=42)
         return (sum(not c.ok for c in report.checks), report.first_failure.index,
                 json.loads(_digest_doc(42, {identity: nmax}))[identity], bool(extended))
+
+
+class TestSettledValues:
+    """A point settled on its deg L head builds its left side no further;
+    the value a check shows is formed when it is read, and the first read
+    extends the run's left-side table to the range's end, once."""
+
+    @staticmethod
+    def _count_extensions(monkeypatch) -> list:
+        """The (head length, polynomial degree, n_max) of each later table extension."""
+        extended, extend = [], convolution._extend
+
+        def counting(head, poly, n_max):
+            extended.append((len(head), len(poly) - 1, n_max))
+            return extend(head, poly, n_max)
+
+        monkeypatch.setattr(convolution, "_extend", counting)
+        return extended
+
+    def test_a_left_side_is_built_to_its_head_until_read(self):
+        store = {}
+        report = verify("GT5", nmax=4, mmax=2000, _store=store)
+        assert report.status == "pass" and len(report.checks) == 4 * 2001
+        assert all(len(store[n][0][(C1,) * 5]) <= 21 for n in (1, 2, 3, 4))
+        last = report.checks[-1]
+        assert last.index == "n=4,m=2000"
+        shown = last.lhs
+        assert len(store[4][0][(C1,) * 5]) == 2001
+        seq, scale = identity_catalog._factor(C1, 4, {})
+        assert shown == last.rhs == str(F(multinomial_conv_prefix([seq] * 5, 2000)[2000]) / scale**5)
+
+    def test_reading_every_value_extends_each_left_side_once(self, monkeypatch):
+        report = verify("T4", nmax=2000)
+        extended = self._count_extensions(monkeypatch)
+        shown = [(c.lhs, c.rhs) for c in report.checks]
+        # T4's two points share the one left side at n = 1
+        assert len(shown) == 2 * 2001 and len(extended) <= 1
+
+    def test_an_earlier_report_reads_its_own_values(self):
+        early = verify_all()
+        verify_all()
+        table = {r.id: _digest_entry(r) for r in early.reports}
+        assert json.dumps(table, indent=2, sort_keys=True) + "\n" == (GOLDEN / "checks_seed42.json").read_text()
+
+    def test_a_warm_run_extends_within_5000_products(self, monkeypatch):
+        verify_all()
+        extended = self._count_extensions(monkeypatch)
+        assert verify_all().verdict == "pass"
+        # each extension steps n_max + 1 - d times, d products a step; every
+        # left side built to the range's end needs 17,631
+        assert sum((n_max + 1 - d) * d for _, d, n_max in extended) <= 5000
 
 
 def _multisets():

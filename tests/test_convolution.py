@@ -157,6 +157,16 @@ class TestRecurrenceKernel:
         assert WeightedSeq(t, 0).charpoly is None
         assert WeightedSeq(_t(5), 2).charpoly is None
 
+    @pytest.mark.parametrize("base", range(-3, 4))
+    def test_polynomial_made_once_equals_the_scaled_roots(self, base):
+        # the attribute set at construction is the source's polynomial with
+        # its coefficient of x^i times base^(d - i), as each read once made it
+        for source in (TriboSeq.ordinary(), ConstantSeq(2), _t(5)):
+            poly = getattr(source, "charpoly", None)
+            expected = None if poly is None or base == 0 else tuple(
+                c * base ** (len(poly) - 1 - i) for i, c in enumerate(poly))
+            assert WeightedSeq(source, base).charpoly == expected
+
     def test_symmetric_square_of_tribonacci(self):
         # (x^3 - 2x^2 - 4x - 8)(x^3 - 2x^2 + 2): roots 2*alpha and 1 - alpha
         t = TriboSeq.charpoly

@@ -56,20 +56,24 @@ def _cli_bytes(tmp: Path, argv: list[str]) -> bytes:
     return out.read_bytes()
 
 
+def _digest_entry(report) -> dict:
+    """The counts and the sha256 of every check's index, verdict and both values."""
+    lines = "".join(
+        f"{c.index}\t{'true' if c.ok else 'false'}\t{c.lhs}\t{c.rhs}\n"
+        for c in report.checks + report.mismatches
+    )
+    return {
+        "checks": len(report.checks),
+        "mismatches": len(report.mismatches),
+        "sha256": hashlib.sha256(lines.encode()).hexdigest(),
+    }
+
+
 def _digest_doc(seed: int, ids) -> str:
     table = {}
     for identity, bounds in (ids or dict.fromkeys(identity_ids())).items():
         nmax, mmax = bounds if isinstance(bounds, tuple) else (bounds, None)
-        report = verify(identity, seed=seed, nmax=nmax, mmax=mmax)
-        lines = "".join(
-            f"{c.index}\t{'true' if c.ok else 'false'}\t{c.lhs}\t{c.rhs}\n"
-            for c in report.checks + report.mismatches
-        )
-        table[identity] = {
-            "checks": len(report.checks),
-            "mismatches": len(report.mismatches),
-            "sha256": hashlib.sha256(lines.encode()).hexdigest(),
-        }
+        table[identity] = _digest_entry(verify(identity, seed=seed, nmax=nmax, mmax=mmax))
     return json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
