@@ -178,7 +178,6 @@ def integral_coeffs(q: FieldElement) -> tuple[tuple[int, int, int], int]:
     return tuple(v.numerator * (d // v.denominator) for v in q.coeffs), d
 
 
-ZERO = FieldElement(0, 0, 0)
 ONE = FieldElement(1, 0, 0)
 X = FieldElement(0, 1, 0)
 

@@ -4,10 +4,11 @@ Each record evaluates its left and right side exactly (integers and
 Fractions only) at every index of a configured range.  Scaled-sequence
 identities are evaluated scale-free where possible: both sides reduce to
 exact rationals, so the verdict does not depend on a presentation
-convention.  Known-discrepancy records carry a printed claim that the
-exact oracle contradicts.  Their rule lives in ``_run_claims``, the one
-evaluator of the printed claims: report both evaluations, never fail on
-the printed side, fail if the oracle-corrected form breaks.
+convention.  There are two evaluators: ``_run_fold`` for the r-fold
+binomial convolutions, and ``_run_claims`` for every other identity, whose
+rows (index, lhs, rhs, printed) say that two exact values agree.  A printed
+row that the exact oracle contradicts is reported and never fails the
+run; a report with such a row is a known discrepancy, read from its rows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .derivation import (
     FamilyKind,
     PairSumSqPower,
     PowerFamily,
-    SumCofactorSqConst,
     _scaled_powers,
     derive,  # not called here; perfbench's tracer test wraps this binding
     family_element,
@@ -112,10 +112,6 @@ class _Settled:
         return str(Fraction(self.table()[self.m] * self.weight, self.common))
 
 
-def _check(index: str, lhs, rhs) -> Check:
-    return Check(index, lhs == rhs, lhs, rhs)
-
-
 class RunOutcome:
     """A runner's checks, mismatches, notes and parameter points; each list left out starts empty."""
 
@@ -156,7 +152,6 @@ class VerifyReport(NamedTuple):
     label: str
     range_desc: str
     params: list[dict[str, str]]
-    expectation: str
     checks: list[Check]
     mismatches: list[Check]
     notes: str
@@ -167,7 +162,7 @@ class VerifyReport(NamedTuple):
             return "vacuous"
         if any(not c.ok for c in self.checks):
             return "fail"
-        if self.expectation == "known-discrepancy" and any(not c.ok for c in self.mismatches):
+        if any(not c.ok for c in self.mismatches):
             return "known-discrepancy"
         return "pass"
 
@@ -193,21 +188,10 @@ class IdentityRecord(NamedTuple):
     label: str
     ranges: tuple[RangeSpec, ...]
     runner: Callable[[RunContext], RunOutcome]
-    expectation: str = "expected-pass"
 
 
 def _draw_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-
-
-# -- runners ---------------------------------------------------------------
-
-def _run_ogf(sides: Callable[[int], tuple[list, list]], ctx: RunContext) -> RunOutcome:
-    """The one evaluator of the generating-function identities (P1, P2,
-    T1): coefficient n of both sides for every n in the range."""
-    ns = ctx.span("n")
-    lhs, rhs = sides(ns[-1])
-    return RunOutcome(checks=[_check(f"n={n}", lhs[n], rhs[n]) for n in ns])
 
 
 # -- binomial convolutions of the c^n family ---------------------------------
@@ -292,12 +276,8 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     factors = {f: _factor(f, n, store) for f in needed}
     seqs = {f: seq for f, (seq, _) in factors.items()}
     # the run's tables at family index n by sorted factor tuple, each built
-    # from the table of its factors but the last (multiset_table), and the
-    # products of their factors' scales
-    tables, scales = store.setdefault(n, ({}, {}))
-    for fs in terms.values():
-        if fs not in scales:
-            scales[fs] = prod(factors[f][1] for f in fs)
+    # from the table of its factors but the last (multiset_table)
+    tables = store.setdefault(n, {})
     # the left side's annihilator L; when it vanishes at every root of every
     # term's annihilator (see BLOCK_FACTORS), the term tables are built to
     # deg L terms only and each point's right side is settled there
@@ -309,7 +289,8 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     full_lhs = partial(multiset_table, tables, lhs_factors, seqs, count)
     lhs = multiset_table(tables, lhs_factors, seqs, head)
     inv_lhs_scale = 1 / factors[C1][1] ** r
-    term_tables = {k: (multiset_table(tables, fs, seqs, head), scales[fs]) for k, fs in terms.items()}
+    term_tables = {k: (multiset_table(tables, fs, seqs, head), prod(factors[f][1] for f in fs))
+                   for k, fs in terms.items()}
     checks = []
     for prefix, cs in points:
         weights = [(Fraction(c) / term_tables[k][1], term_tables[k][0]) for k, c in cs.items()]
@@ -367,9 +348,11 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
     return RunOutcome(checks=_fold_checks(r, 1, ms, "n", coeff_points, ctx.store), params_used=params_used)
 
 
-# -- printed claims: L-CONST, the power families L2..L9 and S1..S3 -------------
-# A derived side is the run's row (_row); family_element is only ever the
-# independent side of a cross-check.
+# -- claims: every identity that is not a fold --------------------------------
+# P1, P2, T1 and GF compare series coefficients; L-CONST, the power families
+# L2..L9 and S1..S3 compare presentations.  A derived presentation is the
+# run's row (_row); family_element is only ever the independent side of a
+# cross-check.
 
 def _run_claims(rows: Callable, ctx: RunContext, note: str | None = None) -> RunOutcome:
     """Checks of the rows (index, lhs, rhs, printed) of rows(ctx), and the one
@@ -377,9 +360,29 @@ def _run_claims(rows: Callable, ctx: RunContext, note: str | None = None) -> Run
     mismatch, reported and never failed; every other row is a check."""
     outcome = RunOutcome(notes=[] if note is None else [note])
     for index, lhs, rhs, printed in rows(ctx):
-        check = _check(index, lhs, rhs)
+        check = Check(index, lhs == rhs, lhs, rhs)
         (outcome.mismatches if printed and not check.ok else outcome.checks).append(check)
     return outcome
+
+
+def _ogf_rows(sides: Callable[[int], tuple[list, list]], ctx: RunContext) -> Iterator[tuple]:
+    """Coefficient n of both generating-function sides (P1, P2, T1) for
+    every n in the range."""
+    ns = ctx.span("n")
+    lhs, rhs = sides(ns[-1])
+    for n in ns:
+        yield f"n={n}", lhs[n], rhs[n], False
+
+
+def _gf_rows(ctx: RunContext) -> Iterator[tuple]:
+    order = ctx.span("order")[-1]
+    t = series_T(order)
+    trib = TriboSeq.ordinary().terms(order + 1)
+    for k in range(order + 1):
+        yield f"coeff k={k}", t[k], trib[k], False
+    defining = poly_times(TRIBO_DENOM, t)
+    yield "defining-relation", defining == [0, 1] + [0] * (order - 1), True, False
+    yield "derivative-relations", series_check_derivatives(order), True, False
 
 
 def _constant_rows(ctx: RunContext) -> Iterator[tuple]:
@@ -420,12 +423,13 @@ def _s1_rows(ctx: RunContext) -> Iterator[tuple]:
 
 def _s2_rows(ctx: RunContext) -> Iterator[tuple]:
     """The corrected presentation against the derived one, and term 0 of the
-    printed one (242 over its scale) against trace(q_n): the printed term is
-    121/120 times the exact one for every n, so no later term is compared."""
+    printed one (242 over its scale) against the derived term 0, trace(q_n):
+    the printed term is 121/120 times the exact one for every n, so no later
+    term is compared."""
     for n in ctx.span("n"):
-        yield (f"n={n},corrected", _row(FamilyKind.SUM_COFACTOR_SQ_CONST, n, ctx.store),
-               ScaledSeq(Fraction(484) ** n, (3, 1, 3)), False)
-        yield (f"n={n},k=0,printed", trace(family_element(SumCofactorSqConst(n))),
+        derived = _row(FamilyKind.SUM_COFACTOR_SQ_CONST, n, ctx.store)
+        yield f"n={n},corrected", derived, ScaledSeq(Fraction(484) ** n, (3, 1, 3)), False
+        yield (f"n={n},k=0,printed", derived.triple[0] / derived.scale,
                Fraction(242, 2**6 * 5 * 11**2 * 484 ** (n - 1)), True)
 
 
@@ -483,32 +487,21 @@ S3_NOTE = ("printed triples for n >= 2 fail the exact oracle (the printed triple
            "oracle-corrected triples are verified above")
 
 
-def _run_gf(ctx: RunContext) -> RunOutcome:
-    order = ctx.span("order")[-1]
-    t = series_T(order)
-    trib = TriboSeq.ordinary().terms(order + 1)
-    checks = [_check(f"coeff k={k}", t[k], trib[k]) for k in range(order + 1)]
-    defining = poly_times(TRIBO_DENOM, t)
-    checks.append(_check("defining-relation", defining == [0, 1] + [0] * (order - 1), True))
-    checks.append(_check("derivative-relations", series_check_derivatives(order), True))
-    return RunOutcome(checks=checks)
-
-
 # -- registry ---------------------------------------------------------------
 
-def _rec(id, label, ranges, runner, expectation="expected-pass") -> IdentityRecord:
-    return IdentityRecord(id, label, tuple(RangeSpec(*r) for r in ranges), runner, expectation)
+def _rec(id, label, ranges, runner) -> IdentityRecord:
+    return IdentityRecord(id, label, tuple(RangeSpec(*r) for r in ranges), runner)
 
 
 REGISTRY: dict[str, IdentityRecord] = {
     r.id: r
     for r in [
         _rec("P1", "sum T_k(T_{n-k}+T_{n-k-2}+2T_{n-k-3}) = (n-2)T_{n-1} - T_{n-2}",
-             [("n", 3, 200)], partial(_run_ogf, p1_sides)),
+             [("n", 3, 200)], partial(_run_claims, partial(_ogf_rows, p1_sides))),
         _rec("P2", "sum T_k T_{n-k} as a weighted single sum (adopted reading of the "
-             "half-integer sign exponents)", [("n", 2, 100)], partial(_run_ogf, p2_sides)),
+             "half-integer sign exponents)", [("n", 2, 100)], partial(_run_claims, partial(_ogf_rows, p2_sides))),
         _rec("T1", "(n-1)(n-2)T_{n-1} = weighted triple plain convolutions at shifts "
-             "n-5, n-4, n-2, n-1, n", [("n", 5, 120)], partial(_run_ogf, t1_sides)),
+             "n-5, n-4, n-2, n-1, n", [("n", 5, 120)], partial(_run_claims, partial(_ogf_rows, t1_sides))),
         _rec("L-CONST", "root-coefficient constants: trace(c)=0, trace(xc)=1, "
              "trace(x^2 c)=1, norm(c)=1/44, trace(cofactor)=-1/22", [],
              partial(_run_claims, _constant_rows)),
@@ -547,11 +540,11 @@ REGISTRY: dict[str, IdentityRecord] = {
              "((-1/22)^n) T^(3,1,3)", [("n", 1, 8)], partial(_run_claims, _s1_rows)),
         _rec("S2", "(sum of squared pairwise products)^n sum-of-exponentials, printed "
              "scale 2^6*5*11^2*(22^2)^(n-1) with triple (242,82,245)",
-             [("n", 1, 6)], partial(_run_claims, _s2_rows, note=S2_NOTE), expectation="known-discrepancy"),
+             [("n", 1, 6)], partial(_run_claims, _s2_rows, note=S2_NOTE)),
         _rec("S3", "(c_j^2+c_k^2)^n per-root family against the printed table",
-             [("n", 1, 6)], partial(_run_claims, _s3_rows, note=S3_NOTE), expectation="known-discrepancy"),
+             [("n", 1, 6)], partial(_run_claims, _s3_rows, note=S3_NOTE)),
         _rec("GF", "ordinary generating function derivative identities for "
-             "T(x) = x/(1-x-x^2-x^3)", [("order", 40, 40)], _run_gf),
+             "T(x) = x/(1-x-x^2-x^3)", [("order", 40, 40)], partial(_run_claims, _gf_rows)),
     ]
 }
 
@@ -584,12 +577,8 @@ def verify(
     if mmax is not None and len(record.ranges) < 2:
         raise CatalogError(f"{identity_id} has no second index range for mmax")
     ranges: dict[str, tuple[int, int]] = {}
-    for pos, range_spec in enumerate(record.ranges):
-        hi = range_spec.hi
-        if pos == 0 and nmax is not None:
-            hi = nmax
-        if pos == 1 and mmax is not None:
-            hi = mmax
+    for range_spec, bound in zip(record.ranges, (nmax, mmax)):
+        hi = range_spec.hi if bound is None else bound
         if hi < 0:
             raise CatalogError(f"{range_spec.name} upper bound {hi} is negative")
         if hi > DEFAULT_RANGE_CAP:
@@ -601,7 +590,7 @@ def verify(
     empty = any(lo > hi for lo, hi in ranges.values())
     outcome = RunOutcome() if empty else record.runner(ctx)
     range_desc = ", ".join(f"{name}={lo}..{hi}" for name, (lo, hi) in ranges.items())
-    return VerifyReport(record.id, record.label, range_desc, outcome.params_used, record.expectation,
+    return VerifyReport(record.id, record.label, range_desc, outcome.params_used,
                         outcome.checks, outcome.mismatches, "; ".join(outcome.notes))
 
 

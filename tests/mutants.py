@@ -64,6 +64,13 @@ MUTANTS = [
     Mutant("s2-printed-scale-off-by-484", CATALOG,
            "Fraction(242, 2**6 * 5 * 11**2 * 484 ** (n - 1))", "Fraction(242, 2**6 * 5 * 11**2 * 484 ** n)",
            KNOWN_DISCREPANCIES),
+    Mutant("status-never-known-discrepancy", CATALOG,
+           "        if any(not c.ok for c in self.mismatches):", "        if False:", KNOWN_DISCREPANCIES),
+    Mutant("s2-printed-row-reads-the-second-entry", CATALOG,
+           "derived.triple[0] / derived.scale", "derived.triple[1] / derived.scale", SEED42_DIGESTS),
+    # the generating-function rows, read by the claims evaluator
+    Mutant("ogf-rows-read-the-right-side-one-early", CATALOG,
+           'yield f"n={n}", lhs[n], rhs[n], False', 'yield f"n={n}", lhs[n], rhs[n - 1], False', SEED42_DIGESTS),
     # GT5's printed literal H, T1's 6x^5 and the fold's head comparison
     Mutant("gt5-printed-h-11", CATALOG,
            '5: {"A": -14, "C": 5, "D": 15, "E": 5, "H": 10},', '5: {"A": -14, "C": 5, "D": 15, "E": 5, "H": 11},',

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 import pytest
@@ -22,8 +22,12 @@ from triboconv.identity_catalog import (
     PAIRSUMSQ_PRINTED,
     PRINTED,
     REGISTRY,
+    IdentityRecord,
+    RangeSpec,
     RangeTooLarge,
     UnknownIdentity,
+    _run_claims,
+    _run_fold,
     identity_ids,
     verify,
     verify_all,
@@ -32,6 +36,11 @@ from triboconv.symmetric_identities import DEPENDENT, TERMS, coeffs
 
 
 class TestSingleIdentities:
+    def test_two_evaluators_run_every_identity(self):
+        runners = [r.runner for r in REGISTRY.values()]
+        assert all(isinstance(runner, partial) for runner in runners)
+        assert {runner.func for runner in runners} == {_run_claims, _run_fold}
+
     def test_all_ids_registered(self):
         assert identity_ids() == sorted(
             [
@@ -107,6 +116,18 @@ class TestKnownDiscrepancies:
 
     def test_s3_note_explains_the_discrepancy(self):
         assert "printed triples" in verify("S3").notes
+
+    def test_the_status_is_read_from_the_rows(self, monkeypatch):
+        # no entry is tagged as a known discrepancy: one printed row that
+        # disagrees makes it one
+        def rows(ctx):
+            yield "n=0,printed", 1, 2, True
+
+        record = IdentityRecord("X", "one printed row", (RangeSpec("n", 0, 0),), partial(_run_claims, rows))
+        monkeypatch.setitem(REGISTRY, "X", record)
+        report = verify("X")
+        assert report.status == "known-discrepancy"
+        assert report.checks == [] and [c.index for c in report.mismatches] == ["n=0,printed"]
 
     # the rule "a printed row that disagrees is reported, never failed" is
     # the claims evaluator's routing; these change its data and watch it
@@ -297,7 +318,7 @@ class TestSharedAnnihilator:
                 for part in (fs[:j] for j in range(1, len(fs) + 1)):
                     if set(part) != {C1}:
                         bound = lengths.get((id(store), n, part), (0, 0))[1]
-                        lengths[id(store), n, part] = len(store[n][0][part]), max(bound, deg)
+                        lengths[id(store), n, part] = len(store[n][part]), max(bound, deg)
         assert lengths and all(length <= deg for length, deg in lengths.values())
 
     # the same counts, first failures and check digests as the per-term tables
@@ -356,11 +377,11 @@ class TestSettledValues:
         store = {}
         report = verify("GT5", nmax=4, mmax=2000, _store=store)
         assert report.status == "pass" and len(report.checks) == 4 * 2001
-        assert all(len(store[n][0][(C1,) * 5]) <= 21 for n in (1, 2, 3, 4))
+        assert all(len(store[n][(C1,) * 5]) <= 21 for n in (1, 2, 3, 4))
         last = report.checks[-1]
         assert last.index == "n=4,m=2000"
         shown = last.lhs
-        assert len(store[4][0][(C1,) * 5]) == 2001
+        assert len(store[4][(C1,) * 5]) == 2001
         seq, scale = identity_catalog._factor(C1, 4, {})
         assert shown == last.rhs == str(F(multinomial_conv_prefix([seq] * 5, 2000)[2000]) / scale**5)
 
@@ -496,6 +517,10 @@ class TestRangesAndErrors:
         assert report.params == []
         assert report.notes == ""
         assert report.first_failure is None
+
+    def test_nmax_and_mmax_bound_every_range(self):
+        # verify reads nmax and mmax as the bounds of the first and second range
+        assert max(len(r.ranges) for r in REGISTRY.values()) == 2
 
     def test_vacuous_cases_are_every_first_range_above_zero(self):
         above = [i for i, r in REGISTRY.items() if r.ranges and r.ranges[0].lo > 0]

@@ -125,7 +125,6 @@ class TestConstructors:
     def test_defaults(self):
         fam, scaled = CPower(1), _scaled()
         assert PrintedRecursionResult(fam, scaled, None, False).note == ""
-        assert IdentityRecord("X", "label", (RangeSpec("n", 0, 1),), print).expectation == "expected-pass"
 
     def test_properties_and_methods(self):
         check = Check("n=1", False, F(1, 2), 3)
@@ -134,7 +133,7 @@ class TestConstructors:
         assert _scaled().sequence().terms(4) == [2, 3, 10, 15]
         rows = (ConjectureRow(1, F(1), F(1), True), ConjectureRow(2, F(1), F(2), False))
         assert ConjectureReport(rows, False).first_counterexample() is rows[1]
-        report = VerifyReport(id="X", label="l", range_desc="n=0..1", params=[], expectation="expected-pass",
+        report = VerifyReport(id="X", label="l", range_desc="n=0..1", params=[],
                               checks=[check], mismatches=[], notes="")
         assert report.status == "fail" and report.first_failure is check
         assert RootInterval(F(1), F(3)).width() == 2

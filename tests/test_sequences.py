@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from triboconv.field import FieldElement, X, ZERO, ZeroAtRoot, c_element, cofactor_element, integral_coeffs, trace
+from triboconv.field import FieldElement, X, ZeroAtRoot, c_element, cofactor_element, integral_coeffs, trace
 from triboconv.sequences import (
     ScaledSeq,
     TriboSeq,
@@ -79,7 +79,7 @@ class TestNormalizeEgf:
 
     def test_zero_raises(self):
         with pytest.raises(ZeroAtRoot):
-            normalize_egf(ZERO)
+            normalize_egf(FieldElement())
 
     def test_rational_rescale_flags_nonintegral_scale(self):
         scaled = normalize_egf(2 * c_element())
