@@ -66,6 +66,20 @@ class RangeTooLarge(CatalogError):
     """A requested range exceeds the configured cap."""
 
 
+def _str(value) -> str:
+    """str(value) with no limit on the digits of an int: exact values
+    routinely exceed the interpreter's int-to-str limit, which is restored
+    afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class Check(NamedTuple):
     """Outcome of one exact comparison of two exact values.
 
@@ -77,8 +91,8 @@ class Check(NamedTuple):
     ok: bool
     lhs_value: object
     rhs_value: object
-    lhs = property(lambda self: str(self.lhs_value))
-    rhs = property(lambda self: str(self.rhs_value))
+    lhs = property(lambda self: _str(self.lhs_value))
+    rhs = property(lambda self: _str(self.rhs_value))
 
 
 class _Quotient:
@@ -94,7 +108,7 @@ class _Quotient:
         return self.num == other * self.den if isinstance(other, int) else NotImplemented
 
     def __str__(self) -> str:
-        return str(Fraction(self.num, self.den))
+        return _str(Fraction(self.num, self.den))
 
 
 class _Settled:
@@ -109,16 +123,48 @@ class _Settled:
         self.table, self.weight, self.common, self.m = table, weight, common, m
 
     def __str__(self) -> str:
-        return str(Fraction(self.table()[self.m] * self.weight, self.common))
+        return _str(Fraction(self.table()[self.m] * self.weight, self.common))
+
+
+class _SettledPoint:
+    """A fold point whose two sides agree on their first ``head`` terms, and
+    so at every m of ms, both being sequences of L.  It stands for one check
+    per m, labelled prefix + m, that shows one _Settled value as both sides;
+    a report reads ``ok`` and ``head`` from it and forms those checks only
+    when they are read (checks())."""
+
+    __slots__ = ("prefix", "ms", "full_lhs", "lhs_weight", "common", "head", "ok")
+
+    def __init__(self, prefix: str, ms: range, full_lhs: Callable[[], list], lhs_weight: int, common: int,
+                 head: int, ok: bool):
+        self.prefix, self.ms, self.full_lhs = prefix, ms, full_lhs
+        self.lhs_weight, self.common, self.head, self.ok = lhs_weight, common, head, ok
+
+    def checks(self) -> list[Check]:
+        out = []
+        for m in self.ms:
+            shown = _Settled(self.full_lhs, self.lhs_weight, self.common, m)
+            out.append(Check(f"{self.prefix}{m}", self.ok, shown, shown))
+        return out
+
+
+def _expand(parts) -> Iterator[Check]:
+    """The checks of parts, each a Check or a settled point, in order."""
+    for part in parts:
+        if isinstance(part, _SettledPoint):
+            yield from part.checks()
+        else:
+            yield part
 
 
 class RunOutcome:
-    """A runner's checks, mismatches, notes and parameter points; each list left out starts empty."""
+    """A runner's checks (settled fold points among them), mismatches, notes
+    and parameter points; each list left out starts empty."""
 
     __slots__ = ("checks", "mismatches", "notes", "params_used")
 
     def __init__(self, checks=None, mismatches=None, notes=None, params_used=None):
-        self.checks: list[Check] = [] if checks is None else checks
+        self.checks: list[Check | _SettledPoint] = [] if checks is None else checks
         self.mismatches: list[Check] = [] if mismatches is None else mismatches
         self.notes: list[str] = [] if notes is None else notes
         self.params_used: list[dict[str, str]] = [] if params_used is None else params_used
@@ -140,27 +186,48 @@ class RunContext(NamedTuple):
         return range(lo, hi + 1)
 
 
-class VerifyReport(NamedTuple):
+class SettledCount(NamedTuple):
+    """A report's settled fold points and the terms on which they compared
+    their two sides."""
+
+    points: int
+    terms: int
+
+
+class VerifyReport:
     """Exact verification record for one identity.
 
     Holds the per-index statuses, the first failure with both side values
     as exact strings, the parameter assignment and oracle notes.  Nothing
-    in a report is ever a float.
+    in a report is ever a float.  The checks it is given may hold settled
+    fold points: status, first_failure and settled read those as they are,
+    and ``checks`` expands each into its per-index checks when first read.
     """
 
-    id: str
-    label: str
-    range_desc: str
-    params: list[dict[str, str]]
-    checks: list[Check]
-    mismatches: list[Check]
-    notes: str
+    __slots__ = ("id", "label", "range_desc", "params", "_parts", "_checks", "mismatches", "notes")
+
+    def __init__(self, id: str, label: str, range_desc: str, params: list[dict[str, str]],
+                 checks: list[Check | _SettledPoint], mismatches: list[Check], notes: str):
+        self.id, self.label, self.range_desc, self.params = id, label, range_desc, params
+        self._parts, self._checks = checks, None
+        self.mismatches, self.notes = mismatches, notes
+
+    @property
+    def checks(self) -> list[Check]:
+        if self._checks is None:
+            self._checks = list(_expand(self._parts))
+        return self._checks
+
+    @property
+    def settled(self) -> SettledCount:
+        points = [p for p in self._parts if isinstance(p, _SettledPoint)]
+        return SettledCount(len(points), sum(p.head for p in points))
 
     @property
     def status(self) -> str:
-        if not self.checks and not self.mismatches:
+        if not self._parts and not self.mismatches:
             return "vacuous"
-        if any(not c.ok for c in self.checks):
+        if any(not p.ok for p in self._parts):
             return "fail"
         if any(not c.ok for c in self.mismatches):
             return "known-discrepancy"
@@ -168,7 +235,8 @@ class VerifyReport(NamedTuple):
 
     @property
     def first_failure(self) -> Check | None:
-        return next((c for checks in (self.checks, self.mismatches) for c in checks if not c.ok), None)
+        failed = _expand(p for p in self._parts if not p.ok)
+        return next((c for checks in (failed, self.mismatches) for c in checks if not c.ok), None)
 
     def to_dict(self) -> dict:
         ff = self.first_failure
@@ -222,8 +290,9 @@ NORM_SCALE = 44
 # deg L terms only: both sides satisfy L, so a right side whose head equals
 # the left side's is equal everywhere, and only a head that disagrees is
 # extended by L.  The left side too is built to deg L terms; a settled
-# point's values are formed when read (_Settled).  If a term fails the test
-# (a changed factor), every table is built in full.
+# point is one record (_SettledPoint), whose checks and values are formed
+# when read (_Settled).  If a term fails the test (a changed factor), every
+# table is built in full.
 #: block of the symmetric expansion -> its factors.
 BLOCK_FACTORS = {f"s{j}": ((j, j),) for j in range(1, 6)} | {"e2": (ALT, ONE), "e3": (NORM,)}
 
@@ -264,10 +333,11 @@ def _factor(f: tuple, n: int, store: dict) -> tuple[WeightedSeq, Fraction]:
     return store[f, n]
 
 
-def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> list[Check]:
+def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> list[Check | _SettledPoint]:
     """Checks of the r-fold identity at family index n for conv indices ms,
-    one block per (label prefix, coefficients) point; the coefficients
-    name the terms."""
+    one block per (label prefix, coefficients) point: one settled point for
+    a point whose head agrees, else one Check per m.  The coefficients name
+    the terms."""
     count = ms[-1] + 1
     lhs_factors = (C1,) * r
     terms = {k: tuple(sorted((f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]), key=str))
@@ -300,13 +370,11 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
         rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
         lhs_num = [v * lhs_weight for v in lhs[:head]]
         rhs = [sum(w * table[m] for w, table in rhs_weights) for m in range(head)]
-        # both sides satisfy L, so heads that agree settle every m, and each
-        # check shows one value as both sides, formed when it is read; a head
+        # both sides satisfy L, so heads that agree settle every m: one record
+        # stands for the point's checks, formed when they are read; a head
         # that disagrees is extended to show each failing m
         if rhs == lhs_num[:head]:
-            for m in ms:
-                shown = _Settled(full_lhs, lhs_weight, common, m)
-                checks.append(Check(f"{prefix}{index}={m}", True, shown, shown))
+            checks.append(_SettledPoint(f"{prefix}{index}=", ms, full_lhs, lhs_weight, common, head, True))
             continue
         lhs_num = [v * lhs_weight for v in full_lhs()[:count]]
         if head < count:

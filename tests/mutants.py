@@ -36,6 +36,7 @@ KNOWN_DISCREPANCIES = ("tests/test_catalog.py::TestKnownDiscrepancies",)
 SEED42_DIGESTS = ("tests/test_golden.py::test_check_digests[checks_seed42.json]",)
 NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes_the_fallback",)
 INTEGER_STEPS = ("tests/test_derivation.py::TestIntegerSteps",)
+SETTLED_POINTS = ("tests/test_catalog.py::TestSettledPoints",)
 
 
 class Mutant(NamedTuple):
@@ -121,6 +122,18 @@ MUTANTS = [
     Mutant("settled-value-without-its-weight", CATALOG,
            "Fraction(self.table()[self.m] * self.weight, self.common)", "Fraction(self.table()[self.m], self.common)",
            SEED42_DIGESTS),
+    # a settled fold point recorded once, its checks formed when read
+    Mutant("settled-point-recorded-as-failed", CATALOG,
+           "lhs_weight, common, head, True))", "lhs_weight, common, head, False))", SEED42_DIGESTS),
+    Mutant("settled-check-label-m-shifted", CATALOG,
+           'Check(f"{self.prefix}{m}", self.ok, shown, shown)', 'Check(f"{self.prefix}{m + 1}", self.ok, shown, shown)',
+           SEED42_DIGESTS),
+    Mutant("settled-count-reads-the-range-not-the-head", CATALOG,
+           "sum(p.head for p in points)", "sum(len(p.ms) for p in points)", SETTLED_POINTS),
+    Mutant("first-failure-skips-failed-records", CATALOG,
+           "failed = _expand(p for p in self._parts if not p.ok)",
+           "failed = (p for p in self._parts if not p.ok and isinstance(p, Check))",
+           ("tests/test_catalog.py::TestSettledPoints::test_a_failed_record_shows_its_first_check",)),
     Mutant("s3-stepped-denominator-not-times-d", CATALOG,
            "power, denom = mul_coeffs(power, step), denom * d", "power, denom = mul_coeffs(power, step), denom",
            ("tests/test_golden.py::test_check_digests[checks_claims.json]",)),

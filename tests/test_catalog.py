@@ -8,7 +8,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_golden import DIGESTS, GOLDEN, _digest_doc, _digest_entry
+from golden_runs import CLI_OUTPUTS
+from test_golden import DIGESTS, GOLDEN, _cli_bytes, _digest_doc, _digest_entry
 from triboconv import convolution, identity_catalog
 from triboconv.convolution import _annihilator, _roots_within, multinomial_conv_prefix, multiset_table
 from triboconv.derivation import SumCofactorSqConst, family_element
@@ -407,6 +408,73 @@ class TestSettledValues:
         assert sum((n_max + 1 - d) * d for _, d, n_max in extended) <= 5000
 
 
+class TestSettledPoints:
+    """A settled fold point is one record: a report reads its status, first
+    failure, document and settled count from the records, and forms the
+    per-index checks only when they are read."""
+
+    @staticmethod
+    def _forbid_expansion(monkeypatch):
+        def forbidden(self):
+            raise AssertionError("a settled point was expanded")
+
+        monkeypatch.setattr(identity_catalog._SettledPoint, "checks", forbidden)
+
+    def test_reports_are_decided_without_expanding(self, monkeypatch, tmp_path):
+        self._forbid_expansion(monkeypatch)
+        suite = verify_all()
+        assert [r.status for r in suite.reports if r.first_failure is not None] == ["known-discrepancy"] * 2
+        assert json.dumps(suite.to_dict(), indent=2) + "\n" == (GOLDEN / "verify_all_seed42.json").read_text()
+        for name in sorted(n for n in CLI_OUTPUTS if CLI_OUTPUTS[n][:2] == ["verify", "all"]):
+            assert _cli_bytes(tmp_path, CLI_OUTPUTS[name]) == (GOLDEN / name).read_bytes(), name
+        assert verify("GT5", nmax=4, mmax=2000).to_dict()["status"] == "pass"
+
+    def test_no_check_is_built_until_read(self, monkeypatch):
+        built = []
+        for name in ("Check", "_Settled"):
+            made = getattr(identity_catalog, name)
+            monkeypatch.setattr(identity_catalog, name, lambda *args, made=made: built.append(made) or made(*args))
+        report = verify("GT5", nmax=4, mmax=2000)
+        assert report.to_dict()["status"] == "pass" and built == []
+        checks = report.checks
+        assert len(checks) == 8004 and len(built) == 2 * 8004
+        assert [c.index for c in checks] == [f"n={n},m={m}" for n in range(1, 5) for m in range(2001)]
+
+    def test_two_reads_give_equal_lists(self):
+        report = verify("T4", nmax=30)
+        first = [(c.index, c.ok, c.lhs, c.rhs) for c in report.checks]
+        assert report.checks == report.checks
+        assert [(c.index, c.ok, c.lhs, c.rhs) for c in report.checks] == first
+        tags = [",".join(f"{k}={v}" for k, v in p.items()) for p in report.params]
+        assert [index for index, *_ in first] == [f"{tag},n={m}" for tag in tags for m in range(31)]
+
+    @pytest.mark.parametrize("identity,nmax,mmax,checks,settled", [
+        ("T4", 2000, None, 4002, (2, 2 * 21)),
+        ("GT5", 4, 2000, 8004, (4, 4 * 21)),
+        ("P3", 2000, None, 2001, (1, 6)),
+        ("T2R", 3, None, 4, (1, 4)),  # a range shorter than deg L = 10 compares it whole
+        ("P1", 2000, None, 1998, (0, 0)),
+        ("GT2", 0, None, 0, (0, 0)),
+    ])
+    def test_settled_points_and_compared_terms(self, identity, nmax, mmax, checks, settled):
+        report = verify(identity, nmax=nmax, mmax=mmax)
+        assert report.settled == settled and (report.settled.points, report.settled.terms) == settled
+        assert len(report.checks) == checks
+
+    def test_a_disagreeing_head_is_no_settled_point(self, monkeypatch):
+        monkeypatch.setitem(PRINTED[5], "H", 11)
+        report = verify("GT5", nmax=2, mmax=30)
+        assert report.status == "fail" and report.settled == (0, 0)
+        assert report.first_failure is next(c for c in report.checks if not c.ok)
+
+    def test_a_failed_record_shows_its_first_check(self):
+        report = verify("P3", nmax=5)
+        (point,) = report._parts
+        point.ok = False
+        assert report.status == "fail" and report.first_failure.index == "n=0"
+        assert [c.ok for c in report.checks] == [False] * 6
+
+
 def _multisets():
     """Every term's sorted factor tuple in TERMS[2..5], and the left sides."""
     for r, terms in TERMS.items():
@@ -476,7 +544,7 @@ class TestFamilyPoints:
 
     @staticmethod
     def _checks(r, cs):
-        return identity_catalog._fold_checks(r, 1, range(61), "n", [("", cs)], {})
+        return list(identity_catalog._expand(identity_catalog._fold_checks(r, 1, range(61), "n", [("", cs)], {})))
 
     @pytest.mark.parametrize("r,point", POINTS,
                              ids=[f"T{r - 1}-" + ",".join(f"{k}={v}" for k, v in p.items()) for r, p in POINTS])

@@ -145,3 +145,16 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     src = Path(__file__).resolve().parent.parent / "src"
     run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_a_value_past_the_int_str_limit_reads_in_a_fresh_process():
+    # only cli.main lifts the interpreter's limit for good; a library reader
+    # gets the whole value, and the limit is as it was afterwards
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from triboconv import identity_catalog as c; "
+            "limit = sys.get_int_max_str_digits(); big = 10 ** (limit + 1); "
+            "shown = [c.verify('S2', nmax=2000).checks[-1].lhs, str(c._Quotient(big, 3)), "
+            "str(c._Settled(lambda: [big], 1, 1, 0)), c.Check('n', True, big, 0).lhs]; "
+            "print(limit, [len(s) > limit for s in shown], sys.get_int_max_str_digits())")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "4300 [True, True, True, True] 4300\n", "")
