@@ -1,14 +1,17 @@
 """Registry binding every verified identity to exact evaluators and reports.
 
 Each record evaluates its left and right side exactly (integers and
-Fractions only) at every index of a configured range.  Scaled-sequence
-identities are evaluated scale-free where possible: both sides reduce to
-exact rationals, so the verdict does not depend on a presentation
-convention.  There are two evaluators: ``_run_fold`` for the r-fold
-binomial convolutions, and ``_run_claims`` for every other identity, whose
-rows (index, lhs, rhs, printed) say that two exact values agree.  A printed
-row that the exact oracle contradicts is reported and never fails the
-run; a report with such a row is a known discrepancy, read from its rows.
+Fractions only) over a configured range of indices.  A fold decides every
+index from the first deg L terms of its two sides, L their common
+annihilator (see BLOCK_FACTORS), and forms its per-index checks only when
+they are read.  Scaled-sequence identities are evaluated scale-free where
+possible: both sides reduce to exact rationals, so the verdict does not
+depend on a presentation convention.  There are two evaluators:
+``_run_fold`` for the r-fold binomial convolutions, and ``_run_claims`` for
+every other identity, whose rows (index, lhs, rhs, printed) say that two
+exact values agree.  A printed row that the exact oracle contradicts is
+reported and never fails the run; a report with such a row is a known
+discrepancy, read from its rows.
 """
 
 from __future__ import annotations
@@ -111,60 +114,47 @@ class _Quotient:
         return _str(Fraction(self.num, self.den))
 
 
-class _Settled:
-    """Index m of a settled fold point's left side, table()[m] * weight / common,
-    formed only when shown.  table() is the run's left-side table through the
-    range's end: the first read extends it there once, and later reads find it
-    extended."""
+class _FoldPoint:
+    """A fold point whose two sides, both sequences of L (rec), were compared
+    on their first ``head`` terms; ``ok`` when those agree, and so at every m
+    of ms.  It stands for one check per m, labelled prefix + m, formed only
+    when read (checks()); full_lhs() builds the left side to the range's end."""
 
-    __slots__ = ("table", "weight", "common", "m")
-
-    def __init__(self, table: Callable[[], list], weight: int, common: int, m: int):
-        self.table, self.weight, self.common, self.m = table, weight, common, m
-
-    def __str__(self) -> str:
-        return _str(Fraction(self.table()[self.m] * self.weight, self.common))
-
-
-class _SettledPoint:
-    """A fold point whose two sides agree on their first ``head`` terms, and
-    so at every m of ms, both being sequences of L.  It stands for one check
-    per m, labelled prefix + m, that shows one _Settled value as both sides;
-    a report reads ``ok`` and ``head`` from it and forms those checks only
-    when they are read (checks())."""
-
-    __slots__ = ("prefix", "ms", "full_lhs", "lhs_weight", "common", "head", "ok")
+    __slots__ = ("prefix", "ms", "full_lhs", "lhs_weight", "common", "head", "rhs", "rec", "ok")
 
     def __init__(self, prefix: str, ms: range, full_lhs: Callable[[], list], lhs_weight: int, common: int,
-                 head: int, ok: bool):
-        self.prefix, self.ms, self.full_lhs = prefix, ms, full_lhs
-        self.lhs_weight, self.common, self.head, self.ok = lhs_weight, common, head, ok
+                 head: int, rhs: list, rec: tuple, ok: bool):
+        self.prefix, self.ms, self.full_lhs, self.lhs_weight, self.common = prefix, ms, full_lhs, lhs_weight, common
+        self.head, self.rhs, self.rec, self.ok = head, rhs, rec, ok
 
     def checks(self) -> list[Check]:
-        out = []
-        for m in self.ms:
-            shown = _Settled(self.full_lhs, self.lhs_weight, self.common, m)
-            out.append(Check(f"{self.prefix}{m}", self.ok, shown, shown))
-        return out
+        count = self.ms[-1] + 1
+        lhs = [v * self.lhs_weight for v in self.full_lhs()[:count]]
+        if self.ok:
+            rhs = lhs
+        else:
+            rhs = _extend(self.rhs, self.rec, count - 1) if self.head < count else self.rhs
+        return [Check(f"{self.prefix}{m}", lhs[m] == rhs[m], _Quotient(lhs[m], self.common),
+                      _Quotient(rhs[m], self.common)) for m in self.ms]
 
 
 def _expand(parts) -> Iterator[Check]:
-    """The checks of parts, each a Check or a settled point, in order."""
+    """The checks of parts, each a Check or a fold point, in order."""
     for part in parts:
-        if isinstance(part, _SettledPoint):
+        if isinstance(part, _FoldPoint):
             yield from part.checks()
         else:
             yield part
 
 
 class RunOutcome:
-    """A runner's checks (settled fold points among them), mismatches, notes
-    and parameter points; each list left out starts empty."""
+    """A runner's checks or fold points, mismatches, notes and parameter
+    points; each list left out starts empty."""
 
     __slots__ = ("checks", "mismatches", "notes", "params_used")
 
     def __init__(self, checks=None, mismatches=None, notes=None, params_used=None):
-        self.checks: list[Check | _SettledPoint] = [] if checks is None else checks
+        self.checks: list[Check | _FoldPoint] = [] if checks is None else checks
         self.mismatches: list[Check] = [] if mismatches is None else mismatches
         self.notes: list[str] = [] if notes is None else notes
         self.params_used: list[dict[str, str]] = [] if params_used is None else params_used
@@ -199,15 +189,15 @@ class VerifyReport:
 
     Holds the per-index statuses, the first failure with both side values
     as exact strings, the parameter assignment and oracle notes.  Nothing
-    in a report is ever a float.  The checks it is given may hold settled
-    fold points: status, first_failure and settled read those as they are,
-    and ``checks`` expands each into its per-index checks when first read.
+    in a report is ever a float.  The checks it is given may hold fold
+    points: status and settled read those as they are, and ``checks``
+    expands each into its per-index checks when first read.
     """
 
     __slots__ = ("id", "label", "range_desc", "params", "_parts", "_checks", "mismatches", "notes")
 
     def __init__(self, id: str, label: str, range_desc: str, params: list[dict[str, str]],
-                 checks: list[Check | _SettledPoint], mismatches: list[Check], notes: str):
+                 checks: list[Check | _FoldPoint], mismatches: list[Check], notes: str):
         self.id, self.label, self.range_desc, self.params = id, label, range_desc, params
         self._parts, self._checks = checks, None
         self.mismatches, self.notes = mismatches, notes
@@ -220,7 +210,7 @@ class VerifyReport:
 
     @property
     def settled(self) -> SettledCount:
-        points = [p for p in self._parts if isinstance(p, _SettledPoint)]
+        points = [p for p in self._parts if isinstance(p, _FoldPoint) and p.ok]
         return SettledCount(len(points), sum(p.head for p in points))
 
     @property
@@ -235,8 +225,8 @@ class VerifyReport:
 
     @property
     def first_failure(self) -> Check | None:
-        failed = _expand(p for p in self._parts if not p.ok)
-        return next((c for checks in (failed, self.mismatches) for c in checks if not c.ok), None)
+        checks = self.checks if self.status == "fail" else self.mismatches
+        return next((c for c in checks if not c.ok), None)
 
     def to_dict(self) -> dict:
         ff = self.first_failure
@@ -289,10 +279,10 @@ NORM_SCALE = 44
 # this for each term's annihilator and combines the right side on the first
 # deg L terms only: both sides satisfy L, so a right side whose head equals
 # the left side's is equal everywhere, and only a head that disagrees is
-# extended by L.  The left side too is built to deg L terms; a settled
-# point is one record (_SettledPoint), whose checks and values are formed
-# when read (_Settled).  If a term fails the test (a changed factor), every
-# table is built in full.
+# extended by L.  The left side too is built to deg L terms.  Each point is
+# one record (_FoldPoint) whose checks, and the left side past deg L, are
+# formed only when they are read.  If a term fails the test (a changed
+# factor), every table is built in full.
 #: block of the symmetric expansion -> its factors.
 BLOCK_FACTORS = {f"s{j}": ((j, j),) for j in range(1, 6)} | {"e2": (ALT, ONE), "e3": (NORM,)}
 
@@ -333,11 +323,10 @@ def _factor(f: tuple, n: int, store: dict) -> tuple[WeightedSeq, Fraction]:
     return store[f, n]
 
 
-def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> list[Check | _SettledPoint]:
-    """Checks of the r-fold identity at family index n for conv indices ms,
-    one block per (label prefix, coefficients) point: one settled point for
-    a point whose head agrees, else one Check per m.  The coefficients name
-    the terms."""
+def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> list[_FoldPoint]:
+    """The r-fold identity at family index n for conv indices ms, one record
+    per (label prefix, coefficients) point, decided on the two sides' heads.
+    The coefficients name the terms."""
     count = ms[-1] + 1
     lhs_factors = (C1,) * r
     terms = {k: tuple(sorted((f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]), key=str))
@@ -370,18 +359,10 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
         rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
         lhs_num = [v * lhs_weight for v in lhs[:head]]
         rhs = [sum(w * table[m] for w, table in rhs_weights) for m in range(head)]
-        # both sides satisfy L, so heads that agree settle every m: one record
-        # stands for the point's checks, formed when they are read; a head
-        # that disagrees is extended to show each failing m
-        if rhs == lhs_num[:head]:
-            checks.append(_SettledPoint(f"{prefix}{index}=", ms, full_lhs, lhs_weight, common, head, True))
-            continue
-        lhs_num = [v * lhs_weight for v in full_lhs()[:count]]
-        if head < count:
-            rhs = _extend(rhs, rec, count - 1)
-        for m in ms:
-            checks.append(Check(f"{prefix}{index}={m}", lhs_num[m] == rhs[m],
-                                _Quotient(lhs_num[m], common), _Quotient(rhs[m], common)))
+        # both sides satisfy L, so the heads decide every m: one record stands
+        # for the point's checks, formed when they are read
+        checks.append(_FoldPoint(f"{prefix}{index}=", ms, full_lhs, lhs_weight, common, head, rhs, rec,
+                                 rhs == lhs_num))
     return checks
 
 

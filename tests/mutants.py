@@ -7,8 +7,8 @@ applies the edit there and runs the row's tests with pytest.  A row whose
 text is missing or occurs more than once breaks the table, so a moved line
 is reported instead of silently skipping its mutant.  Before any mutant, the
 union of the selections runs once on an unmutated copy and must pass, so
-that each failure is the mutant's.  Exits 1 if a row is broken or a mutant
-survives:
+that each failure is the mutant's.  Each pytest run may take TIMEOUT
+seconds.  Exits 1 if a row is broken, a mutant survives or a run times out:
 
     python tests/mutants.py
 
@@ -37,6 +37,8 @@ SEED42_DIGESTS = ("tests/test_golden.py::test_check_digests[checks_seed42.json]"
 NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes_the_fallback",)
 INTEGER_STEPS = ("tests/test_derivation.py::TestIntegerSteps",)
 SETTLED_POINTS = ("tests/test_catalog.py::TestSettledPoints",)
+#: seconds one pytest run may take; the slowest row takes about 12 s
+TIMEOUT = 300
 
 
 class Mutant(NamedTuple):
@@ -80,7 +82,7 @@ MUTANTS = [
            "_T1_POLY = (2, 6, 12, 0, 6, 6)", "_T1_POLY = (2, 6, 12, 0, 6, 7)",
            ("tests/test_convolution.py::TestT1",)),
     Mutant("fold-head-comparison-false", CATALOG,
-           "        if rhs == lhs_num[:head]:", "        if False:", NO_FALLBACK),
+           "rhs == lhs_num))", "False))", NO_FALLBACK),
     # the fold's block map, the printed constraints and the proofs under the folds
     Mutant("block-factors-e2-changed", CATALOG,
            '{"e2": (ALT, ONE), "e3": (NORM,)}', '{"e2": (("cof", 1), ONE), "e3": (NORM,)}', SEED42_DIGESTS),
@@ -116,23 +118,25 @@ MUTANTS = [
     Mutant("extend-coefficients-reversed", CONVOLUTION,
            "sum(map(mul, neg_coeffs, out[n:n + d]))", "sum(map(mul, neg_coeffs[::-1], out[n:n + d]))",
            ("tests/test_convolution.py::TestExtend",)),
-    # a settled fold point's values, formed when read, and S3's stepped Binet element
+    # a fold point's values, formed when read, and S3's stepped Binet element
     Mutant("settled-value-reads-the-index-before", CATALOG,
-           "self.table()[self.m] * self.weight", "self.table()[self.m - 1] * self.weight", SEED42_DIGESTS),
+           "_Quotient(lhs[m], self.common)", "_Quotient(lhs[m - 1], self.common)", SEED42_DIGESTS),
     Mutant("settled-value-without-its-weight", CATALOG,
-           "Fraction(self.table()[self.m] * self.weight, self.common)", "Fraction(self.table()[self.m], self.common)",
+           "[v * self.lhs_weight for v in self.full_lhs()[:count]]", "[v for v in self.full_lhs()[:count]]",
            SEED42_DIGESTS),
-    # a settled fold point recorded once, its checks formed when read
+    # a fold point recorded once, its checks formed when read: a settled one
+    # shows its left side on both sides, a failed one its extended right side
     Mutant("settled-point-recorded-as-failed", CATALOG,
-           "lhs_weight, common, head, True))", "lhs_weight, common, head, False))", SEED42_DIGESTS),
+           "self.ok = head, rhs, rec, ok", "self.ok = head, rhs, rec, False", SETTLED_POINTS),
     Mutant("settled-check-label-m-shifted", CATALOG,
-           'Check(f"{self.prefix}{m}", self.ok, shown, shown)', 'Check(f"{self.prefix}{m + 1}", self.ok, shown, shown)',
-           SEED42_DIGESTS),
+           'Check(f"{self.prefix}{m}", ', 'Check(f"{self.prefix}{m + 1}", ', SEED42_DIGESTS),
+    Mutant("failed-point-right-side-not-extended", CATALOG,
+           "_extend(self.rhs, self.rec, count - 1)", "self.rhs + lhs[self.head:]",
+           ("tests/test_catalog.py::TestFamilyPoints::test_a_dependent_coefficient_plus_one_fails",)),
     Mutant("settled-count-reads-the-range-not-the-head", CATALOG,
            "sum(p.head for p in points)", "sum(len(p.ms) for p in points)", SETTLED_POINTS),
     Mutant("first-failure-skips-failed-records", CATALOG,
-           "failed = _expand(p for p in self._parts if not p.ok)",
-           "failed = (p for p in self._parts if not p.ok and isinstance(p, Check))",
+           'checks = self.checks if self.status == "fail" else self.mismatches', "checks = self.mismatches",
            ("tests/test_catalog.py::TestSettledPoints::test_a_failed_record_shows_its_first_check",)),
     Mutant("s3-stepped-denominator-not-times-d", CATALOG,
            "power, denom = mul_coeffs(power, step), denom * d", "power, denom = mul_coeffs(power, step), denom",
@@ -158,10 +162,14 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _pytest(tree: Path, tests) -> int:
+def _pytest(tree: Path, tests) -> int | None:
+    """pytest's exit code on the tests, or None if the run timed out."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                         cwd=tree, env=env, capture_output=True)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                             cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None
     return run.returncode
 
 
@@ -177,8 +185,10 @@ def main() -> int:
         clean = Path(tmp) / "clean"
         _copy_tree(clean)
         selections = sorted({t for m in MUTANTS for t in m.tests})
-        if _pytest(clean, selections) != 0:
-            print("the selected tests fail on the unmutated tree; no mutant can be judged")
+        code = _pytest(clean, selections)
+        if code != 0:
+            why = f"time out after {TIMEOUT} s" if code is None else "fail"
+            print(f"the selected tests {why} on the unmutated tree; no mutant can be judged")
             return 1
         for index, mutant in enumerate(MUTANTS):
             why = _broken(mutant)
@@ -197,6 +207,9 @@ def main() -> int:
             # (an error in collection, no test selected) shows nothing
             if code == 1:
                 print(f"killed    {mutant.name} ({seconds:.1f} s)")
+            elif code is None:
+                print(f"TIMEOUT   {mutant.name}: no exit within {TIMEOUT} s")
+                problems += 1
             else:
                 print(f"SURVIVED  {mutant.name}: pytest exit {code} ({seconds:.1f} s)")
                 problems += 1

@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction as F
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,9 +358,9 @@ class TestSharedAnnihilator:
 
 
 class TestSettledValues:
-    """A point settled on its deg L head builds its left side no further;
-    the value a check shows is formed when it is read, and the first read
-    extends the run's left-side table to the range's end, once."""
+    """A point settled on its deg L head builds its left side no further
+    until its checks are read; that read extends the run's left-side table
+    to the range's end, once."""
 
     @staticmethod
     def _count_extensions(monkeypatch) -> list:
@@ -377,12 +377,13 @@ class TestSettledValues:
     def test_a_left_side_is_built_to_its_head_until_read(self):
         store = {}
         report = verify("GT5", nmax=4, mmax=2000, _store=store)
-        assert report.status == "pass" and len(report.checks) == 4 * 2001
+        assert report.status == "pass" and report.to_dict()["first_failure"] is None
         assert all(len(store[n][(C1,) * 5]) <= 21 for n in (1, 2, 3, 4))
+        assert len(report.checks) == 4 * 2001
+        assert all(len(store[n][(C1,) * 5]) == 2001 for n in (1, 2, 3, 4))
         last = report.checks[-1]
         assert last.index == "n=4,m=2000"
         shown = last.lhs
-        assert len(store[4][(C1,) * 5]) == 2001
         seq, scale = identity_catalog._factor(C1, 4, {})
         assert shown == last.rhs == str(F(multinomial_conv_prefix([seq] * 5, 2000)[2000]) / scale**5)
 
@@ -418,7 +419,7 @@ class TestSettledPoints:
         def forbidden(self):
             raise AssertionError("a settled point was expanded")
 
-        monkeypatch.setattr(identity_catalog._SettledPoint, "checks", forbidden)
+        monkeypatch.setattr(identity_catalog._FoldPoint, "checks", forbidden)
 
     def test_reports_are_decided_without_expanding(self, monkeypatch, tmp_path):
         self._forbid_expansion(monkeypatch)
@@ -431,13 +432,13 @@ class TestSettledPoints:
 
     def test_no_check_is_built_until_read(self, monkeypatch):
         built = []
-        for name in ("Check", "_Settled"):
+        for name in ("Check", "_Quotient"):
             made = getattr(identity_catalog, name)
             monkeypatch.setattr(identity_catalog, name, lambda *args, made=made: built.append(made) or made(*args))
         report = verify("GT5", nmax=4, mmax=2000)
         assert report.to_dict()["status"] == "pass" and built == []
         checks = report.checks
-        assert len(checks) == 8004 and len(built) == 2 * 8004
+        assert len(checks) == 8004 and len(built) == 3 * 8004
         assert [c.index for c in checks] == [f"n={n},m={m}" for n in range(1, 5) for m in range(2001)]
 
     def test_two_reads_give_equal_lists(self):
@@ -467,12 +468,39 @@ class TestSettledPoints:
         assert report.status == "fail" and report.settled == (0, 0)
         assert report.first_failure is next(c for c in report.checks if not c.ok)
 
-    def test_a_failed_record_shows_its_first_check(self):
+    def test_a_failed_record_shows_its_first_check(self, monkeypatch):
+        monkeypatch.setitem(PRINTED[2], "B", 3)
         report = verify("P3", nmax=5)
-        (point,) = report._parts
-        point.ok = False
+        assert [p.ok for p in report._parts] == [False]
         assert report.status == "fail" and report.first_failure.index == "n=0"
         assert [c.ok for c in report.checks] == [False] * 6
+
+    def test_a_disagreeing_head_is_lazy_too(self, monkeypatch):
+        monkeypatch.setitem(PRINTED[5], "H", 11)
+        built, made = [], identity_catalog.Check
+        monkeypatch.setattr(identity_catalog, "Check", lambda *args: built.append(args) or made(*args))
+        store = {}
+        report = verify("GT5", nmax=2, mmax=2000, _store=store)
+        assert report.status == "fail" and built == []
+        assert all(len(store[n][(C1,) * 5]) <= 21 for n in (1, 2))
+        assert report.first_failure is next(c for c in report.checks if not c.ok)
+        failed = [c.index for c in report.checks if not c.ok]
+        assert failed == [f"n={n},m={m}" for n in (1, 2) for m in self._eager_failures(n, 2000)]
+
+    @staticmethod
+    def _eager_failures(n, mmax):
+        """The m at which GT5 at family index n fails, each side built in
+        full by the multinomial convolution of its factors."""
+        def side(fs, c):
+            seqs, scales = zip(*(identity_catalog._factor(f, n, {}) for f in fs))
+            return [F(c) * v / prod(scales) for v in multinomial_conv_prefix(list(seqs), mmax)]
+
+        lhs = side((C1,) * 5, 1)
+        rhs = [0] * (mmax + 1)
+        for k, c in PRINTED[5].items():
+            term = side([f for b in TERMS[5][k] for f in BLOCK_FACTORS[b]], c)
+            rhs = [a + b for a, b in zip(rhs, term)]
+        return [m for m in range(mmax + 1) if lhs[m] != rhs[m]]
 
 
 def _multisets():
