@@ -28,11 +28,17 @@ for _stem, _argv in {
 
 #: name -> full CLI argv whose output bytes are pinned by their sha256 in
 #: cli_sha256.json.
-CLI_SHA256 = {
-    "conjecture_200.json": ["conjecture", "200", "--format", "json"],
-    "derive_cpower_47_replicate.json": ["derive", "cpower", "47", "--replicate-paper", "--format", "json"],
-    "derive_cofactor_45_replicate.json": ["derive", "cofactor", "45", "--replicate-paper", "--format", "json"],
-    "derive_pairsumsq_46_replicate.json": ["derive", "pairsumsq", "46", "--replicate-paper", "--format", "json"],
+CLI_SHA256 = {}
+# the scale commands at the sizes of the scale_audit benchmark, in every format
+for _stem, _argv in {
+    "conjecture_200": ["conjecture", "200"],
+    "derive_cpower_47_replicate": ["derive", "cpower", "47", "--replicate-paper"],
+    "derive_cofactor_45_replicate": ["derive", "cofactor", "45", "--replicate-paper"],
+    "derive_pairsumsq_46_replicate": ["derive", "pairsumsq", "46", "--replicate-paper"],
+}.items():
+    for _fmt, _ext in (("json", "json"), ("tsv", "tsv"), ("text", "txt")):
+        CLI_SHA256[f"{_stem}.{_ext}"] = [*_argv, "--format", _fmt]
+CLI_SHA256 |= {
     "derive_cpower_2000_replicate.json": ["derive", "cpower", "2000", "--replicate-paper", "--format", "json"],
     "derive_cofactor_2000_replicate.json": ["derive", "cofactor", "2000", "--replicate-paper", "--format", "json"],
     "derive_pairsumsq_2000_replicate.json": ["derive", "pairsumsq", "2000", "--replicate-paper", "--format", "json"],

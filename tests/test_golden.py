@@ -14,7 +14,7 @@ default ranges (S1, S2 and the lemmas L2, L7, L8, L9 at nmax 400, S3 at
 nmax 60, where its n > 6 rows are checked against Binet sums), and
 cli_sha256.json pins by digest the CLI bytes, too large to check in
 whole, of `conjecture` and `derive --replicate-paper` at the sizes of the
-scale_audit benchmark, of `derive --replicate-paper` for each replicable
+scale_audit benchmark in each format, of `derive --replicate-paper` for each replicable
 family at the range cap (2000), and of `symcheck` at the grid cap.  Regenerate
 them deliberately, after an intended change of output, with:
 
