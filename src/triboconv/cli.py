@@ -10,9 +10,9 @@ equal arguments yield byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import derivation, identity_catalog, symmetric_identities
 from .sequences import TriboSeq
@@ -39,16 +39,43 @@ def _check_count(name: str, value: int) -> None:
         raise UsageError(f"{name} {value} exceeds the cap {cap}")
 
 
-def _render(args, doc: dict, header: list[str], rows: list[list[str]], lines: list[str]) -> None:
-    """Write one report in ``args.format`` to stdout or ``--out``: ``doc``
-    as JSON, ``header`` and ``rows`` as TSV, or ``lines`` as text.  An
-    unwritable path is a usage error."""
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, for a value built of dicts, lists,
+    str and None only; ``indent`` starts each line at the value's depth.
+    Anything else raises TypeError, so no number reaches a report unless
+    it is a decimal string."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            items.append(_quote(key) + ": " + _json(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + indent + "]"
+    raise TypeError(f"report values must be str, None, dict or list, not {type(value).__name__}")
+
+
+def _render(args, doc, cells, lines) -> None:
+    """Write one report in ``args.format`` to stdout or ``--out``: ``doc()``
+    as JSON, ``cells()`` (header first) as TSV, or ``lines()`` as text.
+    Only the producer of the asked-for format is called.  An unwritable
+    path is a usage error."""
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json(doc()) + "\n"
     elif args.format == "tsv":
-        text = "".join("\t".join(cells) + "\n" for cells in [header, *rows])
+        text = "".join("\t".join(row) + "\n" for row in cells())
     else:
-        text = "".join(line + "\n" for line in lines)
+        text = "".join(line + "\n" for line in lines())
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -65,9 +92,9 @@ def _cmd_seq(args) -> int:
     triple = _parse_triple(args.triple)
     _check_count("count", args.count)
     terms = [str(v) for v in TriboSeq(*triple).terms(args.count)]
-    doc = {"triple": [str(v) for v in triple], "terms": terms}
-    cells = [[str(k), t] for k, t in enumerate(terms)]
-    _render(args, doc, ["k", "term"], cells, [" ".join(terms)])
+    _render(args, lambda: {"triple": [str(v) for v in triple], "terms": terms},
+            lambda: [["k", "term"], *([str(k), t] for k, t in enumerate(terms))],
+            lambda: [" ".join(terms)])
     return 0
 
 
@@ -85,37 +112,67 @@ def _cmd_derive(args) -> int:
     _check_count("n_max", args.n_max)
     if args.replicate_paper and kind not in derivation.REPLICABLE_KINDS:
         raise UsageError(f"no printed recursion to replicate for {args.family}")
-    header = ["n", "A", "s0", "s1", "s2"]
-    if args.replicate_paper:
-        header += ["A_replicated", "r0", "r1", "r2", "match"]
     direct = derivation.derive_table(kind, args.n_max)
     replicated = derivation.replicate_paper_table(kind, direct) if args.replicate_paper else []
-    rows, cells, lines = [], [], []
+    # per row: the direct strings, its note, and the replay's result with
+    # its strings, or None on a row with no replicated part
+    entries = []
     for n, scaled in enumerate(direct, start=1):
         scale, triple = str(scaled.scale), [str(v) for v in scaled.triple]
-        row = {"n": str(n), "A": scale, "triple": triple}
-        if not scaled.integral:
-            row["note"] = "non-integral scale"
-        line = f"n={n}: A={scale} triple=({', '.join(triple)})"
-        tail = ["-"] * 5 if args.replicate_paper else []
-        if args.replicate_paper and n >= 2:
-            result = replicated[n - 2]
+        note = None if scaled.integral else "non-integral scale"
+        result = replicated[n - 2] if args.replicate_paper and n >= 2 else None
+        rep_scale = rep_triple = None
+        if result is not None and result.recursive is not None:
             rep = result.recursive
-            match = "true" if result.match else "false"
-            if rep is None:
-                row.update(replicated=None, match=match, note=result.note)
-                tail[-1] = match
-            else:
-                rep_scale, rep_triple = str(rep.scale), [str(v) for v in rep.triple]
-                row.update(replicated={"A": rep_scale, "triple": rep_triple}, match=match)
-                tail = [rep_scale, *rep_triple, match]
+            # a replayed value equal to the direct one reuses its string
+            rep_scale = scale if rep.scale == scaled.scale else str(rep.scale)
+            rep_triple = [t if r == d else str(r) for t, r, d in zip(triple, rep.triple, scaled.triple)]
+        entries.append((str(n), scale, triple, note, result, rep_scale, rep_triple))
+
+    def doc():
+        rows = []
+        for n, scale, triple, note, result, rep_scale, rep_triple in entries:
+            row = {"n": n, "A": scale, "triple": triple}
+            if note is not None:
+                row["note"] = note
+            if result is not None:
+                match = "true" if result.match else "false"
+                if rep_scale is None:
+                    row.update(replicated=None, match=match, note=result.note)
+                else:
+                    row.update(replicated={"A": rep_scale, "triple": rep_triple}, match=match)
+            rows.append(row)
+        return {"family": args.family, "rows": rows}
+
+    def cells():
+        header = ["n", "A", "s0", "s1", "s2"]
+        if args.replicate_paper:
+            header += ["A_replicated", "r0", "r1", "r2", "match"]
+        out = [header]
+        for n, scale, triple, _, result, rep_scale, rep_triple in entries:
+            tail = ["-"] * 5 if args.replicate_paper else []
+            if result is not None:
+                tail[-1] = "true" if result.match else "false"
+                if rep_scale is not None:
+                    tail[:4] = [rep_scale, *rep_triple]
+            out.append([n, scale, *triple, *tail])
+        return out
+
+    def lines():
+        out = []
+        for n, scale, triple, note, result, rep_scale, rep_triple in entries:
+            line = f"n={n}: A={scale} triple=({', '.join(triple)})"
+            if rep_scale is not None:
+                match = "true" if result.match else "false"
                 line += f"  replicated: A={rep_scale} triple=({', '.join(rep_triple)}) match={match}"
-        if row.get("replicated") is None and "note" in row:
-            line += f"  [{row['note']}]"
-        rows.append(row)
-        cells.append([row["n"], scale, *triple, *tail])
-        lines.append(line)
-    _render(args, {"family": args.family, "rows": rows}, header, cells, lines)
+            elif result is not None:
+                line += f"  [{result.note}]"
+            elif note is not None:
+                line += f"  [{note}]"
+            out.append(line)
+        return out
+
+    _render(args, doc, cells, lines)
     return 0
 
 
@@ -135,27 +192,36 @@ def _cmd_verify(args) -> int:
             raise UsageError(str(exc))
         suite = identity_catalog.SuiteReport(seed=args.seed, reports=[report])
     doc = suite.to_dict()
-    rows, lines = [], []
-    for entry in doc["entries"]:
-        ff = entry["first_failure"]
-        points = (",".join(f"{k}={v}" for k, v in p.items()) for p in entry["params"])
-        ff_cell = "" if ff is None else f"{ff['index']}: {ff['lhs']} != {ff['rhs']}"
-        rows.append([entry["id"], entry["status"], entry["range"], ";".join(points), ff_cell,
-                     entry["notes"]])
-        line = f"{entry['id']}: {entry['status']}"
-        if entry["range"]:
-            line += f" ({entry['range']})"
-        if ff is not None:
-            line += f" first_failure at {ff['index']}: lhs={ff['lhs']} rhs={ff['rhs']}"
-        if args.verbose and entry["notes"]:
-            line += f"  [{entry['notes']}]"
-        lines.append(line)
-    lines.append(
-        "summary: pass={pass} fail={fail} known-discrepancy={known_discrepancy} "
-        "vacuous={vacuous} verdict={verdict}".format(**doc["summary"])
-    )
-    header = ["id", "status", "range", "params", "first_failure", "notes"]
-    _render(args, doc, header, rows, lines)
+
+    def cells():
+        out = [["id", "status", "range", "params", "first_failure", "notes"]]
+        for entry in doc["entries"]:
+            ff = entry["first_failure"]
+            points = (",".join(f"{k}={v}" for k, v in p.items()) for p in entry["params"])
+            ff_cell = "" if ff is None else f"{ff['index']}: {ff['lhs']} != {ff['rhs']}"
+            out.append([entry["id"], entry["status"], entry["range"], ";".join(points), ff_cell,
+                        entry["notes"]])
+        return out
+
+    def lines():
+        out = []
+        for entry in doc["entries"]:
+            ff = entry["first_failure"]
+            line = f"{entry['id']}: {entry['status']}"
+            if entry["range"]:
+                line += f" ({entry['range']})"
+            if ff is not None:
+                line += f" first_failure at {ff['index']}: lhs={ff['lhs']} rhs={ff['rhs']}"
+            if args.verbose and entry["notes"]:
+                line += f"  [{entry['notes']}]"
+            out.append(line)
+        out.append(
+            "summary: pass={pass} fail={fail} known-discrepancy={known_discrepancy} "
+            "vacuous={vacuous} verdict={verdict}".format(**doc["summary"])
+        )
+        return out
+
+    _render(args, lambda: doc, cells, lines)
     return 0 if doc["summary"]["verdict"] == "pass" else 1
 
 
@@ -165,13 +231,17 @@ def _cmd_conjecture(args) -> int:
     _check_count("N", args.n_max)
     report = derivation.conjecture_check(args.n_max)
     header = ["n", "cpower_scale_2n", "cofactor_scale_n", "equal"]
-    cells = [[str(row.n), str(row.cpower_scale), str(row.cofactor_scale),
-              "true" if row.equal else "false"] for row in report.rows]
+    entries = []
+    for row in report.rows:
+        cpower = str(row.cpower_scale)
+        # an equal cofactor scale reuses the cpower scale's string
+        cofactor = cpower if row.cofactor_scale == row.cpower_scale else str(row.cofactor_scale)
+        entries.append([str(row.n), cpower, cofactor, "true" if row.equal else "false"])
     verdict = "all-equal" if report.all_equal else "counterexample-found"
-    lines = [f"n={n}: {cpower} == {cofactor} -> {equal}" for n, cpower, cofactor, equal in cells]
-    lines.append(f"verdict: {verdict}")
-    rows = [dict(zip(header, c)) for c in cells]
-    _render(args, {"rows": rows, "verdict": verdict}, header, cells, lines)
+    _render(args, lambda: {"rows": [dict(zip(header, e)) for e in entries], "verdict": verdict},
+            lambda: [header, *entries],
+            lambda: [*(f"n={n}: {cpower} == {cofactor} -> {equal}" for n, cpower, cofactor, equal in entries),
+                     f"verdict: {verdict}"])
     return 0 if report.all_equal else 1
 
 
@@ -195,10 +265,12 @@ def _cmd_symcheck(args) -> int:
         ok = all(symmetric_identities.verify_sym_identity(degree, p, args.grid) for p in points)
         cells.append([str(degree), str(args.draws), str(args.grid), "pass" if ok else "fail"])
     verdict = "pass" if all(c[3] == "pass" for c in cells) else "fail"
-    lines = [f"degree {d}: {status} ({n} draws, grid {g})" for d, n, g, status in cells]
-    lines.append(f"verdict: {verdict}")
-    rows = [dict(zip(header, c)) for c in cells]
-    _render(args, {"seed": str(args.seed), "rows": rows, "verdict": verdict}, header, cells, lines)
+    _render(args,
+            lambda: {"seed": str(args.seed), "rows": [dict(zip(header, c)) for c in cells],
+                     "verdict": verdict},
+            lambda: [header, *cells],
+            lambda: [*(f"degree {d}: {status} ({n} draws, grid {g})" for d, n, g, status in cells),
+                     f"verdict: {verdict}"])
     return 0 if verdict == "pass" else 1
 
 
@@ -250,20 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact values routinely exceed the default int<->str digit limit
+    # exact values routinely exceed the default int<->str digit limit; it is
+    # lifted for this call only, so a library caller keeps its own
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (None, 0) else int(code)
-    try:
-        return args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return 0 if code in (None, 0) else int(code)
+        try:
+            return args.run(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

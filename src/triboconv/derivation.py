@@ -168,18 +168,23 @@ def _eventually_positive(triple: tuple[int, int, int]) -> bool:
     return norm_coeffs(coeffs_from_traces_22(triple)) > 0
 
 
-def _signed_triple(v: tuple[int, int, int]) -> tuple[int, int, int]:
+def _signed_triple(v: tuple[int, int, int], scalar: int = 0) -> tuple[int, int, int]:
     """The triple of a printed step from v, an integer vector proportional
     to (1, M, N) with v[0] != 0.
 
     v divided by the gcd of its entries is, up to sign, (s0, M*s0, N*s0)
     with s0 the lcm of the reduced denominators of M and N.  The sign is
-    the one that makes the sequence eventually positive, read from an
-    integer norm; the norm is odd, norm(-t) = -norm(t), so that rule alone
-    fixes it, whatever the sign of v[0]."""
+    the one that makes the sequence eventually positive.  For the printed
+    cpower and cofactor steps a nonzero ``scalar`` gives it: each is the
+    exact step, multiplication by the family element (positive at the real
+    root), times a scalar of the triple stepped from, a table row and so
+    eventually positive; the candidate then is eventually positive exactly
+    when the scalar is positive.  Otherwise the sign is read from an integer
+    norm; the norm is odd, norm(-t) = -norm(t), so that rule alone fixes
+    it, whatever the sign of v[0]."""
     g = gcd(*v)
     candidate = (v[0] // g, v[1] // g, v[2] // g)
-    if not _eventually_positive(candidate):
+    if not (scalar > 0 if scalar else _eventually_positive(candidate)):
         candidate = (-candidate[0], -candidate[1], -candidate[2])
     return candidate
 
@@ -202,8 +207,8 @@ def _step_cpower(s: tuple[int, int, int], a: Fraction):
     b_num = 2 * s2 * s1 + 5 * s1 * s0 + s1 * s1
     d = 9 * s2 * s2 * s1 + 6 * s2 * s1 * s0 + 18 * s2 * s1 * s1 - 2 * s1 * s1 * s0 - 7 * s1**3
     e = _printed_denominator(3 * s2 - s1, "3*s2 - s1")
-    # M = b_num / denom, N = d / (e * denom)
-    triple = _signed_triple((e * denom, b_num * e, d))
+    # M = b_num / denom, N = d / (e * denom); the step is s1*e times the exact one
+    triple = _signed_triple((e * denom, b_num * e, d), s1 * e)
     a_new = a * Fraction(3 * triple[2] - 2 * triple[1] - triple[0], s1)
     return triple, a_new
 
@@ -219,8 +224,9 @@ def _step_cofactor(s: tuple[int, int, int], a: Fraction):
     p = fh * ah - ch * dh
     q = _printed_denominator(bh * dh - ah * eh, "bh*dh - ah*eh")
     _printed_denominator(ah, "ah")
-    # M = p / q, N = -(bh * M + ch) / ah; the scale's s2 - s1 - s0 divides q
-    triple = _signed_triple((ah * q, ah * p, -(bh * p + ch * q)))
+    # M = p / q, N = -(bh * M + ch) / ah; the scale's s2 - s1 - s0 divides q;
+    # the step is -44*ah*(s0 + s1 - s2) times the exact one
+    triple = _signed_triple((ah * q, ah * p, -(bh * p + ch * q)), -44 * ah * (s0 + s1 - s2))
     a_new = a * Fraction(-8 * triple[2] + 18 * triple[1] + 2 * triple[0], s2 - s1 - s0)
     return triple, a_new
 

@@ -32,6 +32,7 @@ CATALOG = "src/triboconv/identity_catalog.py"
 CONVOLUTION = "src/triboconv/convolution.py"
 SYMMETRIC = "src/triboconv/symmetric_identities.py"
 DERIVATION = "src/triboconv/derivation.py"
+CLI = "src/triboconv/cli.py"
 KNOWN_DISCREPANCIES = ("tests/test_catalog.py::TestKnownDiscrepancies",)
 SEED42_DIGESTS = ("tests/test_golden.py::test_check_digests[checks_seed42.json]",)
 NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes_the_fallback",)
@@ -145,13 +146,31 @@ MUTANTS = [
     Mutant("signed-triple-gcd-division-dropped", DERIVATION,
            "    g = gcd(*v)", "    g = 1", INTEGER_STEPS),
     Mutant("signed-triple-sign-flip-never", DERIVATION,
-           "    if not _eventually_positive(candidate):", "    if False:", INTEGER_STEPS),
+           "    if not (scalar > 0 if scalar else _eventually_positive(candidate)):", "    if False:", INTEGER_STEPS),
+    # the replay's sign from the cpower and cofactor steps' scalar
+    Mutant("replay-sign-from-the-scalar-flipped", DERIVATION,
+           "scalar > 0 if scalar else", "scalar < 0 if scalar else",
+           ("tests/test_derivation.py::TestReplaySign::test_step_scalar_agrees_with_the_norm_to_the_cap",)),
+    Mutant("replay-sign-zero-scalar-skips-the-norm", DERIVATION,
+           "scalar > 0 if scalar else _eventually_positive(candidate)", "scalar > 0", INTEGER_STEPS),
+    Mutant("cofactor-sign-scalar-negated", DERIVATION,
+           "-44 * ah * (s0 + s1 - s2))", "44 * ah * (s0 + s1 - s2))", INTEGER_STEPS),
     Mutant("cpower-denominator-check-dropped", DERIVATION,
            'denom = _printed_denominator(5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1, "5*s2*s1 - 4*s1*s0 - 3*s1^2")',
            "denom = 5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1", INTEGER_STEPS),
     Mutant("pairsumsq-printed-n-numerator-changed", DERIVATION,
            "-7 * s2 + 10 * s1 + 5 * s0))", "-7 * s2 + 10 * s1 + 4 * s0))",
            ("tests/test_derivation.py::TestPaperRecursion::test_pairsumsq_replicates_full_printed_table",)),
+    # the report writer: nested indentation, and one string per value only
+    # where the values are equal
+    Mutant("json-writer-nesting-flattened", CLI,
+           'inner = indent + "  "', 'inner = "\\n  "', ("tests/test_cli.py::TestJsonWriter",)),
+    Mutant("conjecture-reuses-an-unequal-scale", CLI,
+           "cofactor = cpower if row.cofactor_scale == row.cpower_scale else str(row.cofactor_scale)",
+           "cofactor = cpower", ("tests/test_cli.py::TestConjecture::test_an_unequal_row_prints_both_scales",)),
+    Mutant("derive-reuses-an-unequal-scale", CLI,
+           "rep_scale = scale if rep.scale == scaled.scale else str(rep.scale)", "rep_scale = scale",
+           ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",)),
 ]
 
 

@@ -1,10 +1,14 @@
-"""CLI contract: output formats, exit codes, determinism."""
+"""CLI contract: output formats, exit codes, determinism, the JSON writer
+and one rendering per report."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from golden_runs import CLI_OUTPUTS, GOLDEN
+from hypothesis import given, strategies as st
 
-from triboconv import derivation, identity_catalog, symmetric_identities
+from triboconv import cli, derivation, identity_catalog, symmetric_identities
 from triboconv.cli import main
 from triboconv.identity_catalog import Check, IdentityRecord, RunOutcome
 
@@ -64,6 +68,23 @@ class TestDerive:
 
     def test_replicate_paper_unsupported_family(self):
         assert main(["derive", "sumcofactor", "3", "--replicate-paper"]) == 2
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("json", '"replicated": {\n        "A": "45",\n        "triple": [\n          "2",\n          "3",\n          "11"'),
+        ("tsv", "2\t22\t2\t3\t10\t45\t2\t3\t11\tfalse\n"),
+        ("text", "n=2: A=22 triple=(2, 3, 10)  replicated: A=45 triple=(2, 3, 11) match=false\n"),
+    ])
+    def test_a_replayed_value_off_the_direct_one_is_printed(self, fmt, expected, capsys, monkeypatch):
+        real = derivation.replicate_paper_table
+
+        def off_at_two(kind, direct):
+            two, *rest = real(kind, direct)
+            off = derivation.ScaledSeq(Fraction(45), (2, 3, 11))
+            return [derivation.PrintedRecursionResult(two.family, two.direct, off, False), *rest]
+
+        monkeypatch.setattr(derivation, "replicate_paper_table", off_at_two)
+        assert main(["derive", "cpower", "3", "--replicate-paper", "--format", fmt]) == 0
+        assert expected in capsys.readouterr().out
 
 
 class TestDeriveVanishedDenominator:
@@ -179,6 +200,93 @@ class TestConjecture:
 
     def test_bound_validation(self):
         assert main(["conjecture", "0"]) == 2
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("json", '{\n  "rows": [\n    {\n      "n": "1",\n      "cpower_scale_2n": "22",\n'
+                 '      "cofactor_scale_n": "23/2",\n      "equal": "false"\n    }\n  ],\n'
+                 '  "verdict": "counterexample-found"\n}\n'),
+        ("tsv", "n\tcpower_scale_2n\tcofactor_scale_n\tequal\n1\t22\t23/2\tfalse\n"),
+        ("text", "n=1: 22 == 23/2 -> false\nverdict: counterexample-found\n"),
+    ])
+    def test_an_unequal_row_prints_both_scales(self, fmt, expected, capsys, monkeypatch):
+        row = derivation.ConjectureRow(1, Fraction(22), Fraction(23, 2), False)
+        monkeypatch.setattr(derivation, "conjecture_check", lambda n_max: derivation.ConjectureReport((row,), False))
+        assert main(["conjecture", "1", "--format", fmt]) == 1
+        assert capsys.readouterr().out == expected
+
+
+class TestOneRendering:
+    """Each value gets its decimal string once, and only the asked-for
+    format is built."""
+
+    @pytest.mark.parametrize("argv,strings", [
+        (["conjecture", "200"], 200),
+        (["derive", "pairsumsq", "46", "--replicate-paper"], 46),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+    def test_one_string_per_scale(self, argv, strings, fmt, tmp_path, monkeypatch):
+        # every row's two scales are equal: the second reuses the first's string
+        calls, real = [], Fraction.__str__
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Fraction, "__str__", counted)
+        assert main([*argv, "--format", fmt, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == strings
+
+    @pytest.mark.parametrize("name", sorted(CLI_OUTPUTS))
+    def test_only_the_asked_producer_is_called(self, name, tmp_path, monkeypatch):
+        real = cli._render
+
+        def guarded(args, doc, cells, lines):
+            def other_format():
+                raise AssertionError(f"{args.format} run called another format's producer")
+
+            chosen = {"json": doc, "tsv": cells, "text": lines}
+            real(args, *(chosen[f] if f == args.format else other_format for f in ("json", "tsv", "text")))
+
+        monkeypatch.setattr(cli, "_render", guarded)
+        out = tmp_path / "out"
+        assert main([*CLI_OUTPUTS[name], "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# keys and strings with quotes, backslashes, control characters and non-ASCII
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aZé€\u2028😀') | st.characters(), max_size=6)
+
+
+def _documents(depth: int):
+    leaf = st.none() | _TEXT
+    if depth == 0:
+        return leaf
+    child = _documents(depth - 1)
+    return leaf | st.lists(child, max_size=3) | st.dictionaries(_TEXT, child, max_size=3)
+
+
+class TestJsonWriter:
+    @given(_documents(4))
+    def test_equals_json_dumps(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        1, 1.5, True, ("a",), {"n": 2}, ["1", [None, 3.0]], {"ok": False}, {1: "a"}, {None: "a"}, {True: "a"},
+        {"rows": [{("n",): "1"}]},
+    ])
+    def test_anything_but_str_none_dict_and_list_is_rejected(self, doc):
+        with pytest.raises(TypeError):
+            cli._json(doc)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_each_golden_json_rewrites_to_its_bytes(self, path):
+        doc = json.loads(path.read_bytes())
+        if path.name.startswith("checks_"):
+            # the check digests count in JSON integers, which no report holds
+            with pytest.raises(TypeError):
+                cli._json(doc)
+        else:
+            assert (cli._json(doc) + "\n").encode() == path.read_bytes()
 
 
 class TestSymcheck:

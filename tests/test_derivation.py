@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,7 @@ from triboconv.derivation import (
     replicate_paper_table,
 )
 from triboconv.field import FieldElement, c_element, cofactor_element, sign_at_real_root, trace
-from triboconv.identity_catalog import PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED
+from triboconv.identity_catalog import DEFAULT_RANGE_CAP, PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED
 from triboconv.sequences import ScaledSeq, binet_check, egf_rational_term
 
 # published tables for the power-of-c and cofactor families; both are
@@ -233,8 +234,10 @@ class TestIntegerSteps:
 
     @pytest.mark.parametrize("kind", REPLICABLE)
     def test_small_triples(self, kind):
+        # a step goes from a table row, whose triple is eventually positive
         step, oracle = derivation._STEPS[kind], FRACTION_STEPS[kind]
-        for triple in product(range(-6, 7), repeat=3):
+        for t in product(range(-6, 7), repeat=3):
+            triple = t if derivation._eventually_positive(t) else (-t[0], -t[1], -t[2])
             for scale in (F(1), F(-22), F(7, 3)):
                 got = _step_outcome(step, triple, scale)
                 assert got == _step_outcome(oracle, triple, scale), (triple, scale)
@@ -306,6 +309,28 @@ class TestReplaySign:
             sign_at_real_root(element_with_traces(*t)) > 0)
         assert derivation._eventually_positive(tuple(-v for v in t)) is not (
             derivation._eventually_positive(t))
+
+
+    @pytest.mark.parametrize("kind,positive", [(FamilyKind.CPOWER, 1999), (FamilyKind.COFACTOR_POWER, 1598)])
+    def test_step_scalar_agrees_with_the_norm_to_the_cap(self, kind, positive, monkeypatch):
+        # on every replayed row to the range cap, the cpower and cofactor
+        # steps' scalar is nonzero and positive exactly when the norm calls
+        # the candidate triple eventually positive
+        seen, signed_triple = [], derivation._signed_triple
+
+        def spy(v, scalar=0):
+            seen.append((v, scalar))
+            return signed_triple(v, scalar)
+
+        monkeypatch.setattr(derivation, "_signed_triple", spy)
+        results = replicate_paper_table(kind, derive_table(kind, DEFAULT_RANGE_CAP))
+        assert all(r.match for r in results) and len(seen) == DEFAULT_RANGE_CAP - 1
+        signs = []
+        for v, scalar in seen:
+            g = gcd(*v)
+            signs.append(derivation._eventually_positive((v[0] // g, v[1] // g, v[2] // g)))
+            assert scalar != 0 and (scalar > 0) is signs[-1]
+        assert signs.count(True) == positive
 
 
 class TestConjecture:

@@ -4,6 +4,7 @@ huge integers) and the agreement of the identities read from one fold
 table."""
 
 import json
+import sys
 
 import pytest
 
@@ -58,9 +59,25 @@ class TestUnwritableOut:
 
 class TestHugeIntegers:
     def test_seq_with_fifty_thousand_digit_term(self, capsys):
-        big = 10**50000
+        big = "1" + "0" * 50000  # 10**50000, written out past the int-str limit
         assert main(["seq", f"{big},0,0", "4"]) == 0
         assert capsys.readouterr().out == f"{big} 0 0 {big}\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit before Python 3.11")
+    def test_main_restores_the_int_str_limit(self, capsys):
+        # main lifts the limit for its own call only, on success and on a
+        # usage error alike
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            big = "1" + "0" * 6000
+            assert main(["seq", f"{big},0,0", "2"]) == 0
+            assert capsys.readouterr().out == f"{big} 0\n"
+            assert sys.get_int_max_str_digits() == 5000
+            assert main(["seq", "0,1", "2"]) == 2
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestRangeCap:

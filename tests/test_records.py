@@ -148,8 +148,8 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
 
 
 def test_a_value_past_the_int_str_limit_reads_in_a_fresh_process():
-    # only cli.main lifts the interpreter's limit for good; a library reader
-    # gets the whole value, and the limit is as it was afterwards
+    # cli.main lifts the interpreter's limit for its own call only; a library
+    # reader gets the whole value, and the limit is as it was afterwards
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from triboconv import identity_catalog as c; "
             "limit = sys.get_int_max_str_digits(); big = 10 ** (limit + 1); "
             "shown = [c.verify('S2', nmax=2000).checks[-1].lhs, str(c._Quotient(big, 3)), "
