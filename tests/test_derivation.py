@@ -290,7 +290,8 @@ class TestElementWithTraces:
 
 
 class TestReplaySign:
-    """The replay's integer-determinant sign against the Fraction route."""
+    """The replay's integer-determinant sign against the Fraction route, and
+    the cpower and cofactor steps' scalar sign against the determinant."""
 
     @pytest.mark.parametrize("digits", [1, 3, 30, 300])
     def test_seeded_triples(self, digits):
@@ -309,7 +310,6 @@ class TestReplaySign:
             sign_at_real_root(element_with_traces(*t)) > 0)
         assert derivation._eventually_positive(tuple(-v for v in t)) is not (
             derivation._eventually_positive(t))
-
 
     @pytest.mark.parametrize("kind,positive", [(FamilyKind.CPOWER, 1999), (FamilyKind.COFACTOR_POWER, 1598)])
     def test_step_scalar_agrees_with_the_norm_to_the_cap(self, kind, positive, monkeypatch):
