@@ -114,59 +114,56 @@ def _cmd_derive(args) -> int:
         raise UsageError(f"no printed recursion to replicate for {args.family}")
     direct = derivation.derive_table(kind, args.n_max)
     replicated = derivation.replicate_paper_table(kind, direct) if args.replicate_paper else []
-    # per row: the direct strings, its note, and the replay's result with
-    # its strings, or None on a row with no replicated part
+    # per row: the direct strings, the match string or None, the replayed
+    # strings or None, and the one note that applies: the replay's when it
+    # has no replicated value, else the non-integral one
     entries = []
     for n, scaled in enumerate(direct, start=1):
         scale, triple = str(scaled.scale), [str(v) for v in scaled.triple]
         note = None if scaled.integral else "non-integral scale"
-        result = replicated[n - 2] if args.replicate_paper and n >= 2 else None
-        rep_scale = rep_triple = None
-        if result is not None and result.recursive is not None:
-            rep = result.recursive
-            # a replayed value equal to the direct one reuses its string
-            rep_scale = scale if rep.scale == scaled.scale else str(rep.scale)
-            rep_triple = [t if r == d else str(r) for t, r, d in zip(triple, rep.triple, scaled.triple)]
-        entries.append((str(n), scale, triple, note, result, rep_scale, rep_triple))
+        match = rep = None
+        if args.replicate_paper and n >= 2:
+            result = replicated[n - 2]
+            match = "true" if result.match else "false"
+            if result.recursive is None:
+                note = result.note
+            else:
+                r = result.recursive
+                # a replayed value equal to the direct one reuses its string
+                rep = (scale if r.scale == scaled.scale else str(r.scale),
+                       [t if v == w else str(v) for t, v, w in zip(triple, r.triple, scaled.triple)])
+        entries.append((str(n), scale, triple, match, rep, note))
 
     def doc():
         rows = []
-        for n, scale, triple, note, result, rep_scale, rep_triple in entries:
+        for n, scale, triple, match, rep, note in entries:
             row = {"n": n, "A": scale, "triple": triple}
-            if note is not None:
-                row["note"] = note
-            if result is not None:
-                match = "true" if result.match else "false"
-                if rep_scale is None:
-                    row.update(replicated=None, match=match, note=result.note)
-                else:
-                    row.update(replicated={"A": rep_scale, "triple": rep_triple}, match=match)
+            if match is not None and rep is None:
+                row.update(replicated=None, match=match, note=note)
+            else:
+                if note is not None:
+                    row["note"] = note
+                if rep is not None:
+                    row.update(replicated={"A": rep[0], "triple": rep[1]}, match=match)
             rows.append(row)
         return {"family": args.family, "rows": rows}
 
     def cells():
         header = ["n", "A", "s0", "s1", "s2"]
-        if args.replicate_paper:
-            header += ["A_replicated", "r0", "r1", "r2", "match"]
-        out = [header]
-        for n, scale, triple, _, result, rep_scale, rep_triple in entries:
-            tail = ["-"] * 5 if args.replicate_paper else []
-            if result is not None:
-                tail[-1] = "true" if result.match else "false"
-                if rep_scale is not None:
-                    tail[:4] = [rep_scale, *rep_triple]
-            out.append([n, scale, *triple, *tail])
+        if not args.replicate_paper:
+            return [header, *([n, scale, *triple] for n, scale, triple, *_ in entries)]
+        out = [header + ["A_replicated", "r0", "r1", "r2", "match"]]
+        for n, scale, triple, match, rep, _ in entries:
+            tail = [rep[0], *rep[1]] if rep is not None else ["-"] * 4
+            out.append([n, scale, *triple, *tail, match or "-"])
         return out
 
     def lines():
         out = []
-        for n, scale, triple, note, result, rep_scale, rep_triple in entries:
+        for n, scale, triple, match, rep, note in entries:
             line = f"n={n}: A={scale} triple=({', '.join(triple)})"
-            if rep_scale is not None:
-                match = "true" if result.match else "false"
-                line += f"  replicated: A={rep_scale} triple=({', '.join(rep_triple)}) match={match}"
-            elif result is not None:
-                line += f"  [{result.note}]"
+            if rep is not None:
+                line += f"  replicated: A={rep[0]} triple=({', '.join(rep[1])}) match={match}"
             elif note is not None:
                 line += f"  [{note}]"
             out.append(line)

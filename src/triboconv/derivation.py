@@ -168,23 +168,23 @@ def _eventually_positive(triple: tuple[int, int, int]) -> bool:
     return norm_coeffs(coeffs_from_traces_22(triple)) > 0
 
 
-def _signed_triple(v: tuple[int, int, int], scalar: int = 0) -> tuple[int, int, int]:
+def _signed_triple(v: tuple[int, int, int], scalar: int | None = None) -> tuple[int, int, int]:
     """The triple of a printed step from v, an integer vector proportional
     to (1, M, N) with v[0] != 0.
 
     v divided by the gcd of its entries is, up to sign, (s0, M*s0, N*s0)
     with s0 the lcm of the reduced denominators of M and N.  The sign is
-    the one that makes the sequence eventually positive.  For the printed
-    cpower and cofactor steps a nonzero ``scalar`` gives it: each is the
+    the one that makes the sequence eventually positive.  The printed
+    cpower and cofactor steps pass ``scalar``, which gives it: each is the
     exact step, multiplication by the family element (positive at the real
-    root), times a scalar of the triple stepped from, a table row and so
-    eventually positive; the candidate then is eventually positive exactly
-    when the scalar is positive.  Otherwise the sign is read from an integer
-    norm; the norm is odd, norm(-t) = -norm(t), so that rule alone fixes
-    it, whatever the sign of v[0]."""
+    root), times a nonzero scalar of the triple stepped from, a table row
+    and so eventually positive; the candidate then is eventually positive
+    exactly when the scalar is positive.  Without a scalar (pairsumsq) the
+    sign is read from an integer norm; the norm is odd, norm(-t) = -norm(t),
+    so that rule alone fixes it, whatever the sign of v[0]."""
     g = gcd(*v)
     candidate = (v[0] // g, v[1] // g, v[2] // g)
-    if not (scalar > 0 if scalar else _eventually_positive(candidate)):
+    if not (scalar > 0 if scalar is not None else _eventually_positive(candidate)):
         candidate = (-candidate[0], -candidate[1], -candidate[2])
     return candidate
 

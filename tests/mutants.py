@@ -146,13 +146,14 @@ MUTANTS = [
     Mutant("signed-triple-gcd-division-dropped", DERIVATION,
            "    g = gcd(*v)", "    g = 1", INTEGER_STEPS),
     Mutant("signed-triple-sign-flip-never", DERIVATION,
-           "    if not (scalar > 0 if scalar else _eventually_positive(candidate)):", "    if False:", INTEGER_STEPS),
+           "    if not (scalar > 0 if scalar is not None else _eventually_positive(candidate)):", "    if False:",
+           INTEGER_STEPS),
     # the replay's sign from the cpower and cofactor steps' scalar
     Mutant("replay-sign-from-the-scalar-flipped", DERIVATION,
-           "scalar > 0 if scalar else", "scalar < 0 if scalar else",
+           "scalar > 0 if scalar is not None", "scalar < 0 if scalar is not None",
            ("tests/test_derivation.py::TestReplaySign::test_step_scalar_agrees_with_the_norm_to_the_cap",)),
-    Mutant("replay-sign-zero-scalar-skips-the-norm", DERIVATION,
-           "scalar > 0 if scalar else _eventually_positive(candidate)", "scalar > 0", INTEGER_STEPS),
+    Mutant("replay-sign-pairsumsq-skips-the-norm", DERIVATION,
+           "else _eventually_positive(candidate)", "else True", INTEGER_STEPS),
     Mutant("cofactor-sign-scalar-negated", DERIVATION,
            "-44 * ah * (s0 + s1 - s2))", "44 * ah * (s0 + s1 - s2))", INTEGER_STEPS),
     Mutant("cpower-denominator-check-dropped", DERIVATION,
@@ -169,7 +170,7 @@ MUTANTS = [
            "cofactor = cpower if row.cofactor_scale == row.cpower_scale else str(row.cofactor_scale)",
            "cofactor = cpower", ("tests/test_cli.py::TestConjecture::test_an_unequal_row_prints_both_scales",)),
     Mutant("derive-reuses-an-unequal-scale", CLI,
-           "rep_scale = scale if rep.scale == scaled.scale else str(rep.scale)", "rep_scale = scale",
+           "rep = (scale if r.scale == scaled.scale else str(r.scale),", "rep = (scale,",
            ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",)),
 ]
 

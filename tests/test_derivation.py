@@ -234,10 +234,13 @@ class TestIntegerSteps:
 
     @pytest.mark.parametrize("kind", REPLICABLE)
     def test_small_triples(self, kind):
-        # a step goes from a table row, whose triple is eventually positive
+        # the cpower and cofactor steps read their sign from a scalar that
+        # holds for a table row only, so they go from each triple's
+        # eventually positive sign; pairsumsq reads the norm, from any triple
         step, oracle = derivation._STEPS[kind], FRACTION_STEPS[kind]
+        any_sign = kind is FamilyKind.PAIR_SUM_SQ_POWER
         for t in product(range(-6, 7), repeat=3):
-            triple = t if derivation._eventually_positive(t) else (-t[0], -t[1], -t[2])
+            triple = t if any_sign or derivation._eventually_positive(t) else (-t[0], -t[1], -t[2])
             for scale in (F(1), F(-22), F(7, 3)):
                 got = _step_outcome(step, triple, scale)
                 assert got == _step_outcome(oracle, triple, scale), (triple, scale)
@@ -318,7 +321,7 @@ class TestReplaySign:
         # the candidate triple eventually positive
         seen, signed_triple = [], derivation._signed_triple
 
-        def spy(v, scalar=0):
+        def spy(v, scalar=None):
             seen.append((v, scalar))
             return signed_triple(v, scalar)
 
