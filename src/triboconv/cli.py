@@ -10,6 +10,8 @@ equal arguments yield byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -69,7 +71,8 @@ def _render(args, doc, cells, lines) -> None:
     """Write one report in ``args.format`` to stdout or ``--out``: ``doc()``
     as JSON, ``cells()`` (header first) as TSV, or ``lines()`` as text.
     Only the producer of the asked-for format is called.  An unwritable
-    path is a usage error."""
+    path or standard output is a usage error; stdout is flushed here, so
+    that its write error is raised here and not at exit."""
     if args.format == "json":
         text = _json(doc()) + "\n"
     elif args.format == "tsv":
@@ -77,7 +80,11 @@ def _render(args, doc, cells, lines) -> None:
     else:
         text = "".join(line + "\n" for line in lines())
     if args.out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise UsageError(f"cannot write standard output: {exc.strerror or exc}")
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -274,6 +281,8 @@ def _cmd_symcheck(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``triboconv`` command line.  ``main`` parses
+    with one built on its first call; this one is the caller's to keep."""
     parser = argparse.ArgumentParser(
         prog="triboconv",
         description="Exact derivation and verification of Tribonacci convolution identities.",
@@ -318,6 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse keeps no per-call state in a parser: each parse fills a new
+    # Namespace, and help and usage read the terminal width when formatted
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # exact values routinely exceed the default int<->str digit limit; it is
     # lifted for this call only, so a library caller keeps its own
@@ -325,9 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             code = exc.code
             return 0 if code in (None, 0) else int(code)
@@ -341,5 +356,22 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def run() -> None:
+    """Process entry (the ``triboconv`` script and ``python -m``): exit
+    with ``main``'s code.  Bytes that stdout could not take stay in its
+    buffer and would fail the interpreter's flush at exit again, so they
+    are dropped here.  If ``main`` has not reported them (argparse's help
+    ignores its own write error), the run exits 2 with one line."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 2:
+            print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+            code = 2
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -38,6 +38,7 @@ SEED42_DIGESTS = ("tests/test_golden.py::test_check_digests[checks_seed42.json]"
 NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes_the_fallback",)
 INTEGER_STEPS = ("tests/test_derivation.py::TestIntegerSteps",)
 SETTLED_POINTS = ("tests/test_catalog.py::TestSettledPoints",)
+UNWRITABLE_STDOUT_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_passes_the_cli_on_a_full_device"
 #: seconds one pytest run may take; the slowest row takes about 12 s
 TIMEOUT = 300
 
@@ -169,6 +170,28 @@ MUTANTS = [
     Mutant("conjecture-reuses-an-unequal-scale", CLI,
            "cofactor = cpower if row.cofactor_scale == row.cpower_scale else str(row.cofactor_scale)",
            "cofactor = cpower", ("tests/test_cli.py::TestConjecture::test_an_unequal_row_prints_both_scales",)),
+    # one parser per process: each call parses into a new Namespace and
+    # leaves the parser's defaults alone; an unwritable stdout is a usage
+    # error, and a process leaves no unwritten bytes to its exit flush
+    Mutant("main-reuses-one-namespace", CLI,
+           "args = _parser().parse_args(argv)",
+           'args = _parser().parse_args(argv, globals().setdefault("_NAMESPACE", argparse.Namespace()))',
+           ("tests/test_cli.py::TestSharedParser",)),
+    Mutant("parsed-values-become-the-next-calls-defaults", CLI,
+           "args = _parser().parse_args(argv)",
+           "args = _parser().parse_args(argv)\n"
+           "            _parser()._actions[-1].choices[args.command].set_defaults(**vars(args))",
+           ("tests/test_cli.py::TestSharedParser",)),
+    Mutant("stdout-write-error-re-raised", CLI,
+           'raise UsageError(f"cannot write standard output: {exc.strerror or exc}")', "raise",
+           ("tests/test_edges.py::TestUnwritableStdout",)),
+    Mutant("stdout-not-flushed-in-render", CLI,
+           "            sys.stdout.flush()\n", "", ("tests/test_edges.py::TestUnwritableStdout",)),
+    Mutant("process-exit-keeps-the-unwritten-bytes", CLI,
+           "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass",
+           (UNWRITABLE_STDOUT_PROCESS,)),
+    Mutant("process-exit-ignores-an-unwritten-help", CLI,
+           "        if code != 2:", "        if False:", (UNWRITABLE_STDOUT_PROCESS,)),
     Mutant("derive-reuses-an-unequal-scale", CLI,
            "rep = (scale if r.scale == scaled.scale else str(r.scale),", "rep = (scale,",
            ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",)),

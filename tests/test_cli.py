@@ -308,3 +308,88 @@ class TestSymcheck:
         monkeypatch.setattr(symmetric_identities, "random_params", no_draw)
         assert main(["symcheck", "--draws", draws, "--format", "json"]) == 2
         assert capsys.readouterr() == ("", "error: draws must be >= 1\n")
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; every call still sees
+    only its own arguments and the terminal width of its own moment."""
+
+    # pairs of one value given, then the same command without it; usage
+    # errors; help under two widths
+    CORPUS = [
+        (["verify", "S3", "-vv"], None),
+        (["verify", "S3"], None),
+        (["symcheck", "--seed", "5", "--draws", "2"], None),
+        (["symcheck", "--draws", "2"], None),
+        (["symcheck", "--seed", "5", "--draws", "2", "--format", "json"], None),
+        (["symcheck", "--draws", "2", "--format", "json"], None),
+        (["derive", "cofactor", "6", "--replicate-paper"], None),
+        (["derive", "cofactor", "6"], None),
+        (["seq", "0,1,1", "5", "--out", "PATH"], None),
+        (["seq", "0,1,1", "5"], None),
+        (["conjecture", "3", "--format", "json"], None),
+        (["conjecture", "3"], None),
+        (["bogus"], None),
+        (["seq", "0,1,1"], None),
+        (["verify", "T2", "--nmax", "x"], None),
+        (["-h"], "40"),
+        (["verify", "-h"], "120"),
+        (["-h"], "120"),
+        (["verify", "-h"], "40"),
+        (["verify", "S3"], None),
+    ]
+
+    def _run(self, argv, columns, out, capsys, monkeypatch):
+        """(exit code, stdout, stderr, --out bytes or None) of one call."""
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        code = main([str(out) if a == "PATH" else a for a in argv])
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return (code, *capsys.readouterr(), written)
+
+    def test_many_calls_build_the_parser_once(self, capsys, monkeypatch):
+        builds, real = [], cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for argv in (["seq", "0,1,1", "3"], ["verify", "P1"], ["bogus"], ["symcheck", "--draws", "1"]):
+            main(argv)
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_interleaved_calls_match_a_fresh_parser_per_call(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", cli.build_parser)
+            expected = [self._run(argv, columns, out, capsys, fresh) for argv, columns in self.CORPUS]
+        got = [self._run(argv, columns, out, capsys, monkeypatch) for argv, columns in self.CORPUS]
+        for (argv, columns), want, have in zip(self.CORPUS, expected, got):
+            assert have == want, (argv, columns)
+        # the corpus shows each leak it guards against (text symcheck prints
+        # no seed, so its pair reads alike) and each help follows its width
+        for a, b in ((0, 1), (4, 5), (6, 7), (8, 9), (10, 11), (15, 17), (16, 18)):
+            assert expected[a] != expected[b], (self.CORPUS[a], self.CORPUS[b])
+
+    def test_each_call_parses_into_a_new_namespace(self, capsys, monkeypatch):
+        seen, real = [], cli._render
+
+        def spy(args, *producers):
+            seen.append(args)
+            real(args, *producers)
+
+        monkeypatch.setattr(cli, "_render", spy)
+        runs = [["verify", "P1"], ["symcheck", "--draws", "1"], ["seq", "0,1,1", "2"]]
+        for argv in runs:
+            main(argv)
+        assert len({id(args) for args in seen}) == len(runs)
+        for argv, args in zip(runs, seen):
+            assert vars(args) == vars(cli.build_parser().parse_args(argv))

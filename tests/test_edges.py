@@ -1,9 +1,11 @@
 """Edge inputs (negative ranges, an nmax or mmax with no range to bound,
-counts and symcheck arguments above their caps, unwritable output paths,
-huge integers) and the agreement of the identities read from one fold
-table."""
+counts and symcheck arguments above their caps, an unwritable output path
+or standard output, huge integers) and the agreement of the identities read
+from one fold table."""
 
+import errno
 import json
+import os
 import sys
 
 import pytest
@@ -55,6 +57,36 @@ class TestUnwritableOut:
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
         assert not target.exists()
+
+
+class _Unwritable:
+    """A standard output whose ``write`` or ``flush`` raises ``exc``."""
+
+    def __init__(self, exc, on):
+        self.exc, self.on = exc, on
+
+    def write(self, text):
+        if self.on == "write":
+            raise self.exc
+        return len(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise self.exc
+
+
+class TestUnwritableStdout:
+    @pytest.mark.parametrize("exc,on", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "write"),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "flush"),
+        (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), "write"),
+    ], ids=["enospc-write", "enospc-flush", "broken-pipe"])
+    @pytest.mark.parametrize("argv", [["seq", "0,1,1", "5"], ["verify", "P1", "--format", "json"]])
+    def test_is_one_line_usage_error(self, argv, exc, on, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _Unwritable(exc, on))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write standard output: {exc.strerror}\n"
 
 
 class TestHugeIntegers:
