@@ -67,12 +67,21 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"report values must be str, None, dict or list, not {type(value).__name__}")
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text`` to stdout; flushing here raises its write
+    error here and not at exit.  An unwritable stdout is a usage error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write standard output: {exc.strerror or exc}")
+
+
 def _render(args, doc, cells, lines) -> None:
     """Write one report in ``args.format`` to stdout or ``--out``: ``doc()``
     as JSON, ``cells()`` (header first) as TSV, or ``lines()`` as text.
     Only the producer of the asked-for format is called.  An unwritable
-    path or standard output is a usage error; stdout is flushed here, so
-    that its write error is raised here and not at exit."""
+    path or standard output is a usage error."""
     if args.format == "json":
         text = _json(doc()) + "\n"
     elif args.format == "tsv":
@@ -80,11 +89,7 @@ def _render(args, doc, cells, lines) -> None:
     else:
         text = "".join(line + "\n" for line in lines())
     if args.out is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            raise UsageError(f"cannot write standard output: {exc.strerror or exc}")
+        _write_stdout(text)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -280,10 +285,22 @@ def _cmd_symcheck(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help goes through ``_write_stdout``, so an
+    unwritable stdout is a usage error; argparse would ignore the help's
+    write error and exit 0.  Messages to stderr keep argparse's path."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the ``triboconv`` command line.  ``main`` parses
     with one built on its first call; this one is the caller's to keep."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triboconv",
         description="Exact derivation and verification of Tribonacci convolution identities.",
     )
@@ -343,11 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = _parser().parse_args(argv)
+            return args.run(args)
         except SystemExit as exc:
             code = exc.code
             return 0 if code in (None, 0) else int(code)
-        try:
-            return args.run(args)
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -358,18 +374,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """Process entry (the ``triboconv`` script and ``python -m``): exit
-    with ``main``'s code.  Bytes that stdout could not take stay in its
-    buffer and would fail the interpreter's flush at exit again, so they
-    are dropped here.  If ``main`` has not reported them (argparse's help
-    ignores its own write error), the run exits 2 with one line."""
+    with ``main``'s code.  Every write to stdout is flushed and checked in
+    ``main``, which reports a failed one as exit 2; the bytes that stdout
+    could not take stay in its buffer and would fail the interpreter's
+    flush at exit again, so they are dropped here."""
     code = main()
     try:
         sys.stdout.flush()
-    except OSError as exc:
+    except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if code != 2:
-            print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
-            code = 2
     sys.exit(code)
 
 

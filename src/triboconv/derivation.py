@@ -2,18 +2,21 @@
 
 The authoritative derivation path is: build the family's field element
 exactly, take its n-th power, and normalize (``derive``).  A whole table
-n = 1..N carries the power as three integers over a power of one common
-denominator, one integer field product per row, and reads the element's
-sign at the real root once (``derive_table``).  The source tables also
-print per-family recursions for the initial triples and scales; those are
-replicated verbatim, in one replay per table (``replicate_paper_table``,
-``derive_paper_recursive``), and compared against the direct path, because
-printed helper formulas of this kind are exactly where typographical slips
-hide.  A mismatch flags the printed recursion, never the direct path.  Each
-printed step is evaluated on integers: its printed numerators and
-denominators as written, multiplied out to one integer vector proportional
-to (1, M, N) and reduced by one gcd, with a ZeroDivisionError at each
-printed denominator that vanishes; only the scale stays a Fraction.
+n = 1..N normalizes the element once and then steps the canonical row
+itself (``derive_table``): multiplication by the element is one small
+integer 3x3 matrix in trace coordinates, derived from ``field``, so each
+row is that matrix times the row before's primitive triple, divided by a
+gcd bounded by the matrix's determinant; the element's sign at the real
+root is read once.  The source tables also print per-family recursions
+for the initial triples and scales; those are replicated verbatim, in one
+replay per table (``replicate_paper_table``, ``derive_paper_recursive``),
+and compared against the direct path, because printed helper formulas of
+this kind are exactly where typographical slips hide.  A mismatch flags
+the printed recursion, never the direct path.  Each printed step is
+evaluated on integers: its printed numerators and denominators as
+written, multiplied out to one integer vector proportional to (1, M, N)
+and reduced by one gcd, with a ZeroDivisionError at each printed
+denominator that vanishes; only the scale stays a Fraction.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .field import (
     norm_coeffs,
     sign_at_real_root,
     trace,
+    trace_triple,
 )
 from .sequences import ScaledSeq, normalize_egf, normalize_integral
 
@@ -119,21 +123,50 @@ def derive(fam: PowerFamily) -> ScaledSeq:
     return normalize_egf(family_element(fam))
 
 
+def _trace_step(coeffs: tuple[int, int, int], d: int) -> tuple[int, tuple]:
+    """(K, N) for q = (a0 + a1*x + a2*x^2) / d with a_i = ``coeffs``: the
+    integer K > 0 and 3x3 integer matrix N with t(q r) = N t(r) / K for
+    every r, where t(r) = (trace(r), trace(x r), trace(x^2 r)).
+
+    In trace coordinates multiplication by q is G mult(q) G^-1, with G the
+    trace Gram matrix and mult(q) its multiplication matrix.  22 G^-1 is an
+    integer matrix, so N = G mult(a) 22 G^-1 and K = 22 d: column i of N
+    is the trace triple of a times the element whose traces are 22 e_i.
+    K and N are divided by their common content."""
+    columns = [trace_triple(mul_coeffs(coeffs, coeffs_from_traces_22(e)))
+               for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    content = gcd(22 * d, *(v for column in columns for v in column))
+    return 22 * d // content, tuple(tuple(v // content for v in row) for row in zip(*columns))
+
+
 def _scaled_powers(q: FieldElement, n_max: int) -> Iterator[ScaledSeq]:
     """``normalize_egf(q**n)`` for n = 1..n_max.
 
-    q^n is carried as three integers over d^n, where q = (a0, a1, a2) / d:
-    one integer field product per row and no gcd per product.  The norm is
-    multiplicative, so sign(q^n) = sign(q)^n and q's sign is read once.
+    Row 1 is ``normalize_egf(q)``.  Each later row steps the row before,
+    (scale, s), in trace coordinates: with (K, N) from ``_trace_step`` the
+    traces of q^(n+1) are v / (K scale) for v = N s.  So the next row is
+    s' = v / g and scale' = scale K / g with g = gcd(v) sign(q): the norm
+    is multiplicative, so sign(q^n) = sign(q)^n and q's sign is read once.
+    s is primitive, so adj(N) v = det(N) s makes gcd(v) divide det(N), a
+    small integer that the gcd starts from.  (K, N) is built only when
+    row 2 is asked for.
     """
+    if n_max < 1:
+        return
     sign = sign_at_real_root(q)
     coeffs, d = integral_coeffs(q)
-    power, denom, row_sign = (1, 0, 0), 1, 1
-    for _ in range(n_max):
-        power = mul_coeffs(power, coeffs)
-        denom *= d
-        row_sign *= sign
-        yield normalize_integral(power, denom, row_sign)
+    scale, (s0, s1, s2) = row = normalize_integral(coeffs, d, sign)
+    yield row
+    if n_max == 1:
+        return
+    k, ((n00, n01, n02), (n10, n11, n12), (n20, n21, n22)) = _trace_step(coeffs, d)
+    det = n00 * (n11 * n22 - n12 * n21) - n01 * (n10 * n22 - n12 * n20) + n02 * (n10 * n21 - n11 * n20)
+    for _ in range(n_max - 1):
+        v0, v1, v2 = n00 * s0 + n01 * s1 + n02 * s2, n10 * s0 + n11 * s1 + n12 * s2, n20 * s0 + n21 * s1 + n22 * s2
+        g = gcd(det, v0, v1, v2) * sign
+        s0, s1, s2 = v0 // g, v1 // g, v2 // g
+        scale = Fraction(scale.numerator * k, scale.denominator * g)
+        yield ScaledSeq(scale, (s0, s1, s2))
 
 
 def derive_table(kind: FamilyKind, n_max: int) -> list[ScaledSeq]:

@@ -11,6 +11,8 @@ on /dev/full and requires exit 2 with a single stderr line, and no
 ``Traceback`` or ``Exception ignored``; only a real process shows a failure
 in the interpreter's flush at exit.  Those runs drop ``PYTHONUNBUFFERED``,
 so stdout is buffered as by default and that flush has bytes to fail on.
+``exitcodes`` then runs the helps of ``UNBUFFERED_RUNS`` the same way with
+``PYTHONUNBUFFERED=1``, where the write itself fails, inside argparse.
 Each mode prints one line per mismatch and exits 1 if there is any:
 
     PYTHONWARNINGS=error PYTHONPATH=src python tests/check_cli_stdout.py bytes
@@ -42,6 +44,9 @@ UNWRITABLE_RUNS = {
     "symcheck": ["symcheck", "--draws", "2"],
     "help": ["verify", "-h"],
 }
+
+#: name -> argv, each run with unbuffered stdout
+UNBUFFERED_RUNS = {"help-unbuffered": ["-h"], "verify-help-unbuffered": ["verify", "-h"]}
 
 
 def _cli(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
@@ -85,10 +90,12 @@ def unwritable_fault(code: int, stderr: bytes) -> str | None:
     return None
 
 
-def exitcode_mismatches(runs: dict = UNWRITABLE_RUNS, sink: str = "/dev/full") -> list[str]:
+def exitcode_mismatches(runs: dict = UNWRITABLE_RUNS, sink: str = "/dev/full", unbuffered: bool = False) -> list[str]:
     """``name: fault`` for each run in ``runs`` that, with stdout on
-    ``sink``, is not a one-line usage error."""
+    ``sink``, buffered or ``unbuffered``, is not a one-line usage error."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     mismatches = []
     for name, argv in runs.items():
         with open(sink, "wb") as stdout:
@@ -103,7 +110,8 @@ if __name__ == "__main__":
     checks = {
         "bytes": (byte_mismatches, "stdout differs from golden"),
         "sha256": (sha256_mismatches, "stdout differs from golden"),
-        "exitcodes": (exitcode_mismatches, "unwritable stdout is not one usage-error line:"),
+        "exitcodes": (lambda: exitcode_mismatches() + exitcode_mismatches(UNBUFFERED_RUNS, unbuffered=True),
+                      "unwritable stdout is not one usage-error line:"),
     }
     if len(sys.argv) != 2 or sys.argv[1] not in checks:
         sys.exit(f"usage: {sys.argv[0]} {{{','.join(checks)}}}")

@@ -39,6 +39,8 @@ NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes
 INTEGER_STEPS = ("tests/test_derivation.py::TestIntegerSteps",)
 SETTLED_POINTS = ("tests/test_catalog.py::TestSettledPoints",)
 UNWRITABLE_STDOUT_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_passes_the_cli_on_a_full_device"
+UNBUFFERED_HELP_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_passes_an_unbuffered_help_on_a_full_device"
+STREAMED_TABLES = ("tests/test_derivation.py::TestStreamedTables",)
 #: seconds one pytest run may take; the slowest row takes about 12 s
 TIMEOUT = 300
 
@@ -143,6 +145,18 @@ MUTANTS = [
     Mutant("s3-stepped-denominator-not-times-d", CATALOG,
            "power, denom = mul_coeffs(power, step), denom * d", "power, denom = mul_coeffs(power, step), denom",
            ("tests/test_golden.py::test_check_digests[checks_claims.json]",)),
+    # the power tables stepped in trace coordinates: the step matrix derived
+    # from field, the row's sign from the element's (pairsumsq alternates)
+    # and the scale divided by the row's gcd
+    Mutant("trace-step-column-from-the-wrong-basis-vector", DERIVATION,
+           "for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]", "for e in ((1, 0, 0), (0, 0, 1), (0, 0, 1))]",
+           ("tests/test_derivation.py::TestTraceStep::test_derived_matrices",)),
+    Mutant("scaled-powers-gcd-without-the-sign", DERIVATION,
+           "g = gcd(det, v0, v1, v2) * sign", "g = gcd(det, v0, v1, v2)", STREAMED_TABLES),
+    Mutant("scaled-powers-scale-not-divided-by-g", DERIVATION,
+           "scale.denominator * g)", "scale.denominator)", STREAMED_TABLES),
+    Mutant("scaled-powers-det-loses-a-term", DERIVATION,
+           "det = n00 * (n11 * n22 - n12 * n21) - ", "det = n00 * (n11 * n22 + n12 * n21) - ", STREAMED_TABLES),
     # the integer steps of the printed triple/scale recursions
     Mutant("signed-triple-gcd-division-dropped", DERIVATION,
            "    g = gcd(*v)", "    g = 1", INTEGER_STEPS),
@@ -171,8 +185,9 @@ MUTANTS = [
            "cofactor = cpower if row.cofactor_scale == row.cpower_scale else str(row.cofactor_scale)",
            "cofactor = cpower", ("tests/test_cli.py::TestConjecture::test_an_unequal_row_prints_both_scales",)),
     # one parser per process: each call parses into a new Namespace and
-    # leaves the parser's defaults alone; an unwritable stdout is a usage
-    # error, and a process leaves no unwritten bytes to its exit flush
+    # leaves the parser's defaults alone; an unwritable stdout, help's
+    # included, is a usage error, and a process leaves no unwritten bytes to
+    # its exit flush
     Mutant("main-reuses-one-namespace", CLI,
            "args = _parser().parse_args(argv)",
            'args = _parser().parse_args(argv, globals().setdefault("_NAMESPACE", argparse.Namespace()))',
@@ -186,12 +201,14 @@ MUTANTS = [
            'raise UsageError(f"cannot write standard output: {exc.strerror or exc}")', "raise",
            ("tests/test_edges.py::TestUnwritableStdout",)),
     Mutant("stdout-not-flushed-in-render", CLI,
-           "            sys.stdout.flush()\n", "", ("tests/test_edges.py::TestUnwritableStdout",)),
+           "        sys.stdout.write(text)\n        sys.stdout.flush()\n", "        sys.stdout.write(text)\n",
+           ("tests/test_edges.py::TestUnwritableStdout",)),
     Mutant("process-exit-keeps-the-unwritten-bytes", CLI,
            "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass",
            (UNWRITABLE_STDOUT_PROCESS,)),
     Mutant("process-exit-ignores-an-unwritten-help", CLI,
-           "        if code != 2:", "        if False:", (UNWRITABLE_STDOUT_PROCESS,)),
+           "        if message and file is sys.stdout:", "        if False:",
+           (UNWRITABLE_STDOUT_PROCESS, UNBUFFERED_HELP_PROCESS)),
     Mutant("derive-reuses-an-unequal-scale", CLI,
            "rep = (scale if r.scale == scaled.scale else str(r.scale),", "rep = (scale,",
            ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",)),

@@ -8,8 +8,8 @@ import os
 import shutil
 
 import pytest
-from check_cli_stdout import (UNWRITABLE_RUNS, byte_mismatches, exitcode_mismatches, sha256_mismatches,
-                              unwritable_fault)
+from check_cli_stdout import (UNBUFFERED_RUNS, UNWRITABLE_RUNS, byte_mismatches, exitcode_mismatches,
+                              sha256_mismatches, unwritable_fault)
 from golden_runs import CLI_OUTPUTS, GOLDEN
 
 NAME = "seq_011_30.txt"
@@ -56,6 +56,12 @@ def test_unwritable_fault(code, stderr, fault):
 def test_exitcodes_mode_passes_the_cli_on_a_full_device():
     # both outputs fit a stream buffer, so they fail first at the flush
     assert exitcode_mismatches({name: UNWRITABLE_RUNS[name] for name in ("conjecture", "help")}) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_exitcodes_mode_passes_an_unbuffered_help_on_a_full_device():
+    # with no buffer the help's own write fails, which argparse ignores
+    assert exitcode_mismatches(UNBUFFERED_RUNS, unbuffered=True) == []
 
 
 def test_exitcodes_mode_flags_a_written_report(tmp_path):

@@ -27,7 +27,8 @@ from triboconv.derivation import (
     family_element,
     replicate_paper_table,
 )
-from triboconv.field import FieldElement, c_element, cofactor_element, sign_at_real_root, trace
+from triboconv.field import (FieldElement, c_element, cofactor_element, integral_coeffs, mul_coeffs,
+                             sign_at_real_root, trace, trace_triple)
 from triboconv.identity_catalog import DEFAULT_RANGE_CAP, PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED
 from triboconv.sequences import ScaledSeq, binet_check, egf_rational_term
 
@@ -176,11 +177,11 @@ class TestStreamedTables:
     def test_derive_table_matches_derive(self, kind):
         assert derive_table(kind, 60) == [derive(PowerFamily(kind, n)) for n in range(1, 61)]
 
-    @pytest.mark.parametrize("kind", [FamilyKind.CPOWER, FamilyKind.PAIR_SUM_SQ_POWER])
+    @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_last_row_at_the_cap_matches_derive(self, kind):
-        # the pair-sum-square element is negative at the real root, so its
-        # table's sign alternates from row to row
-        assert derive_table(kind, 2000)[-1] == derive(PowerFamily(kind, 2000))
+        # the pair-sum-square and sum-cofactor elements are negative at the
+        # real root, so their tables' signs alternate from row to row
+        assert derive_table(kind, DEFAULT_RANGE_CAP)[-1] == derive(PowerFamily(kind, DEFAULT_RANGE_CAP))
 
     @pytest.mark.parametrize("kind", REPLICABLE)
     def test_replicate_table_matches_derive_paper_recursive(self, kind):
@@ -277,6 +278,76 @@ class TestIntegerSteps:
         assert list(derivation._replay(step, ScaledSeq(F(1), triple), 6)) == [note] * 5
 
 
+def _trace_step_of(kind):
+    return derivation._trace_step(*integral_coeffs(family_element(PowerFamily(kind, 1))))
+
+
+def _apply(matrix, s):
+    return tuple(sum(m * v for m, v in zip(row, s)) for row in matrix)
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+#: each family's step in trace coordinates, K and the integer matrix N =
+#: K M, written out as literals; ``_trace_step`` derives them from ``field``
+TRACE_STEPS = {
+    FamilyKind.CPOWER: (22, ((-4, -3, 5), (5, 1, 2), (2, 7, 3))),
+    FamilyKind.COFACTOR_POWER: (44, ((-1, 4, -1), (-1, -2, 3), (3, 2, 1))),
+    FamilyKind.PAIR_SUM_SQ_POWER: (44, ((3, -4, 1), (1, 4, -3), (-3, -2, 1))),
+}
+
+
+class TestTraceStep:
+    """Each power table steps its rows by multiplication with the family
+    element in trace coordinates, and the printed steps are that step."""
+
+    @pytest.mark.parametrize("kind", REPLICABLE)
+    def test_derived_matrices(self, kind):
+        assert _trace_step_of(kind) == TRACE_STEPS[kind]
+
+    @pytest.mark.parametrize("digits", [1, 20])
+    def test_maps_traces_of_r_to_traces_of_q_r(self, digits):
+        rng = random.Random(f"trace-step:{digits}")
+        bound = 10**digits
+        for _ in range(50):
+            a = tuple(rng.randint(-bound, bound) for _ in range(3))
+            r = tuple(rng.randint(-bound, bound) for _ in range(3))
+            d = rng.randint(1, bound)
+            k, matrix = derivation._trace_step(a, d)
+            # t(q r) = t(a r) / d with q = a / d
+            assert [F(v, k) for v in _apply(matrix, trace_triple(r))] == [
+                F(v, d) for v in trace_triple(mul_coeffs(a, r))]
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_built_only_for_row_two(self, kind, monkeypatch):
+        calls, real = [], derivation._trace_step
+        monkeypatch.setattr(derivation, "_trace_step", lambda *a: calls.append(a) or real(*a))
+        rows = derivation._scaled_powers(family_element(PowerFamily(kind, 1)), 5)
+        assert derive_table(kind, 1) == [next(rows)] and calls == []
+        next(rows)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", REPLICABLE)
+    def test_printed_step_on_every_replayed_row(self, kind):
+        # the printed cpower and cofactor steps are the matrix's step; the
+        # printed pairsumsq step is tau(N s), with tau(t0, t1, t2) =
+        # (t0, -t1, 2 t1 - t2), up to sign
+        _, matrix = _trace_step_of(kind)
+        base = derive_table(kind, 1)[0]
+        rows = [base, *derivation._replay(derivation._STEPS[kind], base, DEFAULT_RANGE_CAP)]
+        assert len(rows) == DEFAULT_RANGE_CAP
+        for row, stepped in zip(rows, rows[1:]):
+            v = _apply(matrix, row.triple)
+            if kind is FamilyKind.PAIR_SUM_SQ_POWER:
+                want = _primitive((v[0], -v[1], 2 * v[1] - v[2]))
+                assert stepped.triple in (want, tuple(-x for x in want))
+            else:
+                assert stepped.triple == _primitive(v)
+
+
 class TestElementWithTraces:
     def test_reconstructs_c_squared(self):
         elt = element_with_traces(F(2, 22), F(3, 22), F(10, 22))
@@ -350,6 +421,12 @@ class TestConjecture:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             conjecture_check(0)
+
+    def test_last_row_at_the_cap_matches_derive(self):
+        row = conjecture_check(DEFAULT_RANGE_CAP).rows[-1]
+        assert row.n == DEFAULT_RANGE_CAP and row.equal
+        assert (row.cpower_scale, row.cofactor_scale) == (
+            derive(CPower(2 * DEFAULT_RANGE_CAP)).scale, derive(CofactorPower(DEFAULT_RANGE_CAP)).scale)
 
     def test_rows_match_per_n_derive(self):
         assert [(r.cpower_scale, r.cofactor_scale) for r in conjecture_check(120).rows] == [

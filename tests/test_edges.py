@@ -81,7 +81,8 @@ class TestUnwritableStdout:
         (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "flush"),
         (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), "write"),
     ], ids=["enospc-write", "enospc-flush", "broken-pipe"])
-    @pytest.mark.parametrize("argv", [["seq", "0,1,1", "5"], ["verify", "P1", "--format", "json"]])
+    @pytest.mark.parametrize("argv", [["seq", "0,1,1", "5"], ["verify", "P1", "--format", "json"], ["-h"],
+                                      ["verify", "-h"]])
     def test_is_one_line_usage_error(self, argv, exc, on, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", _Unwritable(exc, on))
         assert main(argv) == 2
