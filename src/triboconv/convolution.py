@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import accumulate, repeat
 from math import comb, prod
 from operator import mul
 from typing import Sequence
@@ -56,12 +57,16 @@ class ConstantSeq:
     def term(self, k: int):
         return self._value
 
+    def terms(self, count: int) -> list:
+        return [self._value] * count
+
 
 class WeightedSeq:
     """A term source with a geometric weight: term k contributes base^k * seq(k).
 
     base may be negative, which covers (-1)^k sign factors.  Any object
-    with a ``term(k)`` method works as the source (TriboSeq, ConstantSeq).
+    with ``term(k)`` and ``terms(count)`` methods works as the source
+    (TriboSeq, ConstantSeq).
     """
 
     def __init__(self, seq, base: int = 1):
@@ -79,12 +84,8 @@ class WeightedSeq:
         return self.base**k * self.seq.term(k)
 
     def prefix(self, count: int) -> list:
-        out = []
-        power = 1
-        for k in range(count):
-            out.append(power * self.seq.term(k))
-            power *= self.base
-        return out
+        powers = accumulate(repeat(self.base, count - 1), mul, initial=1)
+        return list(map(mul, powers, self.seq.terms(count)))
 
 
 def _as_prefix(s, count: int) -> list:

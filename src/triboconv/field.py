@@ -122,15 +122,17 @@ class FieldElement:
             return inverse(self) ** (-n)
         if not n:
             return ONE
-        base = self
+        # q = a / d with a integral, so q^n = a^n / d^n: the ladder runs on integers
+        base, d = integral_coeffs(self)
+        denom = d**n
         while not n & 1:  # up to the lowest set bit, which starts the result
-            base, n = base * base, n >> 1
+            base, n = mul_coeffs(base, base), n >> 1
         result = base
         while n := n >> 1:  # one square per higher bit, none past the top one
-            base = base * base
+            base = mul_coeffs(base, base)
             if n & 1:
-                result = result * base
-        return result
+                result = mul_coeffs(result, base)
+        return FieldElement(*(Fraction(v, denom) for v in result))
 
     def __eq__(self, other):
         return self._coeffs == other._coeffs if other.__class__ is self.__class__ else NotImplemented
@@ -276,7 +278,8 @@ def sign_at_real_root(q: FieldElement) -> int:
     """
     if q.is_zero():
         raise ZeroAtRoot("element vanishes at the real root")
-    return 1 if norm(q) > 0 else -1
+    # q = a / d with d > 0, so norm(q) = norm(a) / d^3 has the sign of the integer norm(a)
+    return 1 if norm_coeffs(integral_coeffs(q)[0]) > 0 else -1
 
 
 class RootInterval(NamedTuple):

@@ -21,7 +21,9 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
-from math import lcm, prod
+from itertools import islice
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .convolution import (
@@ -309,18 +311,44 @@ def _row(kind: FamilyKind, n: int, store: dict) -> ScaledSeq:
     return rows[n - 1]
 
 
-def _factor(f: tuple, n: int, store: dict) -> tuple[WeightedSeq, Fraction]:
+def _factor(f: tuple, n: int, store: dict) -> tuple[WeightedSeq, int | Fraction]:
     """Sequence (term k weighted by base^k) and scale of one factor at family
     index n, made once per run and kept in its store under (f, n)."""
     if (f, n) not in store:
         family, base = f
         if family in ("one", "norm"):
-            store[f, n] = WeightedSeq(ConstantSeq(1), base), Fraction(NORM_SCALE**n if family == "norm" else 1)
+            store[f, n] = WeightedSeq(ConstantSeq(1), base), NORM_SCALE**n if family == "norm" else 1
         else:
             kind, row = (FamilyKind.COFACTOR_POWER, n) if family == "cof" else (FamilyKind.CPOWER, family * n)
             scaled = _row(kind, row, store)
             store[f, n] = WeightedSeq(scaled.sequence(), base), scaled.scale
     return store[f, n]
+
+
+def _over(c: int | Fraction, num: int, den: int) -> tuple[int, int]:
+    """c / (num / den) as a reduced pair (numerator, positive denominator),
+    by one gcd."""
+    a, b = c.numerator * den, c.denominator * num
+    g = gcd(a, b)
+    return (a // g, b // g) if b > 0 else (-a // g, -b // g)
+
+
+def _plan(r: int, names: tuple, n: int, store: dict) -> tuple[dict, set, tuple, bool]:
+    """The r-fold terms ``names``: each term's sorted factors, every factor
+    needed, the left side's annihilator L and whether L vanishes at every
+    root of every term's annihilator (see BLOCK_FACTORS).  A factor's
+    polynomial depends on its base alone, not on n; the plan is made once
+    per run, in its store, since the block map may differ between runs."""
+    plans = store.setdefault("plans", {})
+    if (r, names) not in plans:
+        terms = {k: tuple(sorted((f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]), key=str)) for k in names}
+        needed = {f for fs in terms.values() for f in fs} | {C1}
+        polys = {f: _factor(f, n, store)[0].charpoly for f in needed}
+        rec = _annihilator((polys[C1],) * r)
+        term_polys = [[polys[f] for f in fs] for fs in terms.values()]
+        shared = all(None not in ps and _roots_within(_annihilator(tuple(sorted(ps))), rec) for ps in term_polys)
+        plans[r, names] = terms, needed, rec, shared
+    return plans[r, names]
 
 
 def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> list[_FoldPoint]:
@@ -329,48 +357,40 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     The coefficients name the terms."""
     count = ms[-1] + 1
     lhs_factors = (C1,) * r
-    terms = {k: tuple(sorted((f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]), key=str))
-             for k in points[0][1]}
-    needed = {f for fs in terms.values() for f in fs} | set(lhs_factors)
+    terms, needed, rec, shared = _plan(r, tuple(points[0][1]), n, store)
     factors = {f: _factor(f, n, store) for f in needed}
     seqs = {f: seq for f, (seq, _) in factors.items()}
     # the run's tables at family index n by sorted factor tuple, each built
     # from the table of its factors but the last (multiset_table)
     tables = store.setdefault(n, {})
-    # the left side's annihilator L; when it vanishes at every root of every
-    # term's annihilator (see BLOCK_FACTORS), the term tables are built to
-    # deg L terms only and each point's right side is settled there
-    rec = _annihilator((seqs[C1].charpoly,) * r)
-    head = len(rec) - 1
-    if count <= head or not all(_shares_roots(fs, seqs, rec) for fs in terms.values()):
-        head = count
+    # when every term shares L's roots, the term tables are built to deg L
+    # terms only and each point's right side is settled there
+    head = min(count, len(rec) - 1) if shared else count
     # the left side to the range's end, built only when a point needs it
     full_lhs = partial(multiset_table, tables, lhs_factors, seqs, count)
     lhs = multiset_table(tables, lhs_factors, seqs, head)
-    inv_lhs_scale = 1 / factors[C1][1] ** r
-    term_tables = {k: (multiset_table(tables, fs, seqs, head), prod(factors[f][1] for f in fs))
-                   for k, fs in terms.items()}
+    # weights as integer pairs: 1 / scale^r on the left, each coefficient
+    # over the product of its factors' scales on the right
+    scale = factors[C1][1]
+    inv_num, inv_den = _over(1, scale.numerator**r, scale.denominator**r)
+    term_tables = {k: (multiset_table(tables, fs, seqs, head), prod(factors[f][1].numerator for f in fs),
+                       prod(factors[f][1].denominator for f in fs)) for k, fs in terms.items()}
     checks = []
     for prefix, cs in points:
-        weights = [(Fraction(c) / term_tables[k][1], term_tables[k][0]) for k, c in cs.items()]
+        weights = [_over(c, *term_tables[k][1:]) for k, c in cs.items()]
         # both sides over one common denominator: the comparison is on integers
-        common = lcm(inv_lhs_scale.denominator, *(w.denominator for w, _ in weights))
-        lhs_weight = inv_lhs_scale.numerator * (common // inv_lhs_scale.denominator)
-        rhs_weights = [(w.numerator * (common // w.denominator), table) for w, table in weights]
+        common = lcm(inv_den, *(den for _, den in weights))
+        lhs_weight = inv_num * (common // inv_den)
+        rhs_weights = [num * (common // den) for num, den in weights]
         lhs_num = [v * lhs_weight for v in lhs[:head]]
-        rhs = [sum(w * table[m] for w, table in rhs_weights) for m in range(head)]
+        # the right side's head, column m of the term tables at a time
+        columns = islice(zip(*(term_tables[k][0] for k in cs)), head)
+        rhs = [sum(map(mul, rhs_weights, column)) for column in columns]
         # both sides satisfy L, so the heads decide every m: one record stands
         # for the point's checks, formed when they are read
         checks.append(_FoldPoint(f"{prefix}{index}=", ms, full_lhs, lhs_weight, common, head, rhs, rec,
                                  rhs == lhs_num))
     return checks
-
-
-def _shares_roots(fs: tuple, seqs: dict, rec: tuple) -> bool:
-    """Whether rec vanishes at every root of the annihilator of the term with
-    factors fs, so that rec's recurrence holds on the term's table."""
-    polys = [seqs[f].charpoly for f in fs]
-    return None not in polys and _roots_within(_annihilator(tuple(sorted(polys))), rec)
 
 
 def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:

@@ -41,6 +41,8 @@ SETTLED_POINTS = ("tests/test_catalog.py::TestSettledPoints",)
 UNWRITABLE_STDOUT_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_passes_the_cli_on_a_full_device"
 UNBUFFERED_HELP_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_passes_an_unbuffered_help_on_a_full_device"
 STREAMED_TABLES = ("tests/test_derivation.py::TestStreamedTables",)
+FIELD = "src/triboconv/field.py"
+INTEGER_FOLDS = "tests/test_catalog.py::TestIntegerFolds"
 #: seconds one pytest run may take; the slowest row takes about 12 s
 TIMEOUT = 300
 
@@ -145,6 +147,23 @@ MUTANTS = [
     Mutant("s3-stepped-denominator-not-times-d", CATALOG,
            "power, denom = mul_coeffs(power, step), denom * d", "power, denom = mul_coeffs(power, step), denom",
            ("tests/test_golden.py::test_check_digests[checks_claims.json]",)),
+    # the fold's weights on integer pairs, its term plan kept per run, and the
+    # field's power ladder and sign on integer coefficients
+    Mutant("fold-weight-denominator-sign-kept", CATALOG,
+           "return (a // g, b // g) if b > 0 else (-a // g, -b // g)", "return a // g, b // g",
+           (f"{INTEGER_FOLDS}::test_a_weight_is_the_reduced_fraction",)),
+    Mutant("fold-term-scale-swapped", CATALOG,
+           "_over(c, *term_tables[k][1:])", "_over(c, *term_tables[k][:0:-1])",
+           (f"{INTEGER_FOLDS}::test_weights_and_heads_equal_the_fraction_arithmetic",)),
+    Mutant("fold-plan-kept-at-module-level", CATALOG,
+           'plans = store.setdefault("plans", {})', 'plans = globals().setdefault("_PLANS", {})',
+           (f"{INTEGER_FOLDS}::test_a_changed_block_map_gets_its_own_plan",)),
+    Mutant("power-ladder-over-d-to-the-n-minus-1", FIELD,
+           "denom = d**n", "denom = d**(n - 1)",
+           ("tests/test_field.py::TestPower::test_integer_ladder_equals_fraction_products",)),
+    Mutant("sign-read-from-a0-alone", FIELD,
+           "norm_coeffs(integral_coeffs(q)[0]) > 0", "q.a0 > 0",
+           ("tests/test_field.py::TestSignAtRealRoot::test_integer_norm_sign_is_the_fraction_norm_sign",)),
     # the power tables stepped in trace coordinates: the step matrix derived
     # from field, the row's sign from the element's (pairsumsq alternates)
     # and the scale divided by the row's gcd

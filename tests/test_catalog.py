@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction as F
 from functools import lru_cache, partial
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +12,8 @@ from golden_runs import CLI_OUTPUTS
 from test_golden import DIGESTS, GOLDEN, _cli_bytes, _digest_doc, _digest_entry
 from triboconv import convolution, identity_catalog
 from triboconv.convolution import _annihilator, _roots_within, multinomial_conv_prefix, multiset_table
-from triboconv.derivation import SumCofactorSqConst, family_element
-from triboconv.field import X, c_element, norm, trace
+from triboconv.derivation import SumCofactorSqConst, element_with_traces, family_element
+from triboconv.field import X, FieldElement, c_element, norm, trace
 from triboconv.identity_catalog import (
     BLOCK_FACTORS,
     C1,
@@ -171,6 +171,13 @@ class TestKnownDiscrepancies:
         report = verify("S2", nmax=2000)
         assert [c.index for c in report.mismatches] == [f"n={n},k=0,printed" for n in range(1, 2001)]
         assert {c.rhs_value / c.lhs_value for c in report.mismatches} == {F(121, 120)}
+
+    def test_s2_printed_presentation_is_an_irrational_element(self):
+        # at n = 1 the printed traces T_k(242, 82, 245) / (2^6*5*11^2) are those
+        # of (161 + x)/77440, which is not rational: no power of S2's element is
+        printed = element_with_traces(242, 82, 245) * F(1, 2**6 * 5 * 11**2)
+        assert printed == FieldElement(F(161, 77440), F(1, 77440))
+        assert family_element(SumCofactorSqConst(1)) == FieldElement.constant(F(1, 484))
 
 
 class TestSpecializationConsistency:
@@ -355,6 +362,75 @@ class TestSharedAnnihilator:
         report = verify(identity, nmax=nmax, seed=42)
         return (sum(not c.ok for c in report.checks), report.first_failure.index,
                 json.loads(_digest_doc(42, {identity: nmax}))[identity], bool(extended))
+
+
+class TestIntegerFolds:
+    """A fold carries its scales and weights as integer pairs and plans its
+    terms once per run; every weight, common denominator and right-side head
+    equals the Fraction arithmetic."""
+
+    FOLDS = [i for i in identity_ids() if REGISTRY[i].runner.func is _run_fold]
+
+    @staticmethod
+    def _reference(r, n, cs, head):
+        """(lhs_weight, common, right-side head) of one point in Fractions,
+        each table by multinomial_conv_prefix."""
+        store = {}
+
+        def side(fs):
+            seqs, scales = zip(*(identity_catalog._factor(f, n, store) for f in fs))
+            return F(prod(scales)), multinomial_conv_prefix(list(seqs), head - 1)
+
+        inv = 1 / side((C1,) * r)[0]
+        terms = []
+        for k, c in cs.items():
+            scale, table = side([f for b in TERMS[r][k] for f in BLOCK_FACTORS[b]])
+            terms.append((F(c) / scale, table))
+        common = lcm(inv.denominator, *(w.denominator for w, _ in terms))
+        return (inv.numerator * (common // inv.denominator), common,
+                [common * sum(w * table[m] for w, table in terms) for m in range(head)])
+
+    @classmethod
+    def _points(cls, identity, seed):
+        """(r, n, coefficients, record) of every point of the entry's report."""
+        r, kind = REGISTRY[identity].runner.args
+        report = verify(identity, seed=seed)
+        if kind == "family":
+            points = [coeffs(r, {k: F(v) for k, v in p.items()}) for p in report.params]
+        else:
+            points = [PRINTED[r]] * len(report._parts)
+        for cs, part in zip(points, report._parts, strict=True):
+            n = int(part.prefix.split(",")[0][2:]) if kind == "GT" else 1
+            yield r, n, cs, part
+
+    @pytest.mark.parametrize("identity,seed", [(i, 42) for i in FOLDS] + [
+        (i, seed) for i in ("T3", "T4") for seed in range(20)])
+    def test_weights_and_heads_equal_the_fraction_arithmetic(self, identity, seed):
+        for r, n, cs, part in self._points(identity, seed):
+            assert part.ok
+            assert (part.lhs_weight, part.common, part.rhs) == self._reference(r, n, cs, part.head), part.prefix
+
+    @given(st.integers(-60, 60) | st.fractions(-60, 60, max_denominator=30),
+           st.integers(-10**6, 10**6).filter(bool), st.integers(-10**6, 10**6).filter(bool))
+    def test_a_weight_is_the_reduced_fraction(self, c, num, den):
+        # num / den is a scale: negative scales included
+        w = F(c) / F(num, den)
+        assert identity_catalog._over(c, num, den) == (w.numerator, w.denominator)
+
+    def test_one_plan_per_fold_and_run(self, monkeypatch):
+        made, annihilator = [], identity_catalog._annihilator
+        monkeypatch.setattr(identity_catalog, "_annihilator", lambda polys: made.append(polys) or annihilator(polys))
+        store = {}
+        assert verify("GT5", _store=store).status == "pass"
+        # L and each term's annihilator once, not once per family index n = 1..4
+        assert list(store["plans"]) == [(5, tuple(PRINTED[5]))] and len(made) == 1 + len(PRINTED[5])
+
+    def test_a_changed_block_map_gets_its_own_plan(self, monkeypatch):
+        assert verify("T2", nmax=150).status == "pass"
+        monkeypatch.setitem(BLOCK_FACTORS, "e2", TestSharedAnnihilator.BAD_E2)
+        assert verify("T2", nmax=150).status == "fail"
+        monkeypatch.undo()
+        assert verify("T2", nmax=150).status == "pass"
 
 
 class TestSettledValues:

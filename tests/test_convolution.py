@@ -60,6 +60,15 @@ class TestWeightedSeq:
 
     def test_constant_source(self):
         assert WeightedSeq(ConstantSeq(1)).prefix(4) == [1, 1, 1, 1]
+        assert WeightedSeq(ConstantSeq(3), -1).prefix(4) == [3, -3, 3, -3]
+        assert WeightedSeq(ConstantSeq(3), 2).prefix(0) == []
+
+    def test_prefix_reads_the_memo_once(self, monkeypatch):
+        # one term() call fills the memo to count terms; prefix reads it through terms()
+        expected = [2**k * v for k, v in enumerate(TriboSeq(2, 3, 10).terms(40))]
+        calls, term = [], TriboSeq.term
+        monkeypatch.setattr(TriboSeq, "term", lambda self, k: calls.append(k) or term(self, k))
+        assert WeightedSeq(TriboSeq(2, 3, 10), 2).prefix(40) == expected and calls == [39]
 
     def test_substitution_law(self):
         # one-sequence multinomial convolution is just the weighted term

@@ -101,6 +101,17 @@ class TestPower:
         expected = 0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1
         assert len(calls) == expected
 
+    @given(nonzero_elements, st.integers(-6, 40))
+    def test_integer_ladder_equals_fraction_products(self, q, n):
+        # the ladder runs on integer coefficients over d^n; q^|n| by repeated
+        # Fraction products, and for n < 0 its product with q^n is one
+        product = ONE.coeffs
+        for _ in range(abs(n)):
+            product = mul_coeffs(product, q.coeffs)
+        power = (q**n).coeffs
+        assert all(isinstance(v, F) for v in power)
+        assert (power if n >= 0 else mul_coeffs(power, product)) == (product if n >= 0 else ONE.coeffs)
+
 
 class TestInverse:
     def test_inverse_of_one(self):
@@ -243,6 +254,10 @@ class TestSignAtRealRoot:
             approx = float_embeddings(q)[0].real
             # the interval result is the authority; the float is a sanity witness
             assert (approx > 0) == (certified > 0)
+
+    @given(nonzero_elements)
+    def test_integer_norm_sign_is_the_fraction_norm_sign(self, q):
+        assert sign_at_real_root(q) == (1 if norm(q) > 0 else -1)
 
     def test_tiny_embedding_still_resolves(self):
         q = c_element() ** 50  # about 2e-24 at the real root
