@@ -15,7 +15,8 @@ nmax 60, where its n > 6 rows are checked against Binet sums), and
 cli_sha256.json pins by digest the CLI bytes, too large to check in
 whole, of `conjecture` and `derive --replicate-paper` at the sizes of the
 scale_audit benchmark in each format, of `derive --replicate-paper` for each replicable
-family at the range cap (2000), and of `symcheck` at the grid cap.  Regenerate
+family at the range cap (2000), of `verify P1`, `P2` and `T1` at the range
+cap in each format, and of `symcheck` at the grid cap.  Regenerate
 them deliberately, after an intended change of output, with:
 
     PYTHONPATH=src python tests/test_golden.py
