@@ -28,18 +28,19 @@ factors but the last, so tables that share factors share sub-products.
 
 The series of P1, P2, T1 and GF multiply by T = x/(1 - x - x^2 - x^3)
 and by x/(1 + x^2 + 2x^3): a shift and a division by a short polynomial
-(``series_divide``), so each side costs O(n).  The plain kernel is left
-for the tests and the benchmark harness.
+(``series_divide``), so each side costs O(n); as RationalSeries pairs,
+P1's, P2's and T1's sides are proved equal by ``cross_difference``.  The
+plain kernel is left for the tests and the benchmark harness.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from math import comb, prod
-from operator import mul
-from typing import Sequence
+from operator import add, mul
+from typing import Callable, Sequence
 
 
 class IndexTooSmall(ValueError):
@@ -314,8 +315,39 @@ def series_derivative(s: Sequence) -> list:
 
 
 def poly_times(poly: Sequence, s: Sequence) -> list:
-    """The polynomial poly times the series s, modulo x^len(s)."""
-    return [sum(c * s[k - j] for j, c in enumerate(poly[: k + 1])) for k in range(len(s))]
+    """poly times the series s modulo x^len(s): s shifted by j, times c, per nonzero c of x^j."""
+    out = [0] * len(s)
+    for j, c in enumerate(poly[: len(s)]):
+        if c:
+            out[j:] = map(add, out[j:], s if c == 1 else map(mul, repeat(c), s))
+    return out
+
+
+class RationalSeries:
+    """The power series num/den of integer polynomials (ascending), den(0) = 1, kept exact by
+    products, differences N1*D2 - N2*D1 over D1*D2 and derivatives (N'D - ND') / D^2."""
+
+    def __init__(self, num: Sequence, den: Sequence = (1,)):
+        self.num, self.den = list(num), list(den)
+
+    def __mul__(self, other: RationalSeries) -> RationalSeries:
+        return RationalSeries(_poly_product(self.num, other.num), _poly_product(self.den, other.den))
+
+    def __sub__(self, other: RationalSeries) -> RationalSeries:
+        return RationalSeries(_cross(self.num, other.den, other.num, self.den), _poly_product(self.den, other.den))
+
+    def derivative(self) -> RationalSeries:
+        n, d = self.num, self.den
+        return RationalSeries(_cross(series_derivative(n), d, n, series_derivative(d)), _poly_product(d, d))
+
+
+def _poly_product(a: Sequence, b: Sequence) -> list:
+    return poly_times(a, [*b, *[0] * (len(a) - 1)])
+
+
+def _cross(a: Sequence, b: Sequence, c: Sequence, d: Sequence) -> list:
+    """The polynomial a*b - c*d."""
+    return [x - y for x, y in zip_longest(_poly_product(a, b), _poly_product(c, d), fillvalue=0)]
 
 
 def series_T(order: int) -> list[int]:
@@ -337,6 +369,7 @@ def times_T(s: Sequence) -> list:
 
 _T_PRIME_NUMERATOR = (1, 0, 1, 2)  # T'(x) = (1 + x^2 + 2x^3) / (1 - x - x^2 - x^3)^2
 _T1_POLY = (2, 6, 12, 0, 6, 6)
+_P1_OFFSET = (0, 1, 1)  # x + x^2
 
 
 def p1_sides(order: int) -> tuple[list[int], list[int]]:
@@ -344,7 +377,7 @@ def p1_sides(order: int) -> tuple[list[int], list[int]]:
     printed sum of T_k (T_(n-k) + T_(n-k-2) + 2 T_(n-k-3)), against
     (n-2) T_(n-1) - T_(n-2)."""
     t = series_T(order)
-    inner = [a - b for a, b in zip(poly_times(_T_PRIME_NUMERATOR, t), [0, 1, 1] + [0] * order)]
+    inner = [a - b for a, b in zip(poly_times(_T_PRIME_NUMERATOR, t), [*_P1_OFFSET, *[0] * order])]
     xt, x2t = [0] + t, [0, 0] + t
     return times_T(inner), [(n - 2) * xt[n] - x2t[n] for n in range(order + 1)]
 
@@ -363,6 +396,33 @@ def t1_sides(order: int) -> tuple[list[int], list[int]]:
     t = series_T(order)
     lhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
     return lhs, poly_times(_T1_POLY, times_T(times_T(t)))
+
+
+def p1_rational() -> tuple[RationalSeries, RationalSeries]:
+    """P1's sides: T((1 + x^2 + 2x^3)T - x - x^2) against x (xT)' - (2 + x) xT."""
+    t, xt = RationalSeries((0, 1), TRIBO_DENOM), RationalSeries((0, 0, 1), TRIBO_DENOM)
+    lhs = t * (RationalSeries(_T_PRIME_NUMERATOR) * t - RationalSeries(_P1_OFFSET))
+    return lhs, RationalSeries((0, 1)) * xt.derivative() - RationalSeries((2, 1)) * xt
+
+
+def p2_rational() -> tuple[RationalSeries, RationalSeries]:
+    """P2's sides: T^2 against x^2 T' / (1 + x^2 + 2x^3)."""
+    t = RationalSeries((0, 1), TRIBO_DENOM)
+    return t * t, RationalSeries((0, 0, 1), _T_PRIME_NUMERATOR) * t.derivative()
+
+
+def t1_rational() -> tuple[RationalSeries, RationalSeries]:
+    """T1's sides: x^3 T'' against (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
+    t = RationalSeries((0, 1), TRIBO_DENOM)
+    return RationalSeries((0, 0, 0, 1)) * t.derivative().derivative(), RationalSeries(_T1_POLY) * t * t * t
+
+
+def cross_difference(sides: Callable[[int], tuple[list, list]]) -> list[int]:
+    """N1*D2 - N2*D1 for the rational sides N1/D1 and N2/D2 of p1_sides, p2_sides
+    or t1_sides: D1 and D2 are units of the power series, so it is zero exactly
+    when the two sides agree at every coefficient."""
+    lhs, rhs = {p1_sides: p1_rational, p2_sides: p2_rational, t1_sides: t1_rational}[sides]()
+    return (lhs - rhs).num
 
 
 def prop1_lhs(n: int) -> int:

@@ -33,6 +33,7 @@ from .convolution import (
     _annihilator,
     _extend,
     _roots_within,
+    cross_difference,
     multinomial_conv_prefix,  # not called here; perfbench's tracer test wraps this binding
     multiset_table,
     p1_sides,
@@ -140,10 +141,21 @@ class _FoldPoint:
                       _Quotient(rhs[m], self.common)) for m in self.ms]
 
 
+class _ProvedRows(NamedTuple):
+    """Claim rows whose two sides were proved equal at every index; ``ok``,
+    and it stands for one check per row, formed only when read (checks())."""
+
+    rows: Callable[[], Iterator[tuple]]
+    ok = True
+
+    def checks(self) -> list[Check]:
+        return [Check(index, lhs == rhs, lhs, rhs) for index, lhs, rhs, _ in self.rows()]
+
+
 def _expand(parts) -> Iterator[Check]:
-    """The checks of parts, each a Check or a fold point, in order."""
+    """The checks of parts, each a Check, a fold point or proved rows, in order."""
     for part in parts:
-        if isinstance(part, _FoldPoint):
+        if isinstance(part, (_FoldPoint, _ProvedRows)):
             yield from part.checks()
         else:
             yield part
@@ -192,8 +204,8 @@ class VerifyReport:
     Holds the per-index statuses, the first failure with both side values
     as exact strings, the parameter assignment and oracle notes.  Nothing
     in a report is ever a float.  The checks it is given may hold fold
-    points: status and settled read those as they are, and ``checks``
-    expands each into its per-index checks when first read.
+    points and proved rows: status and settled read those as they are, and
+    ``checks`` expands each into its per-index checks when first read.
     """
 
     __slots__ = ("id", "label", "range_desc", "params", "_parts", "_checks", "mismatches", "notes")
@@ -423,11 +435,16 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
 # run's row (_row); family_element is only ever the independent side of a
 # cross-check.
 
-def _run_claims(rows: Callable, ctx: RunContext, note: str | None = None) -> RunOutcome:
+def _run_claims(rows: Callable, ctx: RunContext, note: str | None = None, proof: Callable | None = None) -> RunOutcome:
     """Checks of the rows (index, lhs, rhs, printed) of rows(ctx), and the one
     place of the known-discrepancy rule: a printed row that disagrees is a
-    mismatch, reported and never failed; every other row is a check."""
+    mismatch, reported and never failed; every other row is a check.  When
+    proof() (rows with none printed) is zero, every row holds, and one record
+    stands for the rows, formed when read."""
     outcome = RunOutcome(notes=[] if note is None else [note])
+    if proof is not None and not any(proof()):
+        outcome.checks.append(_ProvedRows(partial(rows, ctx)))
+        return outcome
     for index, lhs, rhs, printed in rows(ctx):
         check = Check(index, lhs == rhs, lhs, rhs)
         (outcome.mismatches if printed and not check.ok else outcome.checks).append(check)
@@ -566,11 +583,14 @@ REGISTRY: dict[str, IdentityRecord] = {
     r.id: r
     for r in [
         _rec("P1", "sum T_k(T_{n-k}+T_{n-k-2}+2T_{n-k-3}) = (n-2)T_{n-1} - T_{n-2}",
-             [("n", 3, 200)], partial(_run_claims, partial(_ogf_rows, p1_sides))),
+             [("n", 3, 200)],
+             partial(_run_claims, partial(_ogf_rows, p1_sides), proof=partial(cross_difference, p1_sides))),
         _rec("P2", "sum T_k T_{n-k} as a weighted single sum (adopted reading of the "
-             "half-integer sign exponents)", [("n", 2, 100)], partial(_run_claims, partial(_ogf_rows, p2_sides))),
+             "half-integer sign exponents)", [("n", 2, 100)],
+             partial(_run_claims, partial(_ogf_rows, p2_sides), proof=partial(cross_difference, p2_sides))),
         _rec("T1", "(n-1)(n-2)T_{n-1} = weighted triple plain convolutions at shifts "
-             "n-5, n-4, n-2, n-1, n", [("n", 5, 120)], partial(_run_claims, partial(_ogf_rows, t1_sides))),
+             "n-5, n-4, n-2, n-1, n", [("n", 5, 120)],
+             partial(_run_claims, partial(_ogf_rows, t1_sides), proof=partial(cross_difference, t1_sides))),
         _rec("L-CONST", "root-coefficient constants: trace(c)=0, trace(xc)=1, "
              "trace(x^2 c)=1, norm(c)=1/44, trace(cofactor)=-1/22", [],
              partial(_run_claims, _constant_rows)),

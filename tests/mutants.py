@@ -43,6 +43,7 @@ UNBUFFERED_HELP_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_p
 STREAMED_TABLES = ("tests/test_derivation.py::TestStreamedTables",)
 FIELD = "src/triboconv/field.py"
 INTEGER_FOLDS = "tests/test_catalog.py::TestIntegerFolds"
+CHANGED_GF_CONSTANT = ("tests/test_catalog.py::TestProvedClaims::test_a_changed_constant_compares_every_row",)
 #: seconds one pytest run may take; the slowest row takes about 12 s
 TIMEOUT = 300
 
@@ -80,13 +81,24 @@ MUTANTS = [
     # the generating-function rows, read by the claims evaluator
     Mutant("ogf-rows-read-the-right-side-one-early", CATALOG,
            'yield f"n={n}", lhs[n], rhs[n], False', 'yield f"n={n}", lhs[n], rhs[n - 1], False', SEED42_DIGESTS),
+    # P1, P2 and T1 proved by the cross-multiplied difference of their
+    # rational sides, and compared row by row when it is not zero
+    Mutant("gf-proof-forced-true", CATALOG,
+           "if proof is not None and not any(proof()):", "if proof is not None:", CHANGED_GF_CONSTANT),
+    Mutant("gf-proof-without-the-highest-coefficient", CATALOG,
+           "not any(proof()):", "not any(proof()[:-1]):",
+           ("tests/test_catalog.py::TestProvedClaims::test_a_difference_in_its_highest_coefficient_alone_fails",)),
+    Mutant("gf-nonzero-difference-skips-the-rows", CATALOG,
+           "    for index, lhs, rhs, printed in rows(ctx):",
+           "    for index, lhs, rhs, printed in rows(ctx) if proof is None else ():", CHANGED_GF_CONSTANT),
     # GT5's printed literal H, T1's 6x^5 and the fold's head comparison
     Mutant("gt5-printed-h-11", CATALOG,
            '5: {"A": -14, "C": 5, "D": 15, "E": 5, "H": 10},', '5: {"A": -14, "C": 5, "D": 15, "E": 5, "H": 11},',
            SEED42_DIGESTS),
     Mutant("t1-6x5-to-7x5", CONVOLUTION,
            "_T1_POLY = (2, 6, 12, 0, 6, 6)", "_T1_POLY = (2, 6, 12, 0, 6, 7)",
-           ("tests/test_convolution.py::TestT1",)),
+           ("tests/test_convolution.py::TestT1",
+            "tests/test_convolution.py::TestRationalSides::test_cross_differences_are_zero")),
     Mutant("fold-head-comparison-false", CATALOG,
            "rhs == lhs_num))", "False))", NO_FALLBACK),
     # the fold's block map, the printed constraints and the proofs under the folds

@@ -1,7 +1,8 @@
 """Brute-force composition enumerators: small-n oracles for the plain and
 multinomial convolution tables of ``triboconv.convolution``, and a plain
 recurrence, the oracle for their extension by an annihilator; series
-division term by term from its definition; the sides of
+division and the product with a polynomial term by term from their
+definitions; the sides of
 P1, P2, T1 and GF by the schoolbook product, oracles for the series
 division that builds them; the norm by Newton's identities, an oracle
 for ``triboconv.field.norm``; the printed triple/scale recursions in
@@ -19,7 +20,6 @@ from typing import Iterator, Sequence
 from triboconv.convolution import (
     cauchy_convolve,
     plain_conv_prefix,
-    poly_times,
     series_derivative,
     series_reciprocal,
     series_T,
@@ -87,6 +87,12 @@ def series_divide_by_definition(s: Sequence, a: Sequence) -> list:
     return out
 
 
+def poly_times_by_definition(poly: Sequence, s: Sequence) -> list:
+    """poly times the series s modulo x^len(s), coefficient k summed over
+    every j <= k; oracle for convolution.poly_times."""
+    return [sum(poly[j] * s[k - j] for j in range(min(k, len(poly) - 1) + 1)) for k in range(len(s))]
+
+
 # -- P1, P2, T1 and GF by the schoolbook product ---------------------------
 #
 # Each multiplies two series of length n + 1 in O(n^2) products where the
@@ -96,7 +102,7 @@ def series_divide_by_definition(s: Sequence, a: Sequence) -> list:
 def p1_sides_schoolbook(order: int) -> tuple[list[int], list[int]]:
     """P1: T((1 + x^2 + 2x^3)T - x - x^2) against (n-2) T_(n-1) - T_(n-2)."""
     t = series_T(order)
-    inner = [a - b for a, b in zip(poly_times((1, 0, 1, 2), t), [0, 1, 1] + [0] * order)]
+    inner = [a - b for a, b in zip(poly_times_by_definition((1, 0, 1, 2), t), [0, 1, 1] + [0] * order)]
     xt, x2t = [0] + t, [0, 0] + t
     return cauchy_convolve(t, inner), [(n - 2) * xt[n] - x2t[n] for n in range(order + 1)]
 
@@ -112,14 +118,14 @@ def t1_sides_schoolbook(order: int) -> tuple[list[int], list[int]]:
     """T1: x^3 T''(x) against (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
     t = series_T(order)
     lhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
-    return lhs, poly_times((2, 6, 12, 0, 6, 6), plain_conv_prefix([t, t, t], order))
+    return lhs, poly_times_by_definition((2, 6, 12, 0, 6, 6), plain_conv_prefix([t, t, t], order))
 
 
 def series_check_derivatives_schoolbook(order: int) -> bool:
     """GF's two derivative relations: T' = (1 + x^2 + 2x^3) / D^2 with
     D = 1 - x - x^2 - x^3, and T1's sides."""
     inv = series_reciprocal((1, -1, -1, -1), order)
-    first = poly_times((1, 0, 1, 2), cauchy_convolve(inv, inv))
+    first = poly_times_by_definition((1, 0, 1, 2), cauchy_convolve(inv, inv))
     if series_derivative(series_T(order)) != first[:order]:
         return False
     lhs, rhs = t1_sides_schoolbook(order)

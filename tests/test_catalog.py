@@ -1,5 +1,6 @@
 """Identity registry, reports, and suite-level behavior."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 from functools import lru_cache, partial
@@ -8,10 +9,17 @@ from math import comb, factorial, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from golden_runs import CLI_OUTPUTS
+from golden_runs import CLI_OUTPUTS, CLI_SHA256
 from test_golden import DIGESTS, GOLDEN, _cli_bytes, _digest_doc, _digest_entry
 from triboconv import convolution, identity_catalog
-from triboconv.convolution import _annihilator, _roots_within, multinomial_conv_prefix, multiset_table
+from triboconv.convolution import (
+    RationalSeries,
+    _annihilator,
+    _roots_within,
+    cross_difference,
+    multinomial_conv_prefix,
+    multiset_table,
+)
 from triboconv.derivation import SumCofactorSqConst, element_with_traces, family_element
 from triboconv.field import X, FieldElement, c_element, norm, trace
 from triboconv.identity_catalog import (
@@ -577,6 +585,79 @@ class TestSettledPoints:
             term = side([f for b in TERMS[5][k] for f in BLOCK_FACTORS[b]], c)
             rhs = [a + b for a, b in zip(rhs, term)]
         return [m for m in range(mmax + 1) if lhs[m] != rhs[m]]
+
+
+class TestProvedClaims:
+    """P1, P2 and T1 are decided by the cross-multiplied difference of their
+    rational sides: a zero difference is one record, whose rows are built
+    only when the checks are read; a nonzero one compares every row at once."""
+
+    IDS = ("P1", "P2", "T1")
+
+    def _count_sides(self, monkeypatch) -> list:
+        """Each entry's sides function, as the registry binds it, counting its calls."""
+        calls = []
+        for identity in self.IDS:
+            record = REGISTRY[identity]
+            rows = record.runner.args[0]
+            sides = rows.args[0]
+            counted = partial(lambda sides, identity, order: calls.append(identity) or sides(order), sides, identity)
+            runner = partial(record.runner.func, partial(rows.func, counted), **record.runner.keywords)
+            monkeypatch.setitem(REGISTRY, identity, record._replace(runner=runner))
+        return calls
+
+    def test_verify_all_builds_no_rows_until_read(self, monkeypatch):
+        calls = self._count_sides(monkeypatch)
+        reports = {r.id: r for r in verify_all().reports}
+        assert [reports[i].status for i in self.IDS] == ["pass"] * 3 and calls == []
+        want = json.loads((GOLDEN / "checks_seed42.json").read_text())
+        assert {i: _digest_entry(reports[i]) for i in self.IDS} == {i: want[i] for i in self.IDS}
+        assert calls == list(self.IDS)
+
+    @pytest.mark.parametrize("identity", IDS)
+    def test_the_cap_builds_no_rows_until_read(self, monkeypatch, tmp_path, identity):
+        calls = self._count_sides(monkeypatch)
+        digests = json.loads((GOLDEN / "cli_sha256.json").read_text())
+        for ext in ("json", "tsv", "txt"):
+            name = f"verify_{identity}_2000.{ext}"
+            assert hashlib.sha256(_cli_bytes(tmp_path, CLI_SHA256[name])).hexdigest() == digests[name]
+        report = verify(identity, nmax=2000)
+        assert report.status == "pass" and calls == []
+        assert _digest_entry(report) == json.loads((GOLDEN / "checks_cap.json").read_text())[identity]
+        assert calls == [identity]
+
+    @pytest.mark.parametrize("identity,constant,value,first", [
+        ("T1", "_T1_POLY", (2, 6, 12, 0, 6, 7), ("n=8", "1008", "1009")),
+        ("P1", "_T_PRIME_NUMERATOR", (1, 0, 1, 3), ("n=5", "11", "10")),
+        ("P2", "_T_PRIME_NUMERATOR", (1, 0, 1, 3), ("n=5", "12", "11")),
+        ("P1", "_P1_OFFSET", (0, 1, 2), ("n=3", "-1", "0")),
+    ], ids=["T1-7x5", "P1-3x3", "P2-3x3", "P1-2x2"])
+    def test_a_changed_constant_compares_every_row(self, monkeypatch, identity, constant, value, first):
+        # the first failures are those of the evaluator before the proof
+        monkeypatch.setattr(convolution, constant, value)
+        assert any(cross_difference(REGISTRY[identity].runner.args[0].args[0]))
+        built, made = [], identity_catalog.Check
+        monkeypatch.setattr(identity_catalog, "Check", lambda *args: built.append(args[0]) or made(*args))
+        report = verify(identity)
+        lo, hi = REGISTRY[identity].ranges[0][1:]
+        assert built == [f"n={n}" for n in range(lo, hi + 1)]
+        assert report.status == "fail"
+        ff = report.first_failure
+        assert (ff.index, ff.lhs, ff.rhs) == first
+
+    def test_a_difference_in_its_highest_coefficient_alone_fails(self, monkeypatch):
+        left, right = RationalSeries((1, 2, 3)), RationalSeries((1, 2, 3, 0, 0, 1))
+        difference = (left - right).num
+        assert difference == [0, 0, 0, 0, 0, -1]
+
+        def rows(ctx):
+            for n in ctx.span("n"):
+                yield f"n={n}", left.num[n] if n < 3 else 0, right.num[n] if n < 6 else 0, False
+
+        runner = partial(_run_claims, rows, proof=lambda: difference)
+        monkeypatch.setitem(REGISTRY, "X", IdentityRecord("X", "sides apart at x^5", (RangeSpec("n", 0, 8),), runner))
+        report = verify("X")
+        assert report.status == "fail" and report.first_failure.index == "n=5"
 
 
 def _multisets():

@@ -1,5 +1,5 @@
 """Convolution kernels, the list series and their division, and P1, P2
-and T1 as series rows."""
+and T1 as series rows and as rational functions."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -8,9 +8,11 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from triboconv import convolution
 from triboconv.convolution import (
     ConstantSeq,
     IndexTooSmall,
+    RationalSeries,
     WeightedSeq,
     _annihilator,
     _annihilator_degree,
@@ -19,8 +21,11 @@ from triboconv.convolution import (
     _roots_within,
     binomial_convolve,
     cauchy_convolve,
+    cross_difference,
     multinomial_conv_prefix,
+    p1_rational,
     p1_sides,
+    p2_rational,
     p2_sides,
     plain_conv_prefix,
     poly_times,
@@ -31,6 +36,7 @@ from triboconv.convolution import (
     series_derivative,
     series_divide,
     series_reciprocal,
+    t1_rational,
     t1_sides,
     times_T,
 )
@@ -42,6 +48,7 @@ from oracles import (
     p1_sides_schoolbook,
     p2_sides_schoolbook,
     plain_conv_enum,
+    poly_times_by_definition,
     series_check_derivatives_schoolbook,
     series_divide_by_definition,
     t1_sides_schoolbook,
@@ -351,6 +358,72 @@ def test_sides_equal_the_schoolbook_product(sides, schoolbook, order):
 @pytest.mark.parametrize("order", [*range(6, 13), 600])
 def test_derivative_relations_equal_the_schoolbook_product(order):
     assert series_check_derivatives(order) == series_check_derivatives_schoolbook(order)
+
+
+def _expand(r: RationalSeries, order: int) -> list:
+    """Coefficients 0..order of r, by series division."""
+    return series_divide((r.num + [0] * (order + 1))[: order + 1], r.den)
+
+
+_polys = st.lists(st.integers(-5, 5), max_size=6)
+_rationals = st.builds(lambda num, tail: RationalSeries(num, [1, *tail]), _polys, _polys)
+
+
+class TestRationalSides:
+    """P1, P2 and T1 as rational functions: their expansions are the series
+    sides, and their cross-multiplied differences are zero."""
+
+    RATIONAL = [(p1_sides, p1_rational), (p2_sides, p2_rational), (t1_sides, t1_rational)]
+
+    @pytest.mark.parametrize("sides,rational", RATIONAL, ids=["P1", "P2", "T1"])
+    @pytest.mark.parametrize("order", [*range(13), 2000])
+    def test_sides_expand_to_the_series_sides(self, sides, rational, order):
+        lhs, rhs = rational()
+        assert (_expand(lhs, order), _expand(rhs, order)) == sides(order)
+
+    @pytest.mark.parametrize("sides", [p1_sides, p2_sides, t1_sides], ids=["P1", "P2", "T1"])
+    def test_cross_differences_are_zero(self, sides):
+        difference = cross_difference(sides)
+        assert difference and not any(difference)
+
+    @pytest.mark.parametrize("sides,constant,value", [
+        (t1_sides, "_T1_POLY", (2, 6, 12, 0, 6, 7)),
+        (p1_sides, "_T_PRIME_NUMERATOR", (1, 0, 1, 3)),
+        (p2_sides, "_T_PRIME_NUMERATOR", (1, 0, 1, 3)),
+        (p1_sides, "_P1_OFFSET", (0, 1, 2)),
+    ], ids=["T1-7x5", "P1-3x3", "P2-3x3", "P1-2x2"])
+    def test_a_changed_constant_gives_a_nonzero_difference(self, monkeypatch, sides, constant, value):
+        monkeypatch.setattr(convolution, constant, value)
+        lhs, rhs = sides(40)
+        assert lhs != rhs and any(cross_difference(sides))
+
+    def test_the_difference_is_n1_d2_minus_n2_d1(self):
+        left, right = RationalSeries((1, 2), (1, -1)), RationalSeries((3,), (1, 0, 4))
+        # (1 + 2x)(1 + 4x^2) - 3(1 - x)
+        assert (left - right).num == [-2, 5, 4, 8]
+        assert (left - right).den == [1, -1, 4, -4]
+
+    @given(_rationals, _rationals)
+    @settings(max_examples=60)
+    def test_products_and_differences_are_those_of_the_series(self, a, b):
+        order = 12
+        sa, sb = _expand(a, order), _expand(b, order)
+        assert _expand(a * b, order) == cauchy_convolve(sa, sb)
+        assert _expand(a - b, order) == [x - y for x, y in zip(sa, sb)]
+
+    @given(_rationals)
+    @settings(max_examples=60)
+    def test_the_derivative_is_that_of_the_series(self, a):
+        assert _expand(a.derivative(), 11) == series_derivative(_expand(a, 12))
+
+
+class TestPolyTimes:
+    @given(st.lists(st.integers(-3, 3), max_size=12), st.lists(st.integers(-10**6, 10**6), max_size=10))
+    @example([0, 0, 2, 0, -1, 0, 0, 0, 0, 0, 0, 5], [4, -3, 7])  # zeros, and poly longer than s
+    @example([1, -1, -1, -1], [])
+    @settings(max_examples=100)
+    def test_equals_the_product_by_definition(self, poly, s):
+        assert poly_times(poly, s) == poly_times_by_definition(poly, s)
 
 
 class TestSeriesDivide:
