@@ -600,8 +600,11 @@ class TestProvedClaims:
         for identity in self.IDS:
             record = REGISTRY[identity]
             rows = record.runner.args[0]
-            sides = rows.args[0]
-            counted = partial(lambda sides, identity, order: calls.append(identity) or sides(order), sides, identity)
+
+            def counted(order, sides=rows.args[0], identity=identity):
+                calls.append(identity)
+                return sides(order)
+
             runner = partial(record.runner.func, partial(rows.func, counted), **record.runner.keywords)
             monkeypatch.setitem(REGISTRY, identity, record._replace(runner=runner))
         return calls
@@ -646,13 +649,15 @@ class TestProvedClaims:
         assert (ff.index, ff.lhs, ff.rhs) == first
 
     def test_a_difference_in_its_highest_coefficient_alone_fails(self, monkeypatch):
+        # two polynomials, so each side's coefficients are its numerator's
         left, right = RationalSeries((1, 2, 3)), RationalSeries((1, 2, 3, 0, 0, 1))
         difference = (left - right).num
         assert difference == [0, 0, 0, 0, 0, -1]
+        lhs, rhs = left.num + [0] * 6, right.num + [0] * 3
 
         def rows(ctx):
             for n in ctx.span("n"):
-                yield f"n={n}", left.num[n] if n < 3 else 0, right.num[n] if n < 6 else 0, False
+                yield f"n={n}", lhs[n], rhs[n], False
 
         runner = partial(_run_claims, rows, proof=lambda: difference)
         monkeypatch.setitem(REGISTRY, "X", IdentityRecord("X", "sides apart at x^5", (RangeSpec("n", 0, 8),), runner))
