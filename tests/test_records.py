@@ -20,7 +20,17 @@ from triboconv.derivation import (
     PrintedRecursionResult,
 )
 from triboconv.field import FieldElement, RootInterval
-from triboconv.identity_catalog import Check, IdentityRecord, RangeSpec, RunOutcome, VerifyReport
+from triboconv.identity_catalog import (
+    Check,
+    IdentityRecord,
+    RangeSpec,
+    RunContext,
+    RunOutcome,
+    SettledCount,
+    SuiteReport,
+    VerifyReport,
+    _ProvedRows,
+)
 from triboconv.sequences import ScaledSeq
 
 
@@ -42,6 +52,107 @@ class TestRepr:
         assert repr(CPower(2)) == "PowerFamily(kind=<FamilyKind.CPOWER: 'cpower'>, n=2)"
         assert repr(Check("n=1", True, 1, 1)) == "Check(index='n=1', ok=True, lhs_value=1, rhs_value=1)"
         assert repr(RootInterval(F(1), F(2))) == "RootInterval(lower=Fraction(1, 1), upper=Fraction(2, 1))"
+
+
+def _row() -> ConjectureRow:
+    return ConjectureRow(1, F(1), F(2), False)
+
+
+_SCALED_REPR = "ScaledSeq(scale=Fraction(22, 1), triple=(2, 3, 10))"
+_ROW_REPR = "ConjectureRow(n=1, cpower_scale=Fraction(1, 1), cofactor_scale=Fraction(2, 1), equal=False)"
+
+#: every tuple record: (record, its field names, its field values, its repr,
+#: a field and another value for it)
+TUPLE_RECORDS = {
+    "ScaledSeq": (_scaled(), ("scale", "triple"), (F(22), (2, 3, 10)), _SCALED_REPR, "triple", (2, 3, 11)),
+    "RootInterval": (RootInterval(F(1), F(2)), ("lower", "upper"), (F(1), F(2)),
+                     "RootInterval(lower=Fraction(1, 1), upper=Fraction(2, 1))", "upper", F(3, 2)),
+    "Check": (Check("n=1", True, 1, 1), ("index", "ok", "lhs_value", "rhs_value"), ("n=1", True, 1, 1),
+              "Check(index='n=1', ok=True, lhs_value=1, rhs_value=1)", "ok", False),
+    "_ProvedRows": (_ProvedRows(tuple), ("rows",), (tuple,), "_ProvedRows(rows=<class 'tuple'>)", "rows", list),
+    "RangeSpec": (RangeSpec("n", 0, 5), ("name", "lo", "hi"), ("n", 0, 5), "RangeSpec(name='n', lo=0, hi=5)",
+                  "hi", 6),
+    "RunContext": (RunContext({"n": (0, 3)}, None, {}), ("ranges", "rng", "store"), ({"n": (0, 3)}, None, {}),
+                   "RunContext(ranges={'n': (0, 3)}, rng=None, store={})", "store", {"a": 1}),
+    "SettledCount": (SettledCount(2, 42), ("points", "terms"), (2, 42), "SettledCount(points=2, terms=42)",
+                     "terms", 43),
+    "IdentityRecord": (IdentityRecord("X", "l", (RangeSpec("n", 0, 5),), len), ("id", "label", "ranges", "runner"),
+                       ("X", "l", (("n", 0, 5),), len),
+                       "IdentityRecord(id='X', label='l', ranges=(RangeSpec(name='n', lo=0, hi=5),), "
+                       "runner=<built-in function len>)", "label", "m"),
+    "SuiteReport": (SuiteReport(42, ["r"]), ("seed", "reports"), (42, ["r"]), "SuiteReport(seed=42, reports=['r'])",
+                    "seed", 7),
+    "PrintedRecursionResult": (
+        PrintedRecursionResult(CPower(1), _scaled(), None, False), ("family", "direct", "recursive", "match", "note"),
+        (CPower(1), _scaled(), None, False, ""),
+        "PrintedRecursionResult(family=PowerFamily(kind=<FamilyKind.CPOWER: 'cpower'>, n=1), "
+        f"direct={_SCALED_REPR}, recursive=None, match=False, note='')", "note", "vanished"),
+    "ConjectureRow": (_row(), ("n", "cpower_scale", "cofactor_scale", "equal"), (1, F(1), F(2), False), _ROW_REPR,
+                      "equal", True),
+    "ConjectureReport": (ConjectureReport((_row(),), False), ("rows", "all_equal"), ((_row(),), False),
+                         f"ConjectureReport(rows=({_ROW_REPR},), all_equal=False)", "all_equal", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_RECORDS))
+class TestTupleRecords:
+    """Each tuple record is the tuple of its fields: repr, equality, hash,
+    pickling, _replace and immutability as for a named tuple."""
+
+    def test_repr(self, name):
+        record, *_, shown, _, _ = TUPLE_RECORDS[name]
+        assert repr(record) == shown
+
+    def test_fields_and_constructor(self, name):
+        record, names, fields, *_ = TUPLE_RECORDS[name]
+        cls = type(record)
+        assert cls.__name__ == name and cls._fields == names and tuple(record) == fields
+        assert [getattr(record, f) for f in names] == list(fields)
+        assert cls(*fields) == cls(**dict(zip(names, fields))) == cls._make(fields) == record
+
+    def test_equal_to_and_hashed_as_its_field_tuple(self, name):
+        record, _, fields, *_ = TUPLE_RECORDS[name]
+        assert record == fields and not record != fields
+        try:
+            expected = hash(fields)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected
+
+    def test_pickle_round_trip(self, name):
+        record = TUPLE_RECORDS[name][0]
+        loaded = pickle.loads(pickle.dumps(record))
+        assert type(loaded) is type(record) and loaded == record
+
+    def test_replace(self, name):
+        record, names, fields, _, field, value = TUPLE_RECORDS[name]
+        changed = record._replace(**{field: value})
+        assert type(changed) is type(record)
+        assert tuple(changed) == tuple(value if f == field else v for f, v in zip(names, fields))
+        assert tuple(record) == fields
+        with pytest.raises(ValueError):
+            record._replace(no_such_field=0)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        record, names, fields, *_ = TUPLE_RECORDS[name]
+        for field in names:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.no_such_field = 0
+        assert tuple(record) == fields
+
+    def test_only_a_default_field_may_be_left_out(self, name):
+        record, _, fields, *_ = TUPLE_RECORDS[name]
+        if name == "PrintedRecursionResult":
+            assert type(record)(*fields[:-1]).note == ""
+        else:
+            with pytest.raises(TypeError):
+                type(record)(*fields[:-1])
 
 
 #: (record, an equal record built another way, a record differing in one field, its fields)
@@ -137,6 +248,9 @@ class TestConstructors:
                               checks=[check], mismatches=[], notes="")
         assert report.status == "fail" and report.first_failure is check
         assert RootInterval(F(1), F(3)).width() == 2
+        assert _ProvedRows(tuple).ok is True and _ProvedRows(tuple).checks() == []
+        assert RunContext({"n": (2, 4)}, None, {}).span("n") == range(2, 5)
+        assert SettledCount(2, 42).terms == 42 and SuiteReport(42, []).counts()["pass"] == 0
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
