@@ -14,7 +14,8 @@ import functools
 import os
 import random
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+# the C quoter that json.encoder uses, without the json package's import
+from _json import encode_basestring_ascii as _quote
 
 from . import derivation, identity_catalog, symmetric_identities
 from .sequences import TriboSeq

@@ -36,11 +36,11 @@ plain kernel is left for the tests and the benchmark harness.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 from functools import cache
 from itertools import accumulate, repeat, zip_longest
 from math import comb, prod
 from operator import add, mul
-from typing import Callable, Sequence
 
 
 class IndexTooSmall(ValueError):

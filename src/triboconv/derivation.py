@@ -21,11 +21,11 @@ denominator that vanishes; only the scale stays a Fraction.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .field import (
     FieldElement,
@@ -177,12 +177,13 @@ def derive_table(kind: FamilyKind, n_max: int) -> list[ScaledSeq]:
 
 # -- replication of the printed recursions --------------------------------
 
-class PrintedRecursionResult(NamedTuple):
-    family: PowerFamily
-    direct: ScaledSeq
-    recursive: ScaledSeq | None
-    match: bool
-    note: str = ""
+class PrintedRecursionResult(namedtuple("PrintedRecursionResult", "family direct recursive match note",
+                                        defaults=("",))):
+    """A family's direct row (ScaledSeq) and the printed recursion's replay
+    of it, which is None when the replay stopped; ``match`` when the two
+    are equal, and ``note`` says why a replay stopped."""
+
+    __slots__ = ()
 
 
 def element_with_traces(t0, t1, t2) -> FieldElement:
@@ -336,16 +337,18 @@ def derive_paper_recursive(fam: PowerFamily) -> PrintedRecursionResult:
 
 # -- the scale conjecture --------------------------------------------------
 
-class ConjectureRow(NamedTuple):
-    n: int
-    cpower_scale: Fraction  # scale of the 2n-th power-of-c family
-    cofactor_scale: Fraction  # scale of the n-th cofactor family
-    equal: bool
+class ConjectureRow(namedtuple("ConjectureRow", "n cpower_scale cofactor_scale equal")):
+    """Row n of the scale conjecture: the scales (Fractions) of the 2n-th
+    power-of-c family and of the n-th cofactor family, and whether they
+    are equal."""
+
+    __slots__ = ()
 
 
-class ConjectureReport(NamedTuple):
-    rows: tuple[ConjectureRow, ...]
-    all_equal: bool
+class ConjectureReport(namedtuple("ConjectureReport", "rows all_equal")):
+    """The conjecture's rows for n = 1..N, and whether every row is equal."""
+
+    __slots__ = ()
 
     def first_counterexample(self) -> ConjectureRow | None:
         return next((row for row in self.rows if not row.equal), None)

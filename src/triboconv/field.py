@@ -15,10 +15,10 @@ positive number.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import NamedTuple
 
 #: Trace Gram matrix [trace(x^(i+j))] for i, j = 0, 1, 2.  Row 0 holds the
 #: power sums of the three roots (Newton's identities from e1 = 1, e2 = -1,
@@ -282,12 +282,11 @@ def sign_at_real_root(q: FieldElement) -> int:
     return 1 if norm_coeffs(integral_coeffs(q)[0]) > 0 else -1
 
 
-class RootInterval(NamedTuple):
+class RootInterval(namedtuple("RootInterval", "lower upper")):
     """Rational bracket (lower, upper) around the real root; the minimal
     polynomial changes sign across it."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = ()
 
     def width(self) -> Fraction:
         return self.upper - self.lower

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import random
 import sys
-from collections.abc import Iterator
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, NamedTuple
 
 from .convolution import (
     TRIBO_DENOM,
@@ -86,17 +86,15 @@ def _str(value) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-class Check(NamedTuple):
-    """Outcome of one exact comparison of two exact values.
+class Check(namedtuple("Check", "index ok lhs_value rhs_value")):
+    """Outcome of one exact comparison of two exact values: the index's
+    label, whether they agree, and the two values.
 
     lhs/rhs read the values as decimal-free strings, made only when read:
     a report shows no more than the first failure.
     """
 
-    index: str
-    ok: bool
-    lhs_value: object
-    rhs_value: object
+    __slots__ = ()
     lhs = property(lambda self: _str(self.lhs_value))
     rhs = property(lambda self: _str(self.rhs_value))
 
@@ -141,11 +139,12 @@ class _FoldPoint:
                       _Quotient(rhs[m], self.common)) for m in self.ms]
 
 
-class _ProvedRows(NamedTuple):
-    """Claim rows whose two sides were proved equal at every index; ``ok``,
-    and it stands for one check per row, formed only when read (checks())."""
+class _ProvedRows(namedtuple("_ProvedRows", "rows")):
+    """Claim rows (a callable that yields them) whose two sides were proved
+    equal at every index; ``ok``, and it stands for one check per row,
+    formed only when read (checks())."""
 
-    rows: Callable[[], Iterator[tuple]]
+    __slots__ = ()
     ok = True
 
     def checks(self) -> list[Check]:
@@ -174,28 +173,28 @@ class RunOutcome:
         self.params_used: list[dict[str, str]] = [] if params_used is None else params_used
 
 
-class RangeSpec(NamedTuple):
-    name: str
-    lo: int
-    hi: int
+class RangeSpec(namedtuple("RangeSpec", "name lo hi")):
+    """A named index range lo..hi, both ends included."""
+
+    __slots__ = ()
 
 
-class RunContext(NamedTuple):
-    ranges: dict[str, tuple[int, int]]
-    rng: random.Random
-    store: dict  # the run's fold factor rows and tables, shared by its entries
+class RunContext(namedtuple("RunContext", "ranges rng store")):
+    """A run's ranges, name -> (lo, hi), its seeded random.Random, and its
+    store: the run's fold factor rows and tables, shared by its entries."""
+
+    __slots__ = ()
 
     def span(self, name: str) -> range:
         lo, hi = self.ranges[name]
         return range(lo, hi + 1)
 
 
-class SettledCount(NamedTuple):
+class SettledCount(namedtuple("SettledCount", "points terms")):
     """A report's settled fold points and the terms on which they compared
     their two sides."""
 
-    points: int
-    terms: int
+    __slots__ = ()
 
 
 class VerifyReport:
@@ -255,11 +254,11 @@ class VerifyReport:
         }
 
 
-class IdentityRecord(NamedTuple):
-    id: str
-    label: str
-    ranges: tuple[RangeSpec, ...]
-    runner: Callable[[RunContext], RunOutcome]
+class IdentityRecord(namedtuple("IdentityRecord", "id label ranges runner")):
+    """A registered identity: its id, its paper label, its RangeSpecs and
+    the runner that turns a RunContext into a RunOutcome."""
+
+    __slots__ = ()
 
 
 def _draw_fraction(rng: random.Random) -> Fraction:
@@ -683,9 +682,10 @@ def verify(
                         outcome.checks, outcome.mismatches, "; ".join(outcome.notes))
 
 
-class SuiteReport(NamedTuple):
-    seed: int
-    reports: list[VerifyReport]
+class SuiteReport(namedtuple("SuiteReport", "seed reports")):
+    """A suite run's seed and its VerifyReports, one per identity."""
+
+    __slots__ = ()
 
     def counts(self) -> dict[str, int]:
         return _tally(r.status for r in self.reports)

@@ -12,9 +12,9 @@ pins down the otherwise ambiguous choice of sign.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .field import FieldElement, integral_coeffs, sign_at_real_root, trace_triple
 
@@ -63,7 +63,7 @@ class TriboSeq:
         return f"TriboSeq{self.triple}"
 
 
-class ScaledSeq(NamedTuple):
+class ScaledSeq(namedtuple("ScaledSeq", "scale triple")):
     """Canonical presentation (scale A, primitive integer triple) of an EGF
     combination: trace(x^k q) = T_k(triple) / scale for the source q.
 
@@ -72,8 +72,7 @@ class ScaledSeq(NamedTuple):
     produce non-integer scales (see ``integral``), and reports flag those.
     """
 
-    scale: Fraction
-    triple: InitTriple
+    __slots__ = ()
 
     def sequence(self) -> TriboSeq:
         return TriboSeq(*self.triple)

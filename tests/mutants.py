@@ -44,6 +44,9 @@ STREAMED_TABLES = ("tests/test_derivation.py::TestStreamedTables",)
 FIELD = "src/triboconv/field.py"
 INTEGER_FOLDS = "tests/test_catalog.py::TestIntegerFolds"
 CHANGED_GF_CONSTANT = ("tests/test_catalog.py::TestProvedClaims::test_a_changed_constant_compares_every_row",)
+SEQUENCES = "src/triboconv/sequences.py"
+START_UP_WITHOUT_SITE = (
+    "tests/test_records.py::test_cli_start_up_without_site_loads_no_json_typing_dataclasses_or_inspect",)
 #: seconds one pytest run may take; the slowest row takes about 12 s
 TIMEOUT = 300
 
@@ -243,6 +246,19 @@ MUTANTS = [
     Mutant("derive-reuses-an-unequal-scale", CLI,
            "rep = (scale if r.scale == scaled.scale else str(r.scale),", "rep = (scale,",
            ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",)),
+    # a start-up that imports neither the json package nor typing, and tuple
+    # records that take no attribute besides their fields
+    Mutant("cli-quoter-from-the-json-package", CLI,
+           "from _json import encode_basestring_ascii as _quote",
+           "from json.encoder import encode_basestring_ascii as _quote", START_UP_WITHOUT_SITE),
+    Mutant("scaled-seq-a-typing-named-tuple", SEQUENCES,
+           'class ScaledSeq(namedtuple("ScaledSeq", "scale triple")):',
+           'class ScaledSeq(__import__("typing").NamedTuple('
+           '"ScaledSeq", [("scale", Fraction), ("triple", InitTriple)])):',
+           START_UP_WITHOUT_SITE),
+    Mutant("scaled-seq-without-slots", SEQUENCES,
+           'reports flag those.\n    """\n\n    __slots__ = ()\n', 'reports flag those.\n    """\n',
+           ("tests/test_records.py::TestTupleRecords::test_fields_cannot_be_assigned_or_deleted[ScaledSeq]",)),
 ]
 
 

@@ -1,6 +1,6 @@
 """Behaviour of the package's record types: constructors, equality, hash,
-repr, immutability and pickling; and a start-up that loads neither
-dataclasses nor inspect."""
+repr, immutability and pickling; and a start-up that loads none of
+dataclasses, inspect, json and typing."""
 
 import pickle
 import subprocess
@@ -253,12 +253,26 @@ class TestConstructors:
         assert SettledCount(2, 42).terms == 42 and SuiteReport(42, []).counts()["pass"] == 0
 
 
-def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+def _loaded_at_start_up(flags: list[str], names: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a fresh interpreter, run with flags,
+    that imports triboconv.cli, builds its parser and prints which of names
+    it has loaded."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import triboconv.cli as c; c.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
     src = Path(__file__).resolve().parent.parent / "src"
-    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    run = subprocess.run([sys.executable, *flags, "-c", code, str(src), *names], capture_output=True, text=True,
+                         timeout=60)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_at_start_up(["-I"], ["dataclasses", "inspect"]) == (0, "[]\n", "")
+
+
+def test_cli_start_up_without_site_loads_no_json_typing_dataclasses_or_inspect():
+    # without site, whose start-up hooks (a .pth file) may load typing first
+    names = ["dataclasses", "inspect", "json", "typing"]
+    assert _loaded_at_start_up(["-I", "-S"], names) == (0, "[]\n", "")
 
 
 def test_a_value_past_the_int_str_limit_reads_in_a_fresh_process():
