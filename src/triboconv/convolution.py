@@ -26,11 +26,12 @@ extended by the recurrence from them otherwise.  ``multiset_table`` keeps
 such tables by sorted factor tuple and builds each from the table of its
 factors but the last, so tables that share factors share sub-products.
 
-The series of P1, P2, T1 and GF multiply by T = x/(1 - x - x^2 - x^3)
-and by x/(1 + x^2 + 2x^3): a shift and a division by a short polynomial
-(``series_divide``), so each side costs O(n); as RationalSeries pairs,
-P1's, P2's and T1's sides are proved equal by ``cross_difference``.  The
-plain kernel is left for the tests and the benchmark harness.
+P1, P2 and T1 are each stated once, as two RationalSeries: integer
+numerator and denominator pairs built from T = x/(1 - x - x^2 - x^3).
+``cross_difference`` proves the two sides equal at every coefficient, and
+``RationalSeries.coefficients`` reads the rows from the same pair by one
+series division (``series_divide``), so each side costs O(n).  The plain
+kernel is left for the tests and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -340,6 +341,10 @@ class RationalSeries:
         n, d = self.num, self.den
         return RationalSeries(_cross(series_derivative(n), d, n, series_derivative(d)), _poly_product(d, d))
 
+    def coefficients(self, order: int) -> list:
+        """Coefficients 0..order of num/den, by one series division."""
+        return series_divide((self.num + [0] * (order + 1))[: order + 1], self.den)
+
 
 def _poly_product(a: Sequence, b: Sequence) -> list:
     return poly_times(a, [*b, *[0] * (len(a) - 1)])
@@ -356,14 +361,9 @@ def series_T(order: int) -> list[int]:
     return ([0] + series_reciprocal(TRIBO_DENOM, order))[: order + 1]
 
 
-def times_T(s: Sequence) -> list:
-    """T(x) times the series s modulo x^len(s): x*s divided by TRIBO_DENOM."""
-    return series_divide([0, *s][: len(s)], TRIBO_DENOM)
-
-
 # -- P1, P2 and T1 as generating-function identities -----------------------
 #
-# Each sides function returns an identity's two sides modulo x^(order+1).
+# Each function returns an identity's two sides as rational functions.
 # Coefficient n of each side is the printed identity at index n, and the
 # sides agree at every coefficient, not only from the printed start.
 
@@ -372,56 +372,34 @@ _T1_POLY = (2, 6, 12, 0, 6, 6)
 _P1_OFFSET = (0, 1, 1)  # x + x^2
 
 
-def p1_sides(order: int) -> tuple[list[int], list[int]]:
-    """P1: T((1 + x^2 + 2x^3)T - x - x^2), whose coefficient n is the
-    printed sum of T_k (T_(n-k) + T_(n-k-2) + 2 T_(n-k-3)), against
-    (n-2) T_(n-1) - T_(n-2)."""
-    t = series_T(order)
-    inner = [a - b for a, b in zip(poly_times(_T_PRIME_NUMERATOR, t), [*_P1_OFFSET, *[0] * order])]
-    xt, x2t = [0] + t, [0, 0] + t
-    return times_T(inner), [(n - 2) * xt[n] - x2t[n] for n in range(order + 1)]
-
-
-def p2_sides(order: int) -> tuple[list[int], list[int]]:
-    """P2: T^2 against x / (1 + x^2 + 2x^3), whose coefficient d is the
-    printed weight (see prop2_rhs), times x T'(x) = sum_l l T_l x^l."""
-    t = series_T(order)
-    x2_t_prime = ([0, 0] + series_derivative(t))[: order + 1]
-    return times_T(t), series_divide(x2_t_prime, _T_PRIME_NUMERATOR)
-
-
-def t1_sides(order: int) -> tuple[list[int], list[int]]:
-    """T1: x^3 T''(x), whose coefficient n is (n-1)(n-2) T_(n-1), against
-    (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
-    t = series_T(order)
-    lhs = ([0, 0, 0] + series_derivative(series_derivative(t)))[: order + 1]
-    return lhs, poly_times(_T1_POLY, times_T(times_T(t)))
-
-
 def p1_rational() -> tuple[RationalSeries, RationalSeries]:
-    """P1's sides: T((1 + x^2 + 2x^3)T - x - x^2) against x (xT)' - (2 + x) xT."""
+    """P1's sides: T((1 + x^2 + 2x^3)T - x - x^2), whose coefficient n is the
+    printed sum of T_k (T_(n-k) + T_(n-k-2) + 2 T_(n-k-3)), against
+    x (xT)' - (2 + x) xT, whose coefficient n is (n-2) T_(n-1) - T_(n-2)."""
     t, xt = RationalSeries((0, 1), TRIBO_DENOM), RationalSeries((0, 0, 1), TRIBO_DENOM)
     lhs = t * (RationalSeries(_T_PRIME_NUMERATOR) * t - RationalSeries(_P1_OFFSET))
     return lhs, RationalSeries((0, 1)) * xt.derivative() - RationalSeries((2, 1)) * xt
 
 
 def p2_rational() -> tuple[RationalSeries, RationalSeries]:
-    """P2's sides: T^2 against x^2 T' / (1 + x^2 + 2x^3)."""
+    """P2's sides: T^2 against x / (1 + x^2 + 2x^3), whose coefficient d is
+    the printed weight (see prop2_rhs), times x T'(x) = sum_l l T_l x^l."""
     t = RationalSeries((0, 1), TRIBO_DENOM)
     return t * t, RationalSeries((0, 0, 1), _T_PRIME_NUMERATOR) * t.derivative()
 
 
 def t1_rational() -> tuple[RationalSeries, RationalSeries]:
-    """T1's sides: x^3 T'' against (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
+    """T1's sides: x^3 T''(x), whose coefficient n is (n-1)(n-2) T_(n-1),
+    against (2 + 6x + 12x^2 + 6x^4 + 6x^5) T^3."""
     t = RationalSeries((0, 1), TRIBO_DENOM)
     return RationalSeries((0, 0, 0, 1)) * t.derivative().derivative(), RationalSeries(_T1_POLY) * t * t * t
 
 
-def cross_difference(sides: Callable[[int], tuple[list, list]]) -> list[int]:
-    """N1*D2 - N2*D1 for the rational sides N1/D1 and N2/D2 of p1_sides, p2_sides
-    or t1_sides: D1 and D2 are units of the power series, so it is zero exactly
-    when the two sides agree at every coefficient."""
-    lhs, rhs = {p1_sides: p1_rational, p2_sides: p2_rational, t1_sides: t1_rational}[sides]()
+def cross_difference(sides: Callable[[], tuple[RationalSeries, RationalSeries]]) -> list[int]:
+    """N1*D2 - N2*D1 for the sides N1/D1 and N2/D2 of p1_rational, p2_rational
+    or t1_rational: D1 and D2 are units of the power series, so it is zero
+    exactly when the two sides agree at every coefficient."""
+    lhs, rhs = sides()
     return (lhs - rhs).num
 
 
@@ -429,7 +407,7 @@ def prop1_lhs(n: int) -> int:
     """sum_{k=0}^{n-3} T_k (T_{n-k} + T_{n-k-2} + 2 T_{n-k-3}), n >= 3."""
     if n < 3:
         raise IndexTooSmall("defined for n >= 3")
-    return p1_sides(n)[0][n]
+    return p1_rational()[0].coefficients(n)[n]
 
 
 def prop2_rhs(n: int) -> int:
@@ -440,12 +418,13 @@ def prop2_rhs(n: int) -> int:
     which vanishes for odd m and equals 2*(-1)^(m/2) for even m.  With the
     printed 2^(i-1) prefactor the surviving weight is
     2^i * (-1)^(m/2) * C(m/2, i).  This is the only reading that keeps
-    every term rational; it is validated against the brute-force pair
-    convolution in the identity catalog.
+    every term rational.  It is coefficient n of P2's right side, which
+    ``cross_difference`` proves equal to T^2; the tests also compare it with
+    the brute-force pair convolution.
     """
     if n < 2:
         raise IndexTooSmall("defined for n >= 2")
-    return p2_sides(n)[1][n]
+    return p2_rational()[1].coefficients(n)[n]
 
 
 def series_check_derivatives(order: int) -> bool:
@@ -461,5 +440,5 @@ def series_check_derivatives(order: int) -> bool:
     first = poly_times(_T_PRIME_NUMERATOR, series_divide(inv, TRIBO_DENOM))
     if series_derivative(series_T(order)) != first[:order]:
         return False
-    lhs, rhs = t1_sides(order)
-    return lhs == rhs
+    lhs, rhs = t1_rational()
+    return lhs.coefficients(order) == rhs.coefficients(order)

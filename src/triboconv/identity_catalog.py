@@ -36,12 +36,12 @@ from .convolution import (
     cross_difference,
     multinomial_conv_prefix,  # not called here; perfbench's tracer test wraps this binding
     multiset_table,
-    p1_sides,
-    p2_sides,
+    p1_rational,
+    p2_rational,
     poly_times,
     series_T,
     series_check_derivatives,
-    t1_sides,
+    t1_rational,
 )
 from .derivation import (
     CPower,
@@ -450,11 +450,11 @@ def _run_claims(rows: Callable, ctx: RunContext, note: str | None = None, proof:
     return outcome
 
 
-def _ogf_rows(sides: Callable[[int], tuple[list, list]], ctx: RunContext) -> Iterator[tuple]:
-    """Coefficient n of both generating-function sides (P1, P2, T1) for
-    every n in the range."""
+def _ogf_rows(sides: Callable[[], tuple], ctx: RunContext) -> Iterator[tuple]:
+    """Coefficient n of both rational sides (P1, P2, T1) for every n in the
+    range."""
     ns = ctx.span("n")
-    lhs, rhs = sides(ns[-1])
+    lhs, rhs = (side.coefficients(ns[-1]) for side in sides())
     for n in ns:
         yield f"n={n}", lhs[n], rhs[n], False
 
@@ -583,13 +583,13 @@ REGISTRY: dict[str, IdentityRecord] = {
     for r in [
         _rec("P1", "sum T_k(T_{n-k}+T_{n-k-2}+2T_{n-k-3}) = (n-2)T_{n-1} - T_{n-2}",
              [("n", 3, 200)],
-             partial(_run_claims, partial(_ogf_rows, p1_sides), proof=partial(cross_difference, p1_sides))),
+             partial(_run_claims, partial(_ogf_rows, p1_rational), proof=partial(cross_difference, p1_rational))),
         _rec("P2", "sum T_k T_{n-k} as a weighted single sum (adopted reading of the "
              "half-integer sign exponents)", [("n", 2, 100)],
-             partial(_run_claims, partial(_ogf_rows, p2_sides), proof=partial(cross_difference, p2_sides))),
+             partial(_run_claims, partial(_ogf_rows, p2_rational), proof=partial(cross_difference, p2_rational))),
         _rec("T1", "(n-1)(n-2)T_{n-1} = weighted triple plain convolutions at shifts "
              "n-5, n-4, n-2, n-1, n", [("n", 5, 120)],
-             partial(_run_claims, partial(_ogf_rows, t1_sides), proof=partial(cross_difference, t1_sides))),
+             partial(_run_claims, partial(_ogf_rows, t1_rational), proof=partial(cross_difference, t1_rational))),
         _rec("L-CONST", "root-coefficient constants: trace(c)=0, trace(xc)=1, "
              "trace(x^2 c)=1, norm(c)=1/44, trace(cofactor)=-1/22", [],
              partial(_run_claims, _constant_rows)),

@@ -102,6 +102,16 @@ MUTANTS = [
            "_T1_POLY = (2, 6, 12, 0, 6, 6)", "_T1_POLY = (2, 6, 12, 0, 6, 7)",
            ("tests/test_convolution.py::TestT1",
             "tests/test_convolution.py::TestRationalSides::test_cross_differences_are_zero")),
+    # the one statement of P1, P2 and T1: its rows are the expansion of each
+    # rational side, and its proof the difference of the two sides
+    Mutant("coefficients-one-term-short", CONVOLUTION,
+           "[: order + 1], self.den)", "[: order], self.den)",
+           ("tests/test_convolution.py::TestRationalSides::test_coefficients_are_the_division_by_definition",
+            "tests/test_convolution.py::test_sides_agree_at_every_coefficient")),
+    Mutant("cross-difference-of-a-side-with-itself", CONVOLUTION,
+           "return (lhs - rhs).num", "return (lhs - lhs).num",
+           ("tests/test_convolution.py::TestRationalSides::test_a_changed_constant_gives_a_nonzero_difference",
+            *CHANGED_GF_CONSTANT)),
     Mutant("fold-head-comparison-false", CATALOG,
            "rhs == lhs_num))", "False))", NO_FALLBACK),
     # the fold's block map, the printed constraints and the proofs under the folds
@@ -269,9 +279,14 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def _src_first(tree: Path) -> str:
+    """The tree's src in front of the caller's PYTHONPATH, which may supply pytest itself."""
+    return os.pathsep.join(p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
+
+
 def _pytest(tree: Path, tests) -> int | None:
     """pytest's exit code on the tests, or None if the run timed out."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, "PYTHONPATH": _src_first(tree)}
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
                              cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)

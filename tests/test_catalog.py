@@ -594,32 +594,36 @@ class TestProvedClaims:
 
     IDS = ("P1", "P2", "T1")
 
-    def _count_sides(self, monkeypatch) -> list:
-        """Each entry's sides function, as the registry binds it, counting its calls."""
+    def _count_expansions(self, monkeypatch) -> list:
+        """The entry of each expansion of a P1, P2 or T1 side, in order.  The
+        rows and the proof call the same sides function; only the rows expand."""
         calls = []
+        expand = RationalSeries.coefficients
         for identity in self.IDS:
             record = REGISTRY[identity]
-            rows = record.runner.args[0]
+            rows, proof = record.runner.args[0], record.runner.keywords["proof"]
 
-            def counted(order, sides=rows.args[0], identity=identity):
-                calls.append(identity)
-                return sides(order)
+            def counted(sides=rows.args[0], identity=identity):
+                pair = sides()
+                for side in pair:
+                    side.coefficients = lambda order, side=side: calls.append(identity) or expand(side, order)
+                return pair
 
-            runner = partial(record.runner.func, partial(rows.func, counted), **record.runner.keywords)
+            runner = partial(record.runner.func, partial(rows.func, counted), proof=partial(proof.func, counted))
             monkeypatch.setitem(REGISTRY, identity, record._replace(runner=runner))
         return calls
 
     def test_verify_all_builds_no_rows_until_read(self, monkeypatch):
-        calls = self._count_sides(monkeypatch)
+        calls = self._count_expansions(monkeypatch)
         reports = {r.id: r for r in verify_all().reports}
         assert [reports[i].status for i in self.IDS] == ["pass"] * 3 and calls == []
         want = json.loads((GOLDEN / "checks_seed42.json").read_text())
         assert {i: _digest_entry(reports[i]) for i in self.IDS} == {i: want[i] for i in self.IDS}
-        assert calls == list(self.IDS)
+        assert calls == [i for i in self.IDS for _ in range(2)]  # both sides of each entry
 
     @pytest.mark.parametrize("identity", IDS)
     def test_the_cap_builds_no_rows_until_read(self, monkeypatch, tmp_path, identity):
-        calls = self._count_sides(monkeypatch)
+        calls = self._count_expansions(monkeypatch)
         digests = json.loads((GOLDEN / "cli_sha256.json").read_text())
         for ext in ("json", "tsv", "txt"):
             name = f"verify_{identity}_2000.{ext}"
@@ -627,7 +631,7 @@ class TestProvedClaims:
         report = verify(identity, nmax=2000)
         assert report.status == "pass" and calls == []
         assert _digest_entry(report) == json.loads((GOLDEN / "checks_cap.json").read_text())[identity]
-        assert calls == [identity]
+        assert calls == [identity, identity]
 
     @pytest.mark.parametrize("identity,constant,value,first", [
         ("T1", "_T1_POLY", (2, 6, 12, 0, 6, 7), ("n=8", "1008", "1009")),

@@ -1,5 +1,5 @@
 """Convolution kernels, the list series and their division, and P1, P2
-and T1 as series rows and as rational functions."""
+and T1 as rational functions and the rows they expand to."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -24,9 +24,7 @@ from triboconv.convolution import (
     cross_difference,
     multinomial_conv_prefix,
     p1_rational,
-    p1_sides,
     p2_rational,
-    p2_sides,
     plain_conv_prefix,
     poly_times,
     prop1_lhs,
@@ -37,8 +35,6 @@ from triboconv.convolution import (
     series_divide,
     series_reciprocal,
     t1_rational,
-    t1_sides,
-    times_T,
 )
 from triboconv.sequences import TriboSeq
 
@@ -57,6 +53,11 @@ from oracles import (
 
 def _t(count):
     return TriboSeq.ordinary().terms(count)
+
+
+def _rows(sides, order):
+    """Coefficients 0..order of both rational sides."""
+    return tuple(side.coefficients(order) for side in sides())
 
 
 class TestWeightedSeq:
@@ -298,7 +299,7 @@ class TestProp1:
             prop1_lhs(2)
 
     def test_table_matches_per_n_sum(self):
-        table, _ = p1_sides(300)
+        table, _ = _rows(p1_rational, 300)
         assert len(table) == 301
         assert table[3:] == [prop1_reference(n) for n in range(3, 301)]
 
@@ -320,7 +321,7 @@ class TestProp2:
             prop2_rhs(1)
 
     def test_table_matches_per_n_double_sum(self):
-        _, table = p2_sides(300)
+        _, table = _rows(p2_rational, 300)
         assert len(table) == 301
         assert table[2:] == [prop2_reference(n) for n in range(2, 301)]
 
@@ -328,31 +329,31 @@ class TestProp2:
 class TestT1:
     def test_rows_match_printed_per_n_sides(self):
         t = _t(301)
-        lhs, rhs = t1_sides(300)
+        lhs, rhs = _rows(t1_rational, 300)
         triple = plain_conv_prefix([t, t, t], 300)
         assert lhs[5:] == [(n - 1) * (n - 2) * t[n - 1] for n in range(5, 301)]
         assert rhs[5:] == [t1_reference(n, triple) for n in range(5, 301)]
 
 
-@pytest.mark.parametrize("sides", [p1_sides, p2_sides, t1_sides])
+@pytest.mark.parametrize("sides", [p1_rational, p2_rational, t1_rational], ids=["p1_sides", "p2_sides", "t1_sides"])
 @pytest.mark.parametrize("order", [0, 1, 300])
 def test_sides_agree_at_every_coefficient(sides, order):
     """The generating-function identity itself: both sides agree at every
     coefficient 0..order, below the printed start too."""
-    lhs, rhs = sides(order)
+    lhs, rhs = _rows(sides, order)
     assert len(lhs) == len(rhs) == order + 1
     assert lhs == rhs
 
 
 @pytest.mark.parametrize(
     "sides,schoolbook",
-    [(p1_sides, p1_sides_schoolbook), (p2_sides, p2_sides_schoolbook),
-     (t1_sides, t1_sides_schoolbook)],
+    [(p1_rational, p1_sides_schoolbook), (p2_rational, p2_sides_schoolbook),
+     (t1_rational, t1_sides_schoolbook)],
     ids=["P1", "P2", "T1"],
 )
 @pytest.mark.parametrize("order", [*range(13), 600])
 def test_sides_equal_the_schoolbook_product(sides, schoolbook, order):
-    assert sides(order) == schoolbook(order)
+    assert _rows(sides, order) == schoolbook(order)
 
 
 @pytest.mark.parametrize("order", [*range(6, 13), 600])
@@ -360,41 +361,46 @@ def test_derivative_relations_equal_the_schoolbook_product(order):
     assert series_check_derivatives(order) == series_check_derivatives_schoolbook(order)
 
 
-def _expand(r: RationalSeries, order: int) -> list:
-    """Coefficients 0..order of r, by series division."""
-    return series_divide((r.num + [0] * (order + 1))[: order + 1], r.den)
-
-
 _polys = st.lists(st.integers(-5, 5), max_size=6)
 _rationals = st.builds(lambda num, tail: RationalSeries(num, [1, *tail]), _polys, _polys)
 
 
+def _divided_by_definition(r: RationalSeries, order: int) -> list:
+    """Coefficients 0..order of r, each solved from the one before."""
+    return series_divide_by_definition((r.num + [0] * (order + 1))[: order + 1], r.den)
+
+
 class TestRationalSides:
     """P1, P2 and T1 as rational functions: their expansions are the series
-    sides, and their cross-multiplied differences are zero."""
+    division by definition, and their cross-multiplied differences are zero."""
 
-    RATIONAL = [(p1_sides, p1_rational), (p2_sides, p2_rational), (t1_sides, t1_rational)]
+    RATIONAL = [p1_rational, p2_rational, t1_rational]
 
-    @pytest.mark.parametrize("sides,rational", RATIONAL, ids=["P1", "P2", "T1"])
+    @pytest.mark.parametrize("rational", RATIONAL, ids=["P1", "P2", "T1"])
     @pytest.mark.parametrize("order", [*range(13), 2000])
-    def test_sides_expand_to_the_series_sides(self, sides, rational, order):
-        lhs, rhs = rational()
-        assert (_expand(lhs, order), _expand(rhs, order)) == sides(order)
+    def test_sides_expand_to_the_series_sides(self, rational, order):
+        # denominators of degree 6 to 12, longer than any _rationals draws
+        assert _rows(rational, order) == tuple(_divided_by_definition(side, order) for side in rational())
 
-    @pytest.mark.parametrize("sides", [p1_sides, p2_sides, t1_sides], ids=["P1", "P2", "T1"])
+    @given(_rationals, st.integers(0, 20))
+    @settings(max_examples=80)
+    def test_coefficients_are_the_division_by_definition(self, r, order):
+        assert r.coefficients(order) == _divided_by_definition(r, order)
+
+    @pytest.mark.parametrize("sides", RATIONAL, ids=["P1", "P2", "T1"])
     def test_cross_differences_are_zero(self, sides):
         difference = cross_difference(sides)
         assert difference and not any(difference)
 
     @pytest.mark.parametrize("sides,constant,value", [
-        (t1_sides, "_T1_POLY", (2, 6, 12, 0, 6, 7)),
-        (p1_sides, "_T_PRIME_NUMERATOR", (1, 0, 1, 3)),
-        (p2_sides, "_T_PRIME_NUMERATOR", (1, 0, 1, 3)),
-        (p1_sides, "_P1_OFFSET", (0, 1, 2)),
+        (t1_rational, "_T1_POLY", (2, 6, 12, 0, 6, 7)),
+        (p1_rational, "_T_PRIME_NUMERATOR", (1, 0, 1, 3)),
+        (p2_rational, "_T_PRIME_NUMERATOR", (1, 0, 1, 3)),
+        (p1_rational, "_P1_OFFSET", (0, 1, 2)),
     ], ids=["T1-7x5", "P1-3x3", "P2-3x3", "P1-2x2"])
     def test_a_changed_constant_gives_a_nonzero_difference(self, monkeypatch, sides, constant, value):
         monkeypatch.setattr(convolution, constant, value)
-        lhs, rhs = sides(40)
+        lhs, rhs = _rows(sides, 40)
         assert lhs != rhs and any(cross_difference(sides))
 
     def test_the_difference_is_n1_d2_minus_n2_d1(self):
@@ -407,14 +413,14 @@ class TestRationalSides:
     @settings(max_examples=60)
     def test_products_and_differences_are_those_of_the_series(self, a, b):
         order = 12
-        sa, sb = _expand(a, order), _expand(b, order)
-        assert _expand(a * b, order) == cauchy_convolve(sa, sb)
-        assert _expand(a - b, order) == [x - y for x, y in zip(sa, sb)]
+        sa, sb = a.coefficients(order), b.coefficients(order)
+        assert (a * b).coefficients(order) == cauchy_convolve(sa, sb)
+        assert (a - b).coefficients(order) == [x - y for x, y in zip(sa, sb)]
 
     @given(_rationals)
     @settings(max_examples=60)
     def test_the_derivative_is_that_of_the_series(self, a):
-        assert _expand(a.derivative(), 11) == series_derivative(_expand(a, 12))
+        assert a.derivative().coefficients(11) == series_derivative(a.coefficients(12))
 
 
 class TestPolyTimes:
@@ -443,11 +449,6 @@ class TestSeriesDivide:
     def test_equals_the_division_by_definition(self, s, tail):
         a = (1, *tail)
         assert series_divide(s, a) == series_divide_by_definition(s, a)
-
-    @given(st.lists(st.integers(-10**6, 10**6), max_size=30))
-    @settings(max_examples=60)
-    def test_times_T_is_the_product_with_T(self, s):
-        assert times_T(s) == cauchy_convolve(series_T(len(s) - 1), s)
 
     # series_reciprocal's two exceptions are tested in TestTruncSeries
     @pytest.mark.parametrize("s", [[], [1, 2]])
