@@ -153,13 +153,14 @@ def multiset_table(tables: dict, factors: tuple, seqs: dict, length: int) -> lis
     factor on its head, min(length, D) terms for D the degree of its
     annihilator, and continued by the annihilator's recurrence; a stored
     table of D or more terms is continued from its first D terms instead of
-    rebuilt.  A factor that declares no polynomial makes D unbounded.
+    rebuilt.  A factor that declares no polynomial makes D unbounded, and so
+    does a single factor: its table is its own prefix, with no recurrence.
     """
     table = tables.get(factors)
     if table is not None and len(table) >= length:
         return table
     polys = [getattr(seqs[f], "charpoly", None) for f in factors]
-    rec = None if None in polys else _annihilator(tuple(sorted(polys)))
+    rec = None if None in polys or len(factors) == 1 else _annihilator(tuple(sorted(polys)))
     deg = length if rec is None else min(length, len(rec) - 1)
     if table is None or len(table) < deg:
         last = _as_prefix(seqs[factors[-1]], deg)
@@ -347,7 +348,11 @@ class RationalSeries:
 
 
 def _poly_product(a: Sequence, b: Sequence) -> list:
-    return poly_times(a, [*b, *[0] * (len(a) - 1)])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _cross(a: Sequence, b: Sequence, c: Sequence, d: Sequence) -> list:
@@ -427,12 +432,12 @@ def prop2_rhs(n: int) -> int:
     return p2_rational()[1].coefficients(n)[n]
 
 
-def series_check_derivatives(order: int) -> bool:
+def series_check_derivatives(order: int, t1_sides: tuple[RationalSeries, RationalSeries] | None = None) -> bool:
     """Verify the two quoted derivative relations of the Tribonacci OGF up
     to the given truncation order:
 
     (i)  T'(x) = (1 + x^2 + 2x^3) / (1 - x - x^2 - x^3)^2
-    (ii) (2 + 6x + 12x^2 + 6x^4 + 6x^5) * T(x)^3 = x^3 * T''(x), T1's sides
+    (ii) (2 + 6x + 12x^2 + 6x^4 + 6x^5) * T(x)^3 = x^3 * T''(x), T1's sides t1_sides or t1_rational()
     """
     if order < 6:
         raise ValueError("order must be at least 6")
@@ -440,5 +445,5 @@ def series_check_derivatives(order: int) -> bool:
     first = poly_times(_T_PRIME_NUMERATOR, series_divide(inv, TRIBO_DENOM))
     if series_derivative(series_T(order)) != first[:order]:
         return False
-    lhs, rhs = t1_rational()
+    lhs, rhs = t1_rational() if t1_sides is None else t1_sides
     return lhs.coefficients(order) == rhs.coefficients(order)

@@ -52,7 +52,7 @@ from .derivation import (
     derive,  # not called here; perfbench's tracer test wraps this binding
     family_element,
 )
-from .field import X, c_element, cofactor_element, integral_coeffs, mul_coeffs, norm, trace, trace_triple
+from .field import c_element, cofactor_element, integral_coeffs, mul_coeffs, norm_coeffs, trace_triple
 from .sequences import ScaledSeq, TriboSeq, binet_check
 from .symmetric_identities import FREE, TERMS, coeffs
 
@@ -180,8 +180,9 @@ class RangeSpec(namedtuple("RangeSpec", "name lo hi")):
 
 
 class RunContext(namedtuple("RunContext", "ranges rng store")):
-    """A run's ranges, name -> (lo, hi), its seeded random.Random, and its
-    store: the run's fold factor rows and tables, shared by its entries."""
+    """A run's ranges, name -> (lo, hi), a callable that makes its seeded
+    random.Random, called only by an entry that draws, and its store: the
+    run's fold rows and tables and its rational pairs, shared by its entries."""
 
     __slots__ = ()
 
@@ -261,8 +262,8 @@ class IdentityRecord(namedtuple("IdentityRecord", "id label ranges runner")):
     __slots__ = ()
 
 
-def _draw_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+def _draw_point(names, rng: random.Random) -> dict:
+    return {k: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for k in names}
 
 
 # -- binomial convolutions of the c^n family ---------------------------------
@@ -371,6 +372,7 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     terms, needed, rec, shared = _plan(r, tuple(points[0][1]), n, store)
     factors = {f: _factor(f, n, store) for f in needed}
     seqs = {f: seq for f, (seq, _) in factors.items()}
+    scales = {f: (scale.numerator, scale.denominator) for f, (_, scale) in factors.items()}
     # the run's tables at family index n by sorted factor tuple, each built
     # from the table of its factors but the last (multiset_table)
     tables = store.setdefault(n, {})
@@ -382,10 +384,9 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     lhs = multiset_table(tables, lhs_factors, seqs, head)
     # weights as integer pairs: 1 / scale^r on the left, each coefficient
     # over the product of its factors' scales on the right
-    scale = factors[C1][1]
-    inv_num, inv_den = _over(1, scale.numerator**r, scale.denominator**r)
-    term_tables = {k: (multiset_table(tables, fs, seqs, head), prod(factors[f][1].numerator for f in fs),
-                       prod(factors[f][1].denominator for f in fs)) for k, fs in terms.items()}
+    inv_num, inv_den = _over(1, scales[C1][0] ** r, scales[C1][1] ** r)
+    term_tables = {k: (multiset_table(tables, fs, seqs, head), prod(scales[f][0] for f in fs),
+                       prod(scales[f][1] for f in fs)) for k, fs in terms.items()}
     checks = []
     for prefix, cs in points:
         weights = [_over(c, *term_tables[k][1:]) for k, c in cs.items()]
@@ -419,7 +420,7 @@ def _run_fold(r: int, kind: str, ctx: RunContext) -> RunOutcome:
         return RunOutcome(checks=_fold_checks(r, 1, ms, "n", [("", PRINTED[r])], ctx.store))
     names = FREE[r]
     printed = {k: PRINTED[r].get(k, 0) for k in names}
-    points = [printed, GENERIC.get(r) or {k: _draw_fraction(ctx.rng) for k in names}]
+    points = [printed, GENERIC.get(r) or _draw_point(names, ctx.rng())]
     params_used, coeff_points = [], []
     for point in points:
         params_used.append({k: str(v) for k, v in point.items()})
@@ -438,10 +439,10 @@ def _run_claims(rows: Callable, ctx: RunContext, note: str | None = None, proof:
     """Checks of the rows (index, lhs, rhs, printed) of rows(ctx), and the one
     place of the known-discrepancy rule: a printed row that disagrees is a
     mismatch, reported and never failed; every other row is a check.  When
-    proof() (rows with none printed) is zero, every row holds, and one record
-    stands for the rows, formed when read."""
+    proof(ctx) (rows with none printed) is zero, every row holds, and one
+    record stands for the rows, formed when read."""
     outcome = RunOutcome(notes=[] if note is None else [note])
-    if proof is not None and not any(proof()):
+    if proof is not None and not any(proof(ctx)):
         outcome.checks.append(_ProvedRows(partial(rows, ctx)))
         return outcome
     for index, lhs, rhs, printed in rows(ctx):
@@ -450,11 +451,23 @@ def _run_claims(rows: Callable, ctx: RunContext, note: str | None = None, proof:
     return outcome
 
 
+def _pair(sides: Callable[[], tuple], store: dict) -> tuple:
+    """The rational pair sides(), built once per run and kept in its store."""
+    if sides not in store:
+        store[sides] = sides()
+    return store[sides]
+
+
+def _ogf_proof(sides: Callable[[], tuple], ctx: RunContext) -> list[int]:
+    """The cross-multiplied difference of the run's pair sides()."""
+    return cross_difference(partial(_pair, sides, ctx.store))
+
+
 def _ogf_rows(sides: Callable[[], tuple], ctx: RunContext) -> Iterator[tuple]:
     """Coefficient n of both rational sides (P1, P2, T1) for every n in the
     range."""
     ns = ctx.span("n")
-    lhs, rhs = (side.coefficients(ns[-1]) for side in sides())
+    lhs, rhs = (side.coefficients(ns[-1]) for side in _pair(sides, ctx.store))
     for n in ns:
         yield f"n={n}", lhs[n], rhs[n], False
 
@@ -467,16 +480,18 @@ def _gf_rows(ctx: RunContext) -> Iterator[tuple]:
         yield f"coeff k={k}", t[k], trib[k], False
     defining = poly_times(TRIBO_DENOM, t)
     yield "defining-relation", defining == [0, 1] + [0] * (order - 1), True, False
-    yield "derivative-relations", series_check_derivatives(order), True, False
+    yield "derivative-relations", series_check_derivatives(order, _pair(t1_rational, ctx.store)), True, False
 
 
 def _constant_rows(ctx: RunContext) -> Iterator[tuple]:
-    c = c_element()
-    yield "trace(c)", trace(c), Fraction(0), False
-    yield "trace(x*c)", trace(X * c), Fraction(1), False
-    yield "trace(x^2*c)", trace(X * (X * c)), Fraction(1), False
-    yield "norm(c)", norm(c), Fraction(1, 44), False
-    yield "trace(cofactor)", trace(cofactor_element()), Fraction(-1, 22), False
+    """On integers: for c = a / d, trace(x^k c) = trace_triple(a)[k] / d and norm(c) = norm_coeffs(a) / d^3."""
+    (a, d), (b, e) = integral_coeffs(c_element()), integral_coeffs(cofactor_element())
+    traces = trace_triple(a)
+    yield "trace(c)", Fraction(traces[0], d), Fraction(0), False
+    yield "trace(x*c)", Fraction(traces[1], d), Fraction(1), False
+    yield "trace(x^2*c)", Fraction(traces[2], d), Fraction(1), False
+    yield "norm(c)", Fraction(norm_coeffs(a), d**3), Fraction(1, 44), False
+    yield "trace(cofactor)", Fraction(trace_triple(b)[0], e), Fraction(-1, 22), False
 
 
 #: Lemma exponent j -> the printed (scale, triple) of c^j: trace(x^k c^j) = T_k(triple) / scale.
@@ -583,13 +598,13 @@ REGISTRY: dict[str, IdentityRecord] = {
     for r in [
         _rec("P1", "sum T_k(T_{n-k}+T_{n-k-2}+2T_{n-k-3}) = (n-2)T_{n-1} - T_{n-2}",
              [("n", 3, 200)],
-             partial(_run_claims, partial(_ogf_rows, p1_rational), proof=partial(cross_difference, p1_rational))),
+             partial(_run_claims, partial(_ogf_rows, p1_rational), proof=partial(_ogf_proof, p1_rational))),
         _rec("P2", "sum T_k T_{n-k} as a weighted single sum (adopted reading of the "
              "half-integer sign exponents)", [("n", 2, 100)],
-             partial(_run_claims, partial(_ogf_rows, p2_rational), proof=partial(cross_difference, p2_rational))),
+             partial(_run_claims, partial(_ogf_rows, p2_rational), proof=partial(_ogf_proof, p2_rational))),
         _rec("T1", "(n-1)(n-2)T_{n-1} = weighted triple plain convolutions at shifts "
              "n-5, n-4, n-2, n-1, n", [("n", 5, 120)],
-             partial(_run_claims, partial(_ogf_rows, t1_rational), proof=partial(cross_difference, t1_rational))),
+             partial(_run_claims, partial(_ogf_rows, t1_rational), proof=partial(_ogf_proof, t1_rational))),
         _rec("L-CONST", "root-coefficient constants: trace(c)=0, trace(xc)=1, "
              "trace(x^2 c)=1, norm(c)=1/44, trace(cofactor)=-1/22", [],
              partial(_run_claims, _constant_rows)),
@@ -674,7 +689,7 @@ def verify(
                 f"{range_spec.name} <= {hi} exceeds the configured cap {DEFAULT_RANGE_CAP}"
             )
         ranges[range_spec.name] = (range_spec.lo, hi)
-    ctx = RunContext(ranges, random.Random(f"{seed}:{identity_id}"), {} if _store is None else _store)
+    ctx = RunContext(ranges, partial(random.Random, f"{seed}:{identity_id}"), {} if _store is None else _store)
     empty = any(lo > hi for lo, hi in ranges.values())
     outcome = RunOutcome() if empty else record.runner(ctx)
     range_desc = ", ".join(f"{name}={lo}..{hi}" for name, (lo, hi) in ranges.items())

@@ -87,9 +87,9 @@ MUTANTS = [
     # P1, P2 and T1 proved by the cross-multiplied difference of their
     # rational sides, and compared row by row when it is not zero
     Mutant("gf-proof-forced-true", CATALOG,
-           "if proof is not None and not any(proof()):", "if proof is not None:", CHANGED_GF_CONSTANT),
+           "if proof is not None and not any(proof(ctx)):", "if proof is not None:", CHANGED_GF_CONSTANT),
     Mutant("gf-proof-without-the-highest-coefficient", CATALOG,
-           "not any(proof()):", "not any(proof()[:-1]):",
+           "not any(proof(ctx)):", "not any(proof(ctx)[:-1]):",
            ("tests/test_catalog.py::TestProvedClaims::test_a_difference_in_its_highest_coefficient_alone_fails",)),
     Mutant("gf-nonzero-difference-skips-the-rows", CATALOG,
            "    for index, lhs, rhs, printed in rows(ctx):",
@@ -269,6 +269,21 @@ MUTANTS = [
     Mutant("scaled-seq-without-slots", SEQUENCES,
            'reports flag those.\n    """\n\n    __slots__ = ()\n', 'reports flag those.\n    """\n',
            ("tests/test_records.py::TestTupleRecords::test_fields_cannot_be_assigned_or_deleted[ScaledSeq]",)),
+    # work that no comparison reads, left out: a generator made only for an
+    # entry that draws (from the entry's own seed), a one-factor table read
+    # as its factor's prefix, the short polynomial products by a double loop
+    # and the constants on integer trace triples and norms
+    Mutant("generator-seeded-without-the-entry-id", CATALOG,
+           'partial(random.Random, f"{seed}:{identity_id}")', 'partial(random.Random, f"{seed}")', SEED42_DIGESTS),
+    Mutant("one-factor-prefix-one-term-short", CONVOLUTION,
+           "if rest else last\n", "if rest else last[:-1]\n",
+           ("tests/test_catalog.py::TestMultisetTables::test_a_one_factor_table_is_the_factor_prefix",)),
+    Mutant("poly-product-without-its-last-cross-term", CONVOLUTION,
+           "            out[i + j] += x * y\n", "            out[i + j] += x * y if i + j < len(out) - 1 else 0\n",
+           ("tests/test_convolution.py::TestPolyProduct",)),
+    Mutant("constant-norm-over-d-squared", CATALOG,
+           "Fraction(norm_coeffs(a), d**3)", "Fraction(norm_coeffs(a), d**2)",
+           ("tests/test_catalog.py::TestSingleIdentities::test_constants_equal_the_field_computation",)),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
@@ -15,13 +16,14 @@ from triboconv import convolution, identity_catalog
 from triboconv.convolution import (
     RationalSeries,
     _annihilator,
+    _extend,
     _roots_within,
     cross_difference,
     multinomial_conv_prefix,
     multiset_table,
 )
 from triboconv.derivation import SumCofactorSqConst, element_with_traces, family_element
-from triboconv.field import X, FieldElement, c_element, norm, trace
+from triboconv.field import X, FieldElement, c_element, cofactor_element, norm, trace
 from triboconv.identity_catalog import (
     BLOCK_FACTORS,
     C1,
@@ -100,6 +102,15 @@ class TestSingleIdentities:
 
     def test_s1(self):
         assert verify("S1").status == "pass"
+
+    def test_constants_equal_the_field_computation(self):
+        # L-CONST reads its values from integer trace triples and norms; the
+        # FieldElement products are the oracle
+        c = c_element()
+        oracle = [trace(c), trace(X * c), trace(X * (X * c)), norm(c), trace(cofactor_element())]
+        rows = list(identity_catalog._constant_rows(None))
+        assert [lhs for _, lhs, _, _ in rows] == oracle and all(type(lhs) is F for _, lhs, _, _ in rows)
+        assert all(lhs == rhs for _, lhs, rhs, _ in rows) and verify("L-CONST").status == "pass"
 
 
 class TestKnownDiscrepancies:
@@ -621,6 +632,29 @@ class TestProvedClaims:
         assert {i: _digest_entry(reports[i]) for i in self.IDS} == {i: want[i] for i in self.IDS}
         assert calls == [i for i in self.IDS for _ in range(2)]  # both sides of each entry
 
+    def test_the_rows_and_gf_read_the_pair_the_proof_built(self, monkeypatch):
+        store, read = {}, []
+        check = identity_catalog.series_check_derivatives
+        monkeypatch.setattr(identity_catalog, "series_check_derivatives",
+                            lambda order, sides: read.append(sides) or check(order, sides))
+        report = verify("T1", nmax=2000, _store=store)
+        assert report.status == verify("GF", _store=store).status == "pass"
+        assert len(read) == 1 and read[0] is store[convolution.t1_rational]
+        # the rows expand the run's pair: a constant changed after the proof is not read
+        monkeypatch.setattr(convolution, "_T1_POLY", (2, 6, 12, 0, 6, 7))
+        assert len(report.checks) == 1996 and all(c.ok for c in report.checks)
+
+    def test_no_pair_outlives_its_run(self, monkeypatch):
+        def statuses():
+            reports = {r.id: r.status for r in verify_all().reports}
+            return reports["T1"], reports["GF"]
+
+        assert statuses() == ("pass", "pass")
+        monkeypatch.setattr(convolution, "_T1_POLY", (2, 6, 12, 0, 6, 7))
+        assert statuses() == ("fail", "fail")
+        monkeypatch.undo()
+        assert statuses() == ("pass", "pass")
+
     @pytest.mark.parametrize("identity", IDS)
     def test_the_cap_builds_no_rows_until_read(self, monkeypatch, tmp_path, identity):
         calls = self._count_expansions(monkeypatch)
@@ -663,7 +697,7 @@ class TestProvedClaims:
             for n in ctx.span("n"):
                 yield f"n={n}", lhs[n], rhs[n], False
 
-        runner = partial(_run_claims, rows, proof=lambda: difference)
+        runner = partial(_run_claims, rows, proof=lambda ctx: difference)
         monkeypatch.setitem(REGISTRY, "X", IdentityRecord("X", "sides apart at x^5", (RangeSpec("n", 0, 8),), runner))
         report = verify("X")
         assert report.status == "fail" and report.first_failure.index == "n=5"
@@ -719,6 +753,22 @@ class TestMultisetTables:
             assert table[:length] == self._expected(n, fs, length), (n, fs, length)
         for n, fs, length in TABLE_REQUESTS:
             assert store[n][fs][:length] == self._expected(n, fs, length), (n, fs, length)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_one_factor_table_is_the_factor_prefix(self, monkeypatch, n):
+        # every factor of the block map and the left sides, each table read
+        # from its factor with no recurrence step
+        factors = sorted({f for fs in _multisets() for f in fs}, key=str)
+        seqs = dict(zip(factors, _seqs(n, factors)))
+        lengths = {f: (1, len(seq.charpoly) - 1, len(seq.charpoly), 200) for f, seq in seqs.items()}
+        expected = {(f, length): _extend(seq.prefix(len(seq.charpoly) - 1), seq.charpoly, length - 1)[:length]
+                    for f, seq in seqs.items() for length in lengths[f]}
+        monkeypatch.setattr(convolution, "_extend", None)
+        tables = {}
+        for (f, length), table in expected.items():
+            assert multiset_table({}, (f,), seqs, length) == table, (f, length)
+            assert multiset_table(tables, (f,), seqs, length)[:length] == table, (f, length)
 
 
 class TestFamilyPoints:
@@ -851,6 +901,12 @@ class TestSuite:
         assert verify_all().verdict == "pass"
         for identity in ("P1", "P2", "T1", "GF"):
             assert verify(identity, nmax=2000).status == "pass", identity
+
+    def test_only_the_entries_that_draw_make_a_generator(self, monkeypatch):
+        seeds, make = [], random.Random
+        monkeypatch.setattr(random, "Random", lambda seed: seeds.append(seed) or make(seed))
+        assert verify_all(seed=42).verdict == "pass"
+        assert seeds == ["42:T3", "42:T4"]  # T2's second point is GENERIC's
 
     def test_deterministic_given_seed(self):
         assert verify_all(seed=42).to_dict() == verify_all(seed=42).to_dict()

@@ -423,6 +423,18 @@ class TestRationalSides:
         assert a.derivative().coefficients(11) == series_derivative(a.coefficients(12))
 
 
+class TestPolyProduct:
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=14),
+           st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=14))
+    @example([1, -1, -1, -1], [1, -1, -1, -1])  # the Tribonacci denominator squared
+    @settings(max_examples=100)
+    def test_equals_the_schoolbook_product(self, a, b):
+        # coefficient k sums a_i b_j over every i + j == k
+        expected = [sum(x * y for i, x in enumerate(a) for j, y in enumerate(b) if i + j == k)
+                    for k in range(len(a) + len(b) - 1)]
+        assert convolution._poly_product(a, b) == expected
+
+
 class TestPolyTimes:
     @given(st.lists(st.integers(-3, 3), max_size=12), st.lists(st.integers(-10**6, 10**6), max_size=10))
     @example([0, 0, 2, 0, -1, 0, 0, 0, 0, 0, 0, 5], [4, -3, 7])  # zeros, and poly longer than s

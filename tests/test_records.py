@@ -132,7 +132,8 @@ class TestTupleRecords:
         assert type(changed) is type(record)
         assert tuple(changed) == tuple(value if f == field else v for f, v in zip(names, fields))
         assert tuple(record) == fields
-        with pytest.raises(ValueError):
+        # namedtuple's _replace raises TypeError for an unknown field from 3.13, ValueError before
+        with pytest.raises(TypeError if sys.version_info >= (3, 13) else ValueError):
             record._replace(no_such_field=0)
 
     def test_fields_cannot_be_assigned_or_deleted(self, name):
