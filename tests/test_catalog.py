@@ -742,6 +742,15 @@ class TestMultisetTables:
     def _expected(n, fs, length):
         return multinomial_conv_prefix(_seqs(n, fs), length - 1)
 
+    def test_a_stored_table_past_its_head_is_continued_from_its_head(self):
+        # the left side of GT3 stores GT2's at 10 terms, past its degree 6,
+        # and a longer GT2 table continues from the first 6 of those
+        seqs = {C1: _seqs(1, [C1])[0]}
+        tables = {}
+        multiset_table(tables, (C1,) * 3, seqs, 10)
+        assert len(tables[(C1,) * 2]) == 10
+        assert multiset_table(tables, (C1,) * 2, seqs, 50) == self._expected(1, (C1,) * 2, 50)
+
     @given(st.permutations(range(len(TABLE_REQUESTS))))
     @settings(max_examples=12, deadline=None)
     def test_any_order_gives_the_multinomial_convolution(self, order):
