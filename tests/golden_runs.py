@@ -42,6 +42,9 @@ for _stem, _argv in {
 for _id in ("P1", "P2", "T1"):
     for _fmt, _ext in (("json", "json"), ("tsv", "tsv"), ("text", "txt")):
         CLI_SHA256[f"verify_{_id}_2000.{_ext}"] = ["verify", _id, "--nmax", "2000", "--format", _fmt]
+# the conjecture at the range cap, in every format
+for _fmt, _ext in (("json", "json"), ("tsv", "tsv"), ("text", "txt")):
+    CLI_SHA256[f"conjecture_2000.{_ext}"] = ["conjecture", "2000", "--format", _fmt]
 CLI_SHA256 |= {
     "derive_cpower_2000_replicate.json": ["derive", "cpower", "2000", "--replicate-paper", "--format", "json"],
     "derive_cofactor_2000_replicate.json": ["derive", "cofactor", "2000", "--replicate-paper", "--format", "json"],
