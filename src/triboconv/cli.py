@@ -46,7 +46,7 @@ def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, for a value built of dicts, lists,
     str and None only; ``indent`` starts each line at the value's depth.
     Anything else raises TypeError, so no number reaches a report unless
-    it is a decimal string."""
+    it is a decimal string.  A str item of a dict or a list is quoted in place."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -59,12 +59,16 @@ def _json(value, indent: str = "\n") -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            items.append(_quote(key) + ": " + _json(item, inner))
+            items.append(_quote(key) + ": " + (_quote(item) if item.__class__ is str else _json(item, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, list):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + indent + "]"
+        try:
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:
+            body = ("," + inner).join([_json(item, inner) for item in value])
+        return "[" + inner + body + indent + "]"
     raise TypeError(f"report values must be str, None, dict or list, not {type(value).__name__}")
 
 
@@ -140,6 +144,8 @@ def _cmd_derive(args) -> int:
             match = "true" if result.match else "false"
             if result.recursive is None:
                 note = result.note
+            elif result.match:
+                rep = scale, triple
             else:
                 r = result.recursive
                 # a replayed value equal to the direct one reuses its string
@@ -245,7 +251,7 @@ def _cmd_conjecture(args) -> int:
     for row in report.rows:
         cpower = str(row.cpower_scale)
         # an equal cofactor scale reuses the cpower scale's string
-        cofactor = cpower if row.cofactor_scale == row.cpower_scale else str(row.cofactor_scale)
+        cofactor = cpower if row.equal else str(row.cofactor_scale)
         entries.append([str(row.n), cpower, cofactor, "true" if row.equal else "false"])
     verdict = "all-equal" if report.all_equal else "counterexample-found"
     _render(args, lambda: {"rows": [dict(zip(header, e)) for e in entries], "verdict": verdict},

@@ -16,7 +16,8 @@ the printed recursion, never the direct path.  Each printed step is
 evaluated on integers: its printed numerators and denominators as
 written, multiplied out to one integer vector proportional to (1, M, N)
 and reduced by one gcd, with a ZeroDivisionError at each printed
-denominator that vanishes; only the scale stays a Fraction.
+denominator that vanishes.  Tables, replays and the conjecture step and
+compare each scale as a reduced integer pair, one Fraction per record.
 """
 
 from __future__ import annotations
@@ -139,8 +140,18 @@ def _trace_step(coeffs: tuple[int, int, int], d: int) -> tuple[int, tuple]:
     return 22 * d // content, tuple(tuple(v // content for v in row) for row in zip(*columns))
 
 
-def _scaled_powers(q: FieldElement, n_max: int) -> Iterator[ScaledSeq]:
-    """``normalize_egf(q**n)`` for n = 1..n_max.
+def _mul_pair(num: int, den: int, x: int, y: int) -> tuple[int, int]:
+    """Reduced num / den (den > 0) times x / y (y != 0) as a reduced pair, den > 0, as Fraction
+    multiplies: x / y reduced first, then cross-cancelled, with no gcd of the full products."""
+    g = gcd(x, y) if y > 0 else -gcd(x, y)
+    x, y = x // g, y // g
+    g1, g2 = gcd(num, y), gcd(x, den)
+    return (num // g1) * (x // g2), (den // g2) * (y // g1)
+
+
+def _power_pairs(q: FieldElement, n_max: int) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
+    """``normalize_egf(q**n)`` for n = 1..n_max as (num, den, triple), the
+    scale num / den a reduced pair with den > 0.
 
     Row 1 is ``normalize_egf(q)``.  Each later row steps the row before,
     (scale, s), in trace coordinates: with (K, N) from ``_trace_step`` the
@@ -156,7 +167,8 @@ def _scaled_powers(q: FieldElement, n_max: int) -> Iterator[ScaledSeq]:
     sign = sign_at_real_root(q)
     coeffs, d = integral_coeffs(q)
     scale, (s0, s1, s2) = row = normalize_integral(coeffs, d, sign)
-    yield row
+    num, den = scale.numerator, scale.denominator
+    yield num, den, row.triple
     if n_max == 1:
         return
     k, ((n00, n01, n02), (n10, n11, n12), (n20, n21, n22)) = _trace_step(coeffs, d)
@@ -165,8 +177,13 @@ def _scaled_powers(q: FieldElement, n_max: int) -> Iterator[ScaledSeq]:
         v0, v1, v2 = n00 * s0 + n01 * s1 + n02 * s2, n10 * s0 + n11 * s1 + n12 * s2, n20 * s0 + n21 * s1 + n22 * s2
         g = gcd(det, v0, v1, v2) * sign
         s0, s1, s2 = v0 // g, v1 // g, v2 // g
-        scale = Fraction(scale.numerator * k, scale.denominator * g)
-        yield ScaledSeq(scale, (s0, s1, s2))
+        num, den = _mul_pair(num, den, k, g)
+        yield num, den, (s0, s1, s2)
+
+
+def _scaled_powers(q: FieldElement, n_max: int) -> Iterator[ScaledSeq]:
+    """``normalize_egf(q**n)`` for n = 1..n_max, from ``_power_pairs``."""
+    return (ScaledSeq(Fraction(num, den), triple) for num, den, triple in _power_pairs(q, n_max))
 
 
 def derive_table(kind: FamilyKind, n_max: int) -> list[ScaledSeq]:
@@ -230,12 +247,12 @@ def _printed_denominator(value: int, text: str) -> int:
     return value
 
 
-# Each printed step keeps the printed numerators and denominators and
-# scales (1, M, N) by its denominators to an integer vector; its one gcd
-# replaces the Fractions' reductions.  The denominators are tested in the
-# order the printed formulas divide by them.
+# Each printed step maps (triple, num, den), the scale a reduced pair, to
+# the next.  It keeps the printed numerators and denominators and scales
+# (1, M, N) by its denominators to an integer vector reduced by one gcd.
+# The denominators are tested in the order the printed formulas divide.
 
-def _step_cpower(s: tuple[int, int, int], a: Fraction):
+def _step_cpower(s: tuple[int, int, int], num: int, den: int):
     s0, s1, s2 = s
     denom = _printed_denominator(5 * s2 * s1 - 4 * s1 * s0 - 3 * s1 * s1, "5*s2*s1 - 4*s1*s0 - 3*s1^2")
     b_num = 2 * s2 * s1 + 5 * s1 * s0 + s1 * s1
@@ -243,11 +260,10 @@ def _step_cpower(s: tuple[int, int, int], a: Fraction):
     e = _printed_denominator(3 * s2 - s1, "3*s2 - s1")
     # M = b_num / denom, N = d / (e * denom); the step is s1*e times the exact one
     triple = _signed_triple((e * denom, b_num * e, d), s1 * e)
-    a_new = a * Fraction(3 * triple[2] - 2 * triple[1] - triple[0], s1)
-    return triple, a_new
+    return (triple, *_mul_pair(num, den, 3 * triple[2] - 2 * triple[1] - triple[0], s1))
 
 
-def _step_cofactor(s: tuple[int, int, int], a: Fraction):
+def _step_cofactor(s: tuple[int, int, int], num: int, den: int):
     s0, s1, s2 = s
     ah = 10 * s2 - 10 * s1 - 2 * s0
     bh = -6 * s2 + 6 * s1 - 12 * s0
@@ -261,17 +277,15 @@ def _step_cofactor(s: tuple[int, int, int], a: Fraction):
     # M = p / q, N = -(bh * M + ch) / ah; the scale's s2 - s1 - s0 divides q;
     # the step is -44*ah*(s0 + s1 - s2) times the exact one
     triple = _signed_triple((ah * q, ah * p, -(bh * p + ch * q)), -44 * ah * (s0 + s1 - s2))
-    a_new = a * Fraction(-8 * triple[2] + 18 * triple[1] + 2 * triple[0], s2 - s1 - s0)
-    return triple, a_new
+    return (triple, *_mul_pair(num, den, -8 * triple[2] + 18 * triple[1] + 2 * triple[0], s2 - s1 - s0))
 
 
-def _step_pairsumsq(s: tuple[int, int, int], a: Fraction):
+def _step_pairsumsq(s: tuple[int, int, int], num: int, den: int):
     s0, s1, s2 = s
     denom = _printed_denominator(s2 - 4 * s1 + 3 * s0, "s2 - 4*s1 + 3*s0")
     # M = (3*s2 - 4*s1 - s0) / denom, N = (-7*s2 + 10*s1 + 5*s0) / denom
     triple = _signed_triple((denom, 3 * s2 - 4 * s1 - s0, -7 * s2 + 10 * s1 + 5 * s0))
-    a_new = a * Fraction(44 * triple[0], denom)
-    return triple, a_new
+    return (triple, *_mul_pair(num, den, 44 * triple[0], denom))
 
 
 _STEPS = {
@@ -290,25 +304,28 @@ def _printed_step(kind: FamilyKind):
     return _STEPS[kind]
 
 
-def _replay(step, base: ScaledSeq, n_max: int) -> Iterator[ScaledSeq | str]:
+def _replay(step, base: ScaledSeq, n_max: int) -> Iterator[tuple | str]:
     """The printed recursion ``step`` applied verbatim from the n = 1 base,
-    one step per n: its (scale, triple) for n = 2..n_max.  From the step
+    one step per n: its (triple, num, den) for n = 2..n_max.  From the step
     whose printed denominator vanishes on, every n yields that step's note."""
-    triple, scale = base.triple, base.scale
+    row = base.triple, base.scale.numerator, base.scale.denominator
     note = None
     for _ in range(2, n_max + 1):
         if note is None:
             try:
-                triple, scale = step(triple, scale)
+                row = step(*row)
             except ZeroDivisionError as exc:
                 note = f"printed denominator vanished during replication: {exc}"
-        yield ScaledSeq(scale, triple) if note is None else note
+        yield row if note is None else note
 
 
-def _compare(fam: PowerFamily, direct: ScaledSeq, replayed: ScaledSeq | str) -> PrintedRecursionResult:
+def _compare(fam: PowerFamily, direct: ScaledSeq, replayed: tuple | str) -> PrintedRecursionResult:
     if isinstance(replayed, str):
         return PrintedRecursionResult(fam, direct, None, False, note=replayed)
-    return PrintedRecursionResult(fam, direct, replayed, replayed == direct)
+    triple, num, den = replayed
+    if triple == direct.triple and num == direct.scale.numerator and den == direct.scale.denominator:
+        return PrintedRecursionResult(fam, direct, direct, True)  # an equal replay holds the direct row
+    return PrintedRecursionResult(fam, direct, ScaledSeq(Fraction(num, den), triple), False)
 
 
 def replicate_paper_table(kind: FamilyKind, direct: Sequence[ScaledSeq]) -> list[PrintedRecursionResult]:
@@ -360,8 +377,8 @@ def conjecture_check(n_max: int) -> ConjectureReport:
         raise ValueError("n_max must be >= 1")
     c_squared, cofactor = family_element(CPower(2)), family_element(CofactorPower(1))
     rows = []
-    powers = zip(_scaled_powers(c_squared, n_max), _scaled_powers(cofactor, n_max))
-    for n, (c_2n, cofactor_n) in enumerate(powers, start=1):
-        lhs, rhs = c_2n.scale, cofactor_n.scale
-        rows.append(ConjectureRow(n, lhs, rhs, lhs == rhs))
+    powers = zip(_power_pairs(c_squared, n_max), _power_pairs(cofactor, n_max))
+    for n, ((num, den, _), (c_num, c_den, _)) in enumerate(powers, start=1):
+        lhs, equal = Fraction(num, den), num == c_num and den == c_den  # equal scales share one Fraction
+        rows.append(ConjectureRow(n, lhs, lhs if equal else Fraction(c_num, c_den), equal))
     return ConjectureReport(tuple(rows), all(r.equal for r in rows))

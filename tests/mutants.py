@@ -198,9 +198,18 @@ MUTANTS = [
     Mutant("scaled-powers-gcd-without-the-sign", DERIVATION,
            "g = gcd(det, v0, v1, v2) * sign", "g = gcd(det, v0, v1, v2)", STREAMED_TABLES),
     Mutant("scaled-powers-scale-not-divided-by-g", DERIVATION,
-           "scale.denominator * g)", "scale.denominator)", STREAMED_TABLES),
+           "_mul_pair(num, den, k, g)", "_mul_pair(num, den, k, sign)", STREAMED_TABLES),
     Mutant("scaled-powers-det-loses-a-term", DERIVATION,
            "det = n00 * (n11 * n22 - n12 * n21) - ", "det = n00 * (n11 * n22 + n12 * n21) - ", STREAMED_TABLES),
+    # the scale as a reduced integer pair: the stepper's K / g and each
+    # printed step's factor x / y reduced first, then cross-cancelled.  On
+    # the stepper's rows the reduced K never shared a factor with the
+    # scale's denominator (see CHANGES.md); the printed steps from a scale
+    # over 22 judge that gcd
+    Mutant("pair-product-without-its-gcd-of-x-and-den", DERIVATION,
+           "g1, g2 = gcd(num, y), gcd(x, den)", "g1, g2 = gcd(num, y), 1", INTEGER_STEPS),
+    Mutant("pair-product-without-reducing-x-over-y-first", DERIVATION,
+           "g = gcd(x, y) if y > 0 else -gcd(x, y)", "g = 1 if y > 0 else -1", INTEGER_STEPS),
     # the integer steps of the printed triple/scale recursions
     Mutant("signed-triple-gcd-division-dropped", DERIVATION,
            "    g = gcd(*v)", "    g = 1", INTEGER_STEPS),
@@ -226,7 +235,7 @@ MUTANTS = [
     Mutant("json-writer-nesting-flattened", CLI,
            'inner = indent + "  "', 'inner = "\\n  "', ("tests/test_cli.py::TestJsonWriter",)),
     Mutant("conjecture-reuses-an-unequal-scale", CLI,
-           "cofactor = cpower if row.cofactor_scale == row.cpower_scale else str(row.cofactor_scale)",
+           "cofactor = cpower if row.equal else str(row.cofactor_scale)",
            "cofactor = cpower", ("tests/test_cli.py::TestConjecture::test_an_unequal_row_prints_both_scales",)),
     # one parser per process: each call parses into a new Namespace and
     # leaves the parser's defaults alone; an unwritable stdout, help's
@@ -256,6 +265,12 @@ MUTANTS = [
     Mutant("derive-reuses-an-unequal-scale", CLI,
            "rep = (scale if r.scale == scaled.scale else str(r.scale),", "rep = (scale,",
            ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",)),
+    Mutant("derive-reuses-the-direct-strings-on-a-mismatched-row", CLI,
+           "            elif result.match:\n", "            elif True:\n",
+           ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",)),
+    Mutant("json-string-list-takes-none-as-a-string", CLI,
+           "map(_quote, value)", 'map(lambda item: _quote("None" if item is None else item), value)',
+           ("tests/test_cli.py::TestJsonWriter",)),
     # a start-up that imports neither the json package nor typing, and tuple
     # records that take no attribute besides their fields
     Mutant("cli-quoter-from-the-json-package", CLI,

@@ -30,7 +30,7 @@ from triboconv.derivation import (
 from triboconv.field import (FieldElement, c_element, cofactor_element, integral_coeffs, mul_coeffs,
                              sign_at_real_root, trace, trace_triple)
 from triboconv.identity_catalog import DEFAULT_RANGE_CAP, PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED
-from triboconv.sequences import ScaledSeq, binet_check, egf_rational_term
+from triboconv.sequences import ScaledSeq, binet_check, egf_rational_term, normalize_egf
 
 # published tables for the power-of-c and cofactor families; both are
 # reproduced exactly by the direct derivation path
@@ -205,10 +205,10 @@ class TestStreamedTables:
         real_step = derivation._STEPS[kind]
         vanishing_input = direct[k - 2].triple  # the step from n = k - 1 to n = k
 
-        def step(triple, scale):
+        def step(triple, num, den):
             if triple == vanishing_input:
                 raise ZeroDivisionError("x")
-            return real_step(triple, scale)
+            return real_step(triple, num, den)
 
         monkeypatch.setitem(derivation._STEPS, kind, step)
         table = replicate_paper_table(kind, direct)
@@ -221,17 +221,57 @@ class TestStreamedTables:
                 assert (result.recursive, result.match, result.note) == (None, False, note)
 
 
+def _power_rows(q, n_max):
+    """``normalize_egf(q**n)`` for n = 1..n_max as (numerator, positive
+    denominator, triple), each power one more field product."""
+    rows, power = [], q
+    for _ in range(n_max):
+        row = normalize_egf(power)
+        rows.append((row.scale.numerator, row.scale.denominator, row.triple))
+        power = power * q
+    return rows
+
+
+class TestPowerPairs:
+    """The integer stepper's (num, den, triple) rows against the field's
+    powers, compared as integer pairs, so an unreduced pair fails."""
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_family_elements(self, kind):
+        q = family_element(PowerFamily(kind, 1))
+        assert list(derivation._power_pairs(q, 60)) == _power_rows(q, 60)
+
+    # rescaled by p / r, the scales turn negative and non-integral
+    @given(st.sampled_from(list(FamilyKind)), st.integers(-30, 30).filter(bool), st.integers(1, 30))
+    def test_rescaled_elements(self, kind, p, r):
+        q = family_element(PowerFamily(kind, 1)) * F(p, r)
+        assert list(derivation._power_pairs(q, 60)) == _power_rows(q, 60)
+
+
 def _step_outcome(step, triple, scale):
-    """step's (triple, scale), or ZeroDivisionError if a printed denominator
-    vanishes; the messages differ by design and are not compared."""
+    """step's (triple, num, den) from ``scale``, or ZeroDivisionError if a
+    printed denominator vanishes; the messages differ by design and are
+    not compared."""
     try:
-        return step(triple, scale)
+        return step(triple, scale.numerator, scale.denominator)
     except ZeroDivisionError:
         return ZeroDivisionError
 
 
+def _oracle_outcome(oracle, triple, scale):
+    """The Fraction step's outcome as ``_step_outcome`` gives it: its scale
+    as the reduced pair (numerator, positive denominator)."""
+    try:
+        triple, scale = oracle(triple, scale)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return triple, scale.numerator, scale.denominator
+
+
 class TestIntegerSteps:
-    """The integer printed steps against their Fraction form in oracles.py."""
+    """The integer printed steps against their Fraction form in oracles.py;
+    the integer steps' scales are compared as pairs, so an unreduced pair
+    fails."""
 
     @pytest.mark.parametrize("kind", REPLICABLE)
     def test_small_triples(self, kind):
@@ -242,9 +282,11 @@ class TestIntegerSteps:
         any_sign = kind is FamilyKind.PAIR_SUM_SQ_POWER
         for t in product(range(-6, 7), repeat=3):
             triple = t if any_sign or derivation._eventually_positive(t) else (-t[0], -t[1], -t[2])
-            for scale in (F(1), F(-22), F(7, 3)):
+            # a scale's denominator of 2 or 11 can share a factor with the
+            # step's numerator, a divisor of 44
+            for scale in (F(1), F(-22), F(7, 3), F(5, 22)):
                 got = _step_outcome(step, triple, scale)
-                assert got == _step_outcome(oracle, triple, scale), (triple, scale)
+                assert got == _oracle_outcome(oracle, triple, scale), (triple, scale)
 
     @pytest.mark.parametrize("kind", REPLICABLE)
     def test_replayed_rows(self, kind):
@@ -252,9 +294,9 @@ class TestIntegerSteps:
         step, oracle = derivation._STEPS[kind], FRACTION_STEPS[kind]
         scale, triple = derive_table(kind, 1)[0]
         for _ in range(2, 401):
-            want = oracle(triple, scale)
-            assert step(triple, scale) == want
-            triple, scale = want
+            got = step(triple, scale.numerator, scale.denominator)
+            triple, scale = oracle(triple, scale)
+            assert got == (triple, scale.numerator, scale.denominator)
 
     # a triple whose first vanishing printed denominator, in the order the
     # step divides, is the named one; (1, 0, 0) and (0, 1, 1) make both of
@@ -271,7 +313,7 @@ class TestIntegerSteps:
     def test_vanishing_denominator(self, kind, triple, denominator):
         step = derivation._STEPS[kind]
         with pytest.raises(ZeroDivisionError, match=f"^{re.escape(denominator)} = 0$"):
-            step(triple, F(1))
+            step(triple, 1, 1)
         with pytest.raises(ZeroDivisionError):
             FRACTION_STEPS[kind](triple, F(1))
         note = f"printed denominator vanished during replication: {denominator} = 0"
@@ -337,15 +379,16 @@ class TestTraceStep:
         # (t0, -t1, 2 t1 - t2), up to sign
         _, matrix = _trace_step_of(kind)
         base = derive_table(kind, 1)[0]
-        rows = [base, *derivation._replay(derivation._STEPS[kind], base, DEFAULT_RANGE_CAP)]
-        assert len(rows) == DEFAULT_RANGE_CAP
-        for row, stepped in zip(rows, rows[1:]):
-            v = _apply(matrix, row.triple)
+        replayed = derivation._replay(derivation._STEPS[kind], base, DEFAULT_RANGE_CAP)
+        triples = [base.triple, *(triple for triple, _, _ in replayed)]
+        assert len(triples) == DEFAULT_RANGE_CAP
+        for triple, stepped in zip(triples, triples[1:]):
+            v = _apply(matrix, triple)
             if kind is FamilyKind.PAIR_SUM_SQ_POWER:
                 want = _primitive((v[0], -v[1], 2 * v[1] - v[2]))
-                assert stepped.triple in (want, tuple(-x for x in want))
+                assert stepped in (want, tuple(-x for x in want))
             else:
-                assert stepped.triple == _primitive(v)
+                assert stepped == _primitive(v)
 
 
 class TestElementWithTraces:
@@ -417,6 +460,11 @@ class TestConjecture:
 
     def test_no_counterexample_reported(self):
         assert conjecture_check(3).first_counterexample() is None
+
+    def test_equal_scales_are_one_fraction(self):
+        rows = conjecture_check(40).rows
+        assert all(r.equal and r.cpower_scale is r.cofactor_scale for r in rows)
+        assert all(type(r.cpower_scale) is F for r in rows)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
