@@ -16,8 +16,7 @@ the printed recursion, never the direct path.  Each printed step is
 evaluated on integers: its printed numerators and denominators as
 written, multiplied out to one integer vector proportional to (1, M, N)
 and reduced by one gcd, with a ZeroDivisionError at each printed
-denominator that vanishes.  Tables, replays and the conjecture step and
-compare each scale as a reduced integer pair, one Fraction per record.
+denominator that vanishes; scales are stepped as reduced integer pairs.
 """
 
 from __future__ import annotations
@@ -145,13 +144,15 @@ def _mul_pair(num: int, den: int, x: int, y: int) -> tuple[int, int]:
     multiplies: x / y reduced first, then cross-cancelled, with no gcd of the full products."""
     g = gcd(x, y) if y > 0 else -gcd(x, y)
     x, y = x // g, y // g
-    g1, g2 = gcd(num, y), gcd(x, den)
+    g2 = gcd(x, den)
+    if y == 1:  # so on every step the tables take: num, the large operand, is read once
+        return num * (x // g2), den // g2
+    g1 = gcd(num, y)
     return (num // g1) * (x // g2), (den // g2) * (y // g1)
 
 
 def _power_pairs(q: FieldElement, n_max: int) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
-    """``normalize_egf(q**n)`` for n = 1..n_max as (num, den, triple), the
-    scale num / den a reduced pair with den > 0.
+    """``normalize_egf(q**n)`` for n = 1..n_max as (num, den, triple), num / den reduced, den > 0.
 
     Row 1 is ``normalize_egf(q)``.  Each later row steps the row before,
     (scale, s), in trace coordinates: with (K, N) from ``_trace_step`` the
@@ -182,8 +183,9 @@ def _power_pairs(q: FieldElement, n_max: int) -> Iterator[tuple[int, int, tuple[
 
 
 def _scaled_powers(q: FieldElement, n_max: int) -> Iterator[ScaledSeq]:
-    """``normalize_egf(q**n)`` for n = 1..n_max, from ``_power_pairs``."""
-    return (ScaledSeq(Fraction(num, den), triple) for num, den, triple in _power_pairs(q, n_max))
+    """``normalize_egf(q**n)`` for n = 1..n_max; an integral scale skips Fraction's gcd."""
+    return (ScaledSeq(Fraction(num) if den == 1 else Fraction(num, den), triple)
+            for num, den, triple in _power_pairs(q, n_max))
 
 
 def derive_table(kind: FamilyKind, n_max: int) -> list[ScaledSeq]:
@@ -357,7 +359,7 @@ def derive_paper_recursive(fam: PowerFamily) -> PrintedRecursionResult:
 class ConjectureRow(namedtuple("ConjectureRow", "n cpower_scale cofactor_scale equal")):
     """Row n of the scale conjecture: the scales (Fractions) of the 2n-th
     power-of-c family and of the n-th cofactor family, and whether they
-    are equal."""
+    are equal; ``conjecture_check`` puts one Fraction in both when they are."""
 
     __slots__ = ()
 
@@ -379,6 +381,6 @@ def conjecture_check(n_max: int) -> ConjectureReport:
     rows = []
     powers = zip(_power_pairs(c_squared, n_max), _power_pairs(cofactor, n_max))
     for n, ((num, den, _), (c_num, c_den, _)) in enumerate(powers, start=1):
-        lhs, equal = Fraction(num, den), num == c_num and den == c_den  # equal scales share one Fraction
+        lhs, equal = Fraction(num) if den == 1 else Fraction(num, den), num == c_num and den == c_den
         rows.append(ConjectureRow(n, lhs, lhs if equal else Fraction(c_num, c_den), equal))
     return ConjectureReport(tuple(rows), all(r.equal for r in rows))

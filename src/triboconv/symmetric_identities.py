@@ -82,7 +82,6 @@ def _cleared(r: int, params: dict) -> tuple[int, dict]:
     unknown = set(params) - set(FREE[r])
     if unknown:
         raise ValueError(f"not free parameters of degree {r}: {', '.join(sorted(unknown))}")
-    # an int or a Fraction is read as it is; anything else goes through Fraction()
     free = {k: v if isinstance(v := params.get(k, 0), (int, Fraction)) else Fraction(v) for k in FREE[r]}
     den = lcm(*(v.denominator for v in free.values())) * lcm(
         *(x.denominator for const, form in DEPENDENT[r].values() for x in (const, *form.values())))

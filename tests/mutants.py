@@ -207,7 +207,7 @@ MUTANTS = [
     # scale's denominator (see CHANGES.md); the printed steps from a scale
     # over 22 judge that gcd
     Mutant("pair-product-without-its-gcd-of-x-and-den", DERIVATION,
-           "g1, g2 = gcd(num, y), gcd(x, den)", "g1, g2 = gcd(num, y), 1", INTEGER_STEPS),
+           "    g2 = gcd(x, den)\n", "    g2 = 1\n", INTEGER_STEPS),
     Mutant("pair-product-without-reducing-x-over-y-first", DERIVATION,
            "g = gcd(x, y) if y > 0 else -gcd(x, y)", "g = 1 if y > 0 else -1", INTEGER_STEPS),
     # the integer steps of the printed triple/scale recursions
