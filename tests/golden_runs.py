@@ -50,5 +50,8 @@ CLI_SHA256 |= {
     "derive_cofactor_2000_replicate.json": ["derive", "cofactor", "2000", "--replicate-paper", "--format", "json"],
     "derive_pairsumsq_2000_replicate.json": ["derive", "pairsumsq", "2000", "--replicate-paper", "--format", "json"],
     "symcheck_seed0_draws100_grid12.json": ["symcheck", "--seed", "0", "--draws", "100", "--grid", "12", "--format", "json"],
-    "symcheck_seed0_draws2000_grid12.json": ["symcheck", "--seed", "0", "--draws", "2000", "--grid", "12", "--format", "json"],
 }
+# symcheck at the draw and grid caps, in every format
+for _fmt, _ext in (("json", "json"), ("tsv", "tsv"), ("text", "txt")):
+    CLI_SHA256[f"symcheck_seed0_draws2000_grid12.{_ext}"] = [
+        "symcheck", "--seed", "0", "--draws", "2000", "--grid", "12", "--format", _fmt]
