@@ -277,8 +277,8 @@ def _cmd_symcheck(args) -> int:
     cells = []
     for degree in (3, 4, 5):
         rng = random.Random(f"{args.seed}:sym{degree}")
-        points = (symmetric_identities.random_params(degree, rng) for _ in range(args.draws))
-        ok = all(symmetric_identities.verify_sym_identity(degree, p, args.grid) for p in points)
+        draws = (symmetric_identities.random_pairs(degree, rng) for _ in range(args.draws))
+        ok = symmetric_identities.verify_draws(degree, draws, args.grid)
         cells.append([str(degree), str(args.draws), str(args.grid), "pass" if ok else "fail"])
     verdict = "pass" if all(c[3] == "pass" for c in cells) else "fail"
     _render(args,

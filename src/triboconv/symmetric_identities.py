@@ -16,7 +16,11 @@ coefficients (den, nums) pass exactly when they are orthogonal to the row
 (-(a+b+c)^d, term values) of every grid point, so to the rows' span.  The
 blocks are symmetric, so sorted points give every row; an integer echelon
 basis of the span, of rank len(DEPENDENT[d]), is built once per (degree,
-grid) and each draw is checked against those few equations only.
+grid).  The cleared coefficients are an integer linear map of the draw's
+own (den, den * p for p in FREE[d]), so each draw is checked against the
+basis projected through that map, at most 5 rows of 9 integers, and never
+expands its dependent coefficients.  For the printed constraints the
+projected rows are zero: the family holds at every parameter value.
 """
 
 from __future__ import annotations
@@ -74,18 +78,29 @@ def _check_degree(r: int) -> None:
         raise ValueError("degree must be 2, 3, 4 or 5")
 
 
-def _cleared(r: int, params: dict) -> tuple[int, dict]:
-    """(den, den * coefficient of every term by name), exact integers: den
-    is the lcm of the parameter denominators times that of the constraint
-    entries, so every product in the constraints is integral."""
+def _free_pairs(r: int, params: dict) -> list[tuple[int, int]]:
+    """The free parameters as (numerator, denominator) in FREE[r] order;
+    names missing from params are 0."""
     _check_degree(r)
     unknown = set(params) - set(FREE[r])
     if unknown:
         raise ValueError(f"not free parameters of degree {r}: {', '.join(sorted(unknown))}")
-    free = {k: v if isinstance(v := params.get(k, 0), (int, Fraction)) else Fraction(v) for k in FREE[r]}
-    den = lcm(*(v.denominator for v in free.values())) * lcm(
-        *(x.denominator for const, form in DEPENDENT[r].values() for x in (const, *form.values())))
-    ns = {k: v.numerator * (den // v.denominator) for k, v in free.items()}
+    values = (v if isinstance(v := params.get(k, 0), (int, Fraction)) else Fraction(v) for k in FREE[r])
+    return [(v.numerator, v.denominator) for v in values]
+
+
+def _constraint_lcm(r: int) -> int:
+    """The lcm of the denominators of DEPENDENT[r]'s constants and forms."""
+    return lcm(*(x.denominator for const, form in DEPENDENT[r].values() for x in (const, *form.values())))
+
+
+def _cleared(r: int, params: dict) -> tuple[int, dict]:
+    """(den, den * coefficient of every term by name), exact integers: den
+    is the lcm of the parameter denominators times that of the constraint
+    entries, so every product in the constraints is integral."""
+    pairs = _free_pairs(r, params)
+    den = lcm(*(d for _, d in pairs)) * _constraint_lcm(r)
+    ns = {k: n * (den // d) for k, (n, d) in zip(FREE[r], pairs)}
     for k, (const, form) in DEPENDENT[r].items():
         ns[k] = const * den + sum(c * ns[name] for name, c in form.items())
     return den, ns
@@ -132,21 +147,73 @@ def _grid_equations(r: int, grid_size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for _, b in basis)
 
 
+def _projected_equations(r: int, grid_size: int) -> list[list[int]]:
+    """Each row of _grid_equations(r, grid_size) times the map from a draw's
+    (den, den * p for p in FREE[r]) to its (den, den * coefficient of every
+    term of TERMS[r]), read from DEPENDENT[r]'s constants and forms and
+    cleared by the lcm of their denominators.  A draw passes exactly when
+    every row is orthogonal to its (den, den * p): the map and the row
+    associate.  Built per call, because DEPENDENT may change between calls."""
+    position = {k: i for i, k in enumerate(TERMS[r], 1)}
+    column = {k: j for j, k in enumerate(FREE[r], 1)}
+    rows = []
+    for equation in _grid_equations(r, grid_size):
+        row = [equation[0], *(equation[position[k]] for k in column)]
+        for k, (const, form) in DEPENDENT[r].items():
+            if w := equation[position[k]]:
+                row[0] += w * const
+                for name, c in form.items():
+                    row[column[name]] += w * c
+        rows.append(row)
+    # an int total means no Fraction entry reached a row
+    if type(sum(map(sum, rows))) is not int:
+        clear = _constraint_lcm(r)
+        rows = [[int(x * clear) for x in row] for row in rows]
+    return rows
+
+
+def _draw_vector(pairs) -> tuple[int, ...]:
+    """(den, den * n / d for each (n, d)): den is the lcm of the d > 0, so
+    an unreduced pair gives a positive multiple of the same vector."""
+    den = lcm(*(d for _, d in pairs))
+    return (den, *(n * (den // d) for n, d in pairs))
+
+
 def verify_sym_identity(degree: int, params: dict, grid_size: int) -> bool:
     """Evaluate (a+b+c)^degree against the parameterized right side at every
     point of {0..grid_size-1}^3; grid_size >= degree+1 makes this a proof.
 
     Both sides are multiplied by den, which clears the coefficient
     denominators, and compared as integers: agreement at every point is
-    orthogonality to the span of the points' rows, so to _grid_equations."""
-    den, ns = _cleared(degree, params)
+    orthogonality to the span of the points' rows, checked on the few
+    projected equations."""
+    return verify_draws(degree, [_free_pairs(degree, params)], grid_size)
+
+
+def verify_draws(degree: int, draws, grid_size: int) -> bool:
+    """Whether every draw, a sequence of (numerator, denominator > 0) pairs
+    in FREE[degree] order, passes the grid of verify_sym_identity; the
+    projected equations are built once and the first failing draw ends
+    the check."""
+    _check_degree(degree)
     if grid_size < degree + 1:
         raise ValueError("grid must have at least degree+1 points per axis")
-    vector = (den, *(ns[k] for k in TERMS[degree]))
-    return all(sum(map(mul, vector, row)) == 0 for row in _grid_equations(degree, grid_size))
+    equations = _projected_equations(degree, grid_size)
+    for pairs in draws:
+        vector = _draw_vector(pairs)
+        if any(sum(map(mul, row, vector)) for row in equations):
+            return False
+    return True
+
+
+def random_pairs(degree: int, rng: random.Random, bound: int = 10) -> list[tuple[int, int]]:
+    """Free-parameter draw as (numerator, denominator) pairs in FREE[degree]
+    order, bounded by ``bound``; the pairs are not reduced."""
+    _check_degree(degree)
+    return [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in FREE[degree]]
 
 
 def random_params(degree: int, rng: random.Random, bound: int = 10) -> dict[str, Fraction]:
     """Free-parameter draw with numerators and denominators bounded by ``bound``."""
-    _check_degree(degree)
-    return {k: Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for k in FREE[degree]}
+    pairs = random_pairs(degree, rng, bound)
+    return {k: Fraction(n, d) for k, (n, d) in zip(FREE[degree], pairs)}

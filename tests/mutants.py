@@ -47,6 +47,8 @@ CHANGED_GF_CONSTANT = ("tests/test_catalog.py::TestProvedClaims::test_a_changed_
 SEQUENCES = "src/triboconv/sequences.py"
 START_UP_WITHOUT_SITE = (
     "tests/test_records.py::test_cli_start_up_without_site_loads_no_json_typing_dataclasses_or_inspect",)
+PROJECTED_EQUATIONS = "tests/test_symmetric.py::TestProjectedEquations"
+PROJECTED_VERDICT = "tests/test_symmetric.py::TestProjectedVerdict"
 #: seconds one pytest run may take; the slowest row takes about 12 s
 TIMEOUT = 300
 
@@ -132,6 +134,17 @@ MUTANTS = [
     Mutant("grid-equations-last-row-dropped", SYMMETRIC,
            "    return tuple(tuple(b) for _, b in basis)", "    return tuple(tuple(b) for _, b in basis[:-1])",
            ("tests/test_symmetric.py::TestGridEquations",)),
+    # the grid equations projected onto the free parameters, and the draws checked on them
+    Mutant("projected-equations-without-one-form-coefficient", SYMMETRIC,
+           "row[column[name]] += w * c\n", "row[column[name]] += w * c * (k != \"A\" or name != \"D\")\n",
+           (PROJECTED_EQUATIONS,)),
+    Mutant("projected-equations-without-the-constant-column", SYMMETRIC,
+           "                row[0] += w * const\n", "", (PROJECTED_EQUATIONS,)),
+    Mutant("draw-den-is-its-first-denominator", SYMMETRIC,
+           "    den = lcm(*(d for _, d in pairs))\n    return", "    den = pairs[0][1] if pairs else 1\n    return",
+           (PROJECTED_VERDICT,)),
+    Mutant("draw-checked-on-the-first-projected-row-only", SYMMETRIC,
+           "for row in equations):", "for row in equations[:1]):", (PROJECTED_VERDICT,)),
     Mutant("roots-within-always-true", CONVOLUTION,
            "    return not any(power)", "    return True", ("tests/test_convolution.py::TestRootsWithin",)),
     Mutant("roots-within-always-false", CONVOLUTION,

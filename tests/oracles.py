@@ -8,7 +8,8 @@ division that builds them; the norm by Newton's identities, an oracle
 for ``triboconv.field.norm``; the printed triple/scale recursions in
 Fraction arithmetic, oracles for the integer steps of
 ``triboconv.derivation``; and the symmetric families' coefficients by
-Fraction arithmetic and grid rows at every point, oracles for
+Fraction arithmetic, grid rows at every point, a draw's expanded
+coefficients against the grid equations and the Fraction draw, oracles for
 ``triboconv.symmetric_identities``."""
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from triboconv.convolution import (
 )
 from triboconv.derivation import FamilyKind, _eventually_positive
 from triboconv.field import trace
-from triboconv.symmetric_identities import DEPENDENT, FREE, TERMS, _blocks
+from triboconv.symmetric_identities import DEPENDENT, FREE, TERMS, _blocks, _cleared, _grid_equations
 
 
 def compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -222,3 +223,18 @@ def term_rows(r: int, grid_size: int) -> tuple:
         blocks = _blocks(a, b, c)
         rows.append(((a + b + c) ** r, tuple(prod(blocks[x] for x in bs) for bs in TERMS[r].values())))
     return tuple(rows)
+
+
+def verdict_by_cleared(r: int, params: dict, grid_size: int) -> bool:
+    """The draw's cleared coefficients (den, den * coefficient of every term)
+    dotted with every grid equation; oracle for the check on the equations
+    projected onto the free parameters."""
+    den, ns = _cleared(r, params)
+    vector = (den, *(ns[k] for k in TERMS[r]))
+    return all(sum(x * y for x, y in zip(vector, row)) == 0 for row in _grid_equations(r, grid_size))
+
+
+def random_params_by_fractions(r: int, rng, bound: int = 10) -> dict:
+    """One Fraction per free parameter, numerator drawn before denominator;
+    oracle for the values of ``random_params`` and ``random_pairs``."""
+    return {k: Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for k in FREE[r]}

@@ -305,7 +305,7 @@ class TestSymcheck:
         def no_draw(*args):
             raise AssertionError("drew parameters")
 
-        monkeypatch.setattr(symmetric_identities, "random_params", no_draw)
+        monkeypatch.setattr(symmetric_identities, "random_pairs", no_draw)
         assert main(["symcheck", "--draws", draws, "--format", "json"]) == 2
         assert capsys.readouterr() == ("", "error: draws must be >= 1\n")
 

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 from itertools import product
 from math import prod
 from operator import mul
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from oracles import coeffs_by_fractions, term_rows
+from oracles import coeffs_by_fractions, random_params_by_fractions, term_rows, verdict_by_cleared
+from triboconv import symmetric_identities
 from triboconv.cli import main
 from triboconv.identity_catalog import PRINTED
 from triboconv.symmetric_identities import (
@@ -20,10 +22,14 @@ from triboconv.symmetric_identities import (
     _blocks,
     _cleared,
     _combine,
+    _draw_vector,
     _grid_equations,
+    _projected_equations,
     coeffs,
+    random_pairs,
     random_params,
     rhs,
+    verify_draws,
     verify_sym_identity,
 )
 
@@ -252,6 +258,162 @@ class TestGridEquations:
         by_points = all(vector[0] * lhs == sum(map(mul, vector[1:], terms))
                         for lhs, terms in term_rows(r, grid))
         assert by_basis is by_points is in_null_space
+
+
+def _columns_nonzero(rows, r):
+    """Per column of the projected equations, whether any row is nonzero there."""
+    return [any(row[j] for row in rows) for j in range(1 + len(FREE[r]))]
+
+
+class TestProjectedEquations:
+    """The grid equations projected onto a draw's (den, den * p for p in
+    FREE[r]).  They are zero for the printed constraints: with
+    test_rank_is_the_dependent_count, the printed family is the grid's whole
+    solution space, and it holds at every parameter value."""
+
+    @pytest.mark.parametrize("r,grid", [(r, g) for r in (2, 3, 4, 5) for g in sorted({r + 1, 6, 12})])
+    def test_zero_for_the_printed_constraints(self, r, grid):
+        assert _projected_equations(r, grid) == [[0] * (1 + len(FREE[r]))] * len(DEPENDENT[r])
+
+    @pytest.mark.parametrize("r,term,shift", [(r, k, s) for r in (2, 3, 4, 5) for k in DEPENDENT[r]
+                                              for s in (1, F(1, 9973))])
+    def test_a_shifted_constant_makes_column_0_nonzero(self, r, term, shift, monkeypatch):
+        const, form = DEPENDENT[r][term]
+        monkeypatch.setitem(DEPENDENT[r], term, (const + shift, form))
+        rows = _projected_equations(r, 6)
+        assert all(type(x) is int for row in rows for x in row)
+        assert _columns_nonzero(rows, r) == [True, *(False for _ in FREE[r])]
+
+    @pytest.mark.parametrize("r,term,name", [(r, k, n) for r in (3, 4, 5) for k, (_, form) in DEPENDENT[r].items()
+                                             for n in form])
+    def test_a_shifted_form_coefficient_makes_its_column_nonzero(self, r, term, name, monkeypatch):
+        const, form = DEPENDENT[r][term]
+        monkeypatch.setitem(DEPENDENT[r], term, (const, {**form, name: form[name] + 1}))
+        assert _columns_nonzero(_projected_equations(r, 6), r) == [False, *(k == name for k in FREE[r])]
+
+
+def _pairs(r, params):
+    """The draw's (numerator, denominator) pairs in FREE[r] order."""
+    return [(F(params.get(k, 0)).numerator, F(params.get(k, 0)).denominator) for k in FREE[r]]
+
+
+def _move(monkeypatch, r, constant=0, coefficient=0):
+    """Move the first printed constraint of degree r: its constant by
+    ``constant``, its first free parameter's coefficient by ``coefficient``."""
+    term, (const, form) = next(iter(DEPENDENT[r].items()))
+    name = FREE[r][0] if FREE[r] else None
+    moved = {**form, name: form.get(name, 0) + coefficient} if coefficient else form
+    monkeypatch.setitem(DEPENDENT[r], term, (const + constant, moved))
+
+
+#: family name -> (constant shift, coefficient shift) of the first constraint
+FAMILIES = {"printed": (0, 0), "constant": (F(1, 9973), 0), "coefficient": (0, 1)}
+
+
+class TestProjectedVerdict:
+    """The check on the projected equations against the cleared draw dotted
+    with every grid equation (``verdict_by_cleared``), on printed and moved
+    families."""
+
+    @pytest.mark.parametrize("r,family", [(r, f) for r in (2, 3, 4, 5) for f in FAMILIES
+                                          if r > 2 or f != "coefficient"])
+    def test_seeded_draws_agree_with_the_cleared_check(self, r, family, monkeypatch):
+        _move(monkeypatch, r, *FAMILIES[family])
+        rng = random.Random(f"projected:{r}")
+        for _ in range(5):
+            params = random_params(r, rng, bound=10**6)
+            expected = verdict_by_cleared(r, params, 6)
+            assert expected is (family == "printed")
+            assert verify_sym_identity(r, params, 6) is verify_draws(r, [_pairs(r, params)], 6) is expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_coprime_draw_agrees_with_the_cleared_check(self, family, monkeypatch):
+        _move(monkeypatch, 5, *FAMILIES[family])
+        expected = verdict_by_cleared(5, COPRIME_DRAW, 6)
+        assert expected is (family == "printed")
+        assert (verify_sym_identity(5, COPRIME_DRAW, 6) is verify_draws(5, [_pairs(5, COPRIME_DRAW)], 6)
+                is expected)
+
+    @pytest.mark.parametrize("r,name", [(r, k) for r in (3, 4, 5) for k in FREE[r]])
+    def test_a_family_moved_through_the_draw_passes_only_there(self, r, name, monkeypatch):
+        # the first constraint's constant falls by p and its coefficient of
+        # name rises by 1: its term keeps its value at the draw only
+        params = COPRIME_DRAW if r == 5 else random_params(r, random.Random(f"through:{r}"))
+        term, (const, form) = next(iter(DEPENDENT[r].items()))
+        p = params.get(name, 0)
+        monkeypatch.setitem(DEPENDENT[r], term, (const - p, {**form, name: form.get(name, 0) + 1}))
+        elsewhere = {**params, name: p + F(1, 3)}
+        for point, expected in ((params, True), (elsewhere, False)):
+            assert verdict_by_cleared(r, point, 6) is expected
+            assert verify_sym_identity(r, point, 6) is verify_draws(r, [_pairs(r, point)], 6) is expected
+
+    @given(_grid_vectors())
+    def test_a_family_through_each_hypothesis_vector(self, case):
+        # the constants are moved so that the family's cleared draw at the
+        # vector's parameters is the vector itself, so its verdict is the
+        # vector's
+        r, grid, vector, in_null_space = case
+        den = vector[0]
+        assume(den != 0)
+        position = {k: i for i, k in enumerate(TERMS[r], 1)}
+        params = {k: F(vector[position[k]], den) for k in FREE[r]}
+        moved = {t: (F(vector[position[t]], den) - sum(c * params[n] for n, c in form.items()), form)
+                 for t, (_, form) in DEPENDENT[r].items()}
+        sign = 1 if den > 0 else -1
+        pairs = [(sign * vector[position[k]], sign * den) for k in FREE[r]]
+        with patch.dict(DEPENDENT[r], moved):
+            assert verdict_by_cleared(r, params, grid) is in_null_space
+            assert verify_sym_identity(r, params, grid) is verify_draws(r, [pairs], grid) is in_null_space
+
+    @pytest.mark.parametrize("r,family", [(r, f) for r in (3, 4, 5) for f in FAMILIES])
+    def test_unreduced_pairs_give_a_positive_multiple_and_the_same_verdict(self, r, family, monkeypatch):
+        _move(monkeypatch, r, *FAMILIES[family])
+        rng = random.Random(f"unreduced:{r}")
+        for k in (2, 7, 9973):
+            pairs = random_pairs(r, rng)
+            scaled = [(a * k, b * k) for a, b in pairs]
+            v, w = _draw_vector(pairs), _draw_vector(scaled)
+            assert w[0] > 0 and all(x * w[0] == y * v[0] for x, y in zip(v, w))
+            params = {name: F(a, b) for name, (a, b) in zip(FREE[r], pairs)}
+            assert verify_draws(r, [scaled], 6) is verify_draws(r, [pairs], 6) is verdict_by_cleared(r, params, 6)
+
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_cli_draws_reduce_to_random_params(self, degree):
+        seed = f"0:sym{degree}"
+        pair_rng, param_rng, oracle_rng = (random.Random(seed) for _ in range(3))
+        for _ in range(20):
+            drawn = {k: F(a, b) for k, (a, b) in zip(FREE[degree], random_pairs(degree, pair_rng))}
+            assert drawn == random_params(degree, param_rng) == random_params_by_fractions(degree, oracle_rng)
+
+    def test_draws_stop_at_the_first_failing_draw(self, monkeypatch):
+        _move(monkeypatch, 4, 1)
+        rng = random.Random(4)
+        drawn = []
+
+        def draws():
+            for _ in range(3):
+                drawn.append(random_pairs(4, rng))
+                yield drawn[-1]
+
+        assert not verify_draws(4, draws(), 6)
+        assert len(drawn) == 1
+
+    def test_symcheck_projects_once_per_degree(self, monkeypatch, capsys):
+        calls = []
+        project = symmetric_identities._projected_equations
+
+        def counted(r, grid_size):
+            calls.append((r, grid_size))
+            return project(r, grid_size)
+
+        monkeypatch.setattr(symmetric_identities, "_projected_equations", counted)
+        assert main(["symcheck", "--draws", "20", "--grid", "7"]) == 0
+        assert calls == [(3, 7), (4, 7), (5, 7)]
+
+    @pytest.mark.parametrize("degree,grid", [(6, 7), (1, 6), (5, 5)])
+    def test_draws_outside_the_families_or_on_a_small_grid_rejected(self, degree, grid):
+        with pytest.raises(ValueError):
+            verify_draws(degree, [], grid)
 
 
 class TestFailurePath:
