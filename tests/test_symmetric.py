@@ -294,7 +294,7 @@ class TestProjectedEquations:
 
 def _pairs(r, params):
     """The draw's (numerator, denominator) pairs in FREE[r] order."""
-    return [(F(params.get(k, 0)).numerator, F(params.get(k, 0)).denominator) for k in FREE[r]]
+    return [F(params.get(k, 0)).as_integer_ratio() for k in FREE[r]]
 
 
 def _move(monkeypatch, r, constant=0, coefficient=0):
