@@ -361,22 +361,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # exact values routinely exceed the default int<->str digit limit; it is
     # lifted for this call only, so a library caller keeps its own
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    return identity_catalog._without_digit_limit(_main, argv)
+
+
+def _main(argv: list[str] | None) -> int:
     try:
-        try:
-            args = _parser().parse_args(argv)
-            return args.run(args)
-        except SystemExit as exc:
-            code = exc.code
-            return 0 if code in (None, 0) else int(code)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        args = _parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:
+        code = exc.code
+        return 0 if code in (None, 0) else int(code)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

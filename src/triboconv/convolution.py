@@ -274,11 +274,7 @@ def _roots_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     d = len(a) - 1
     power, e = _reduce(list(b), a), 1
     while e < d:
-        square = [0] * (2 * d - 1)
-        for i, x in enumerate(power):
-            for j, y in enumerate(power):
-                square[i + j] += x * y
-        power, e = _reduce(square, a), 2 * e
+        power, e = _reduce(_poly_product(power, power), a), 2 * e
     return not any(power)
 
 

@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .convolution import (
@@ -48,6 +48,7 @@ from .derivation import (
     FamilyKind,
     PairSumSqPower,
     PowerFamily,
+    _mul_pair,
     _scaled_powers,
     derive,  # not called here; perfbench's tracer test wraps this binding
     family_element,
@@ -72,16 +73,16 @@ class RangeTooLarge(CatalogError):
     """A requested range exceeds the configured cap."""
 
 
-def _str(value) -> str:
-    """str(value) with no limit on the digits of an int: exact values
+def _without_digit_limit(call: Callable, *args):
+    """call(*args) with no limit on the digits of an int: exact values
     routinely exceed the interpreter's int-to-str limit, which is restored
-    afterwards."""
+    afterwards, also when the call raises."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
-        return str(value)
+        return call(*args)
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        return call(*args)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -95,8 +96,8 @@ class Check(namedtuple("Check", "index ok lhs_value rhs_value")):
     """
 
     __slots__ = ()
-    lhs = property(lambda self: _str(self.lhs_value))
-    rhs = property(lambda self: _str(self.rhs_value))
+    lhs = property(lambda self: _without_digit_limit(str, self.lhs_value))
+    rhs = property(lambda self: _without_digit_limit(str, self.rhs_value))
 
 
 class _Quotient:
@@ -112,21 +113,16 @@ class _Quotient:
         return self.num == other * self.den if isinstance(other, int) else NotImplemented
 
     def __str__(self) -> str:
-        return _str(Fraction(self.num, self.den))
+        return _without_digit_limit(str, Fraction(self.num, self.den))
 
 
-class _FoldPoint:
+class _FoldPoint(namedtuple("_FoldPoint", "prefix ms full_lhs lhs_weight common head rhs rec ok")):
     """A fold point whose two sides, both sequences of L (rec), were compared
     on their first ``head`` terms; ``ok`` when those agree, and so at every m
     of ms.  It stands for one check per m, labelled prefix + m, formed only
     when read (checks()); full_lhs() builds the left side to the range's end."""
 
-    __slots__ = ("prefix", "ms", "full_lhs", "lhs_weight", "common", "head", "rhs", "rec", "ok")
-
-    def __init__(self, prefix: str, ms: range, full_lhs: Callable[[], list], lhs_weight: int, common: int,
-                 head: int, rhs: list, rec: tuple, ok: bool):
-        self.prefix, self.ms, self.full_lhs, self.lhs_weight, self.common = prefix, ms, full_lhs, lhs_weight, common
-        self.head, self.rhs, self.rec, self.ok = head, rhs, rec, ok
+    __slots__ = ()
 
     def checks(self) -> list[Check]:
         count = self.ms[-1] + 1
@@ -181,8 +177,8 @@ class RangeSpec(namedtuple("RangeSpec", "name lo hi")):
 
 class RunContext(namedtuple("RunContext", "ranges rng store")):
     """A run's ranges, name -> (lo, hi), a callable that makes its seeded
-    random.Random, called only by an entry that draws, and its store: the
-    run's fold rows and tables and its rational pairs, shared by its entries."""
+    random.Random, called only by an entry that draws, and its store, shared by
+    its entries: family rows, fold factors, fold plans, tables and rational pairs."""
 
     __slots__ = ()
 
@@ -337,14 +333,6 @@ def _factor(f: tuple, n: int, store: dict) -> tuple[WeightedSeq, int | Fraction]
     return store[f, n]
 
 
-def _over(c: int | Fraction, num: int, den: int) -> tuple[int, int]:
-    """c / (num / den) as a reduced pair (numerator, positive denominator),
-    by one gcd."""
-    a, b = c.numerator * den, c.denominator * num
-    g = gcd(a, b)
-    return (a // g, b // g) if b > 0 else (-a // g, -b // g)
-
-
 def _plan(r: int, names: tuple, n: int, store: dict) -> tuple[dict, set, tuple, bool]:
     """The r-fold terms ``names``: each term's sorted factors, every factor
     needed, the left side's annihilator L and whether L vanishes at every
@@ -382,14 +370,15 @@ def _fold_checks(r: int, n: int, ms: range, index: str, points, store: dict) -> 
     # the left side to the range's end, built only when a point needs it
     full_lhs = partial(multiset_table, tables, lhs_factors, seqs, count)
     lhs = multiset_table(tables, lhs_factors, seqs, head)
-    # weights as integer pairs: 1 / scale^r on the left, each coefficient
-    # over the product of its factors' scales on the right
-    inv_num, inv_den = _over(1, scales[C1][0] ** r, scales[C1][1] ** r)
-    term_tables = {k: (multiset_table(tables, fs, seqs, head), prod(scales[f][0] for f in fs),
-                       prod(scales[f][1] for f in fs)) for k, fs in terms.items()}
+    # weights as reduced integer pairs: 1 / scale^r on the left, each
+    # coefficient times its term's inverse scale on the right, kept with the
+    # term's table as the product of its factors' scales, inverted: (den, num)
+    inv_num, inv_den = _mul_pair(1, 1, scales[C1][1] ** r, scales[C1][0] ** r)
+    term_tables = {k: (multiset_table(tables, fs, seqs, head), prod(scales[f][1] for f in fs),
+                       prod(scales[f][0] for f in fs)) for k, fs in terms.items()}
     checks = []
     for prefix, cs in points:
-        weights = [_over(c, *term_tables[k][1:]) for k, c in cs.items()]
+        weights = [_mul_pair(c.numerator, c.denominator, *term_tables[k][1:]) for k, c in cs.items()]
         # both sides over one common denominator: the comparison is on integers
         common = lcm(inv_den, *(den for _, den in weights))
         lhs_weight = inv_num * (common // inv_den)
@@ -494,8 +483,10 @@ def _constant_rows(ctx: RunContext) -> Iterator[tuple]:
     yield "trace(cofactor)", Fraction(trace_triple(b)[0], e), Fraction(-1, 22), False
 
 
-#: Lemma exponent j -> the printed (scale, triple) of c^j: trace(x^k c^j) = T_k(triple) / scale.
-LEMMAS = {2: (22, (2, 3, 10)), 3: (44, (3, 3, 5)), 4: (484, (2, 14, 21)), 5: (968, (5, 6, 15))}
+#: Lemma exponent j -> the lemma's id and the printed (scale, triple) of c^j:
+#: trace(x^k c^j) = T_k(triple) / scale.
+LEMMAS = {2: ("L2", 22, (2, 3, 10)), 3: ("L7", 44, (3, 3, 5)), 4: ("L8", 484, (2, 14, 21)),
+          5: ("L9", 968, (5, 6, 15))}
 
 
 def _lemma_rows(power: int, ctx: RunContext) -> Iterator[tuple]:
@@ -503,7 +494,7 @@ def _lemma_rows(power: int, ctx: RunContext) -> Iterator[tuple]:
     at every k, on integers: with c^power = a / d and scale = num / den,
     T_k(triple) = scale * trace(x^k c^power) exactly when
     T_k(triple) * d * den == num * T_k(trace_triple(a))."""
-    scale, triple = LEMMAS[power]
+    _, scale, triple = LEMMAS[power]
     printed = ScaledSeq(Fraction(scale), triple)
     yield "derivation", _row(FamilyKind.CPOWER, power, ctx.store), printed, False
     ks = ctx.span("k")
@@ -608,14 +599,8 @@ REGISTRY: dict[str, IdentityRecord] = {
         _rec("L-CONST", "root-coefficient constants: trace(c)=0, trace(xc)=1, "
              "trace(x^2 c)=1, norm(c)=1/44, trace(cofactor)=-1/22", [],
              partial(_run_claims, _constant_rows)),
-        _rec("L2", "c^2 family equals (1/22) T^(2,3,10)", [("k", 0, 50)],
-             partial(_run_claims, partial(_lemma_rows, 2))),
-        _rec("L7", "c^3 family equals (1/44) T^(3,3,5)", [("k", 0, 50)],
-             partial(_run_claims, partial(_lemma_rows, 3))),
-        _rec("L8", "c^4 family equals (1/484) T^(2,14,21)", [("k", 0, 50)],
-             partial(_run_claims, partial(_lemma_rows, 4))),
-        _rec("L9", "c^5 family equals (1/968) T^(5,6,15)", [("k", 0, 50)],
-             partial(_run_claims, partial(_lemma_rows, 5))),
+        *(_rec(ident, f"c^{j} family equals (1/{scale}) T^({','.join(map(str, triple))})", [("k", 0, 50)],
+               partial(_run_claims, partial(_lemma_rows, j))) for j, (ident, scale, triple) in LEMMAS.items()),
         _rec("P3", "binomial pair convolution of T equals "
              "(1/22)(2^n T_n^(2,3,10) + 2 sum C(n,k)(-1)^k T_k^(-1,2,7))",
              [("n", 0, 200)], partial(_run_fold, 2, "pinned")),
@@ -631,14 +616,8 @@ REGISTRY: dict[str, IdentityRecord] = {
              [("n", 0, 80)], partial(_run_fold, 5, "family")),
         _rec("T4R", "quintuple binomial convolution, B=I=L=N=P=Q=R=S=0 special form",
              [("n", 0, 80)], partial(_run_fold, 5, "pinned")),
-        _rec("GT2", "pair binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 2, "GT")),
-        _rec("GT3", "triple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 3, "GT")),
-        _rec("GT4", "quadruple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 4, "GT")),
-        _rec("GT5", "quintuple binomial convolution of the c^n family",
-             [("n", 1, 4), ("m", 0, 60)], partial(_run_fold, 5, "GT")),
+        *(_rec(f"GT{r}", f"{word} binomial convolution of the c^n family", [("n", 1, 4), ("m", 0, 60)],
+               partial(_run_fold, r, "GT")) for r, word in zip(PRINTED, ("pair", "triple", "quadruple", "quintuple"))),
         _rec("S1", "(sum of pairwise products of c)^n sum-of-exponentials equals "
              "((-1/22)^n) T^(3,1,3)", [("n", 1, 8)], partial(_run_claims, _s1_rows)),
         _rec("S2", "(sum of squared pairwise products)^n sum-of-exponentials, printed "
@@ -670,7 +649,8 @@ def verify(
     range; a negative upper end, or a bound for a range the record lacks,
     raises CatalogError.  An upper end below its range's start gives a
     vacuous report: no runner is called.
-    _store (private) holds the run's fold rows and tables; verify_all shares one.
+    _store (private) holds the run's family rows, fold factors, fold plans,
+    tables and rational pairs (RunContext's store); verify_all shares one.
     """
     record = REGISTRY.get(identity_id)
     if record is None:

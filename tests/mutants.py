@@ -38,11 +38,13 @@ SEED42_DIGESTS = ("tests/test_golden.py::test_check_digests[checks_seed42.json]"
 NO_FALLBACK = ("tests/test_catalog.py::TestSharedAnnihilator::test_no_fold_takes_the_fallback",)
 INTEGER_STEPS = ("tests/test_derivation.py::TestIntegerSteps",)
 SETTLED_POINTS = ("tests/test_catalog.py::TestSettledPoints",)
+SEED42_JSON = ("tests/test_golden.py::test_verify_all_bytes[verify_all_seed42.json]",)
 UNWRITABLE_STDOUT_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_passes_the_cli_on_a_full_device"
 UNBUFFERED_HELP_PROCESS = "tests/test_check_cli_stdout.py::test_exitcodes_mode_passes_an_unbuffered_help_on_a_full_device"
 STREAMED_TABLES = ("tests/test_derivation.py::TestStreamedTables",)
 FIELD = "src/triboconv/field.py"
 INTEGER_FOLDS = "tests/test_catalog.py::TestIntegerFolds"
+REDUCED_WEIGHT = (f"{INTEGER_FOLDS}::test_a_weight_is_the_reduced_fraction",)
 CHANGED_GF_CONSTANT = ("tests/test_catalog.py::TestProvedClaims::test_a_changed_constant_compares_every_row",)
 SEQUENCES = "src/triboconv/sequences.py"
 START_UP_WITHOUT_SITE = (
@@ -69,7 +71,11 @@ MUTANTS = [
            "    4: (22**4 * 2, (-140, 151, -50)),", "    4: (22**4 * 2, (-140, 151, -49)),",
            KNOWN_DISCREPANCIES),
     Mutant("lemma-triple-changed", CATALOG,
-           "LEMMAS = {2: (22, (2, 3, 10)),", "LEMMAS = {2: (22, (3, 4, 11)),", SEED42_DIGESTS),
+           'LEMMAS = {2: ("L2", 22, (2, 3, 10)),', 'LEMMAS = {2: ("L2", 22, (3, 4, 11)),', SEED42_DIGESTS),
+    # the registry rows generated from PRINTED and LEMMAS: each label from its own row's data
+    Mutant("gt-words-swapped", CATALOG,
+           '("pair", "triple", "quadruple", "quintuple")', '("triple", "pair", "quadruple", "quintuple")',
+           SEED42_JSON),
     Mutant("claims-route-by-verdict-only", CATALOG,
            "outcome.mismatches if printed and not check.ok else", "outcome.mismatches if not check.ok else",
            KNOWN_DISCREPANCIES),
@@ -171,7 +177,7 @@ MUTANTS = [
     # a fold point recorded once, its checks formed when read: a settled one
     # shows its left side on both sides, a failed one its extended right side
     Mutant("settled-point-recorded-as-failed", CATALOG,
-           "self.ok = head, rhs, rec, ok", "self.ok = head, rhs, rec, False", SETTLED_POINTS),
+           "rhs == lhs_num))", "False))", SETTLED_POINTS),
     Mutant("settled-check-label-m-shifted", CATALOG,
            'Check(f"{self.prefix}{m}", ', 'Check(f"{self.prefix}{m + 1}", ', SEED42_DIGESTS),
     Mutant("failed-point-right-side-not-extended", CATALOG,
@@ -187,11 +193,10 @@ MUTANTS = [
            ("tests/test_golden.py::test_check_digests[checks_claims.json]",)),
     # the fold's weights on integer pairs, its term plan kept per run, and the
     # field's power ladder and sign on integer coefficients
-    Mutant("fold-weight-denominator-sign-kept", CATALOG,
-           "return (a // g, b // g) if b > 0 else (-a // g, -b // g)", "return a // g, b // g",
-           (f"{INTEGER_FOLDS}::test_a_weight_is_the_reduced_fraction",)),
+    Mutant("fold-weight-denominator-sign-kept", DERIVATION,
+           "g = gcd(x, y) if y > 0 else -gcd(x, y)", "g = gcd(x, y)", REDUCED_WEIGHT),
     Mutant("fold-term-scale-swapped", CATALOG,
-           "_over(c, *term_tables[k][1:])", "_over(c, *term_tables[k][:0:-1])",
+           "*term_tables[k][1:])", "*term_tables[k][:0:-1])",
            (f"{INTEGER_FOLDS}::test_weights_and_heads_equal_the_fraction_arithmetic",)),
     Mutant("fold-plan-kept-at-module-level", CATALOG,
            'plans = store.setdefault("plans", {})', 'plans = globals().setdefault("_PLANS", {})',
@@ -214,15 +219,16 @@ MUTANTS = [
            "_mul_pair(num, den, k, g)", "_mul_pair(num, den, k, sign)", STREAMED_TABLES),
     Mutant("scaled-powers-det-loses-a-term", DERIVATION,
            "det = n00 * (n11 * n22 - n12 * n21) - ", "det = n00 * (n11 * n22 + n12 * n21) - ", STREAMED_TABLES),
-    # the scale as a reduced integer pair: the stepper's K / g and each
-    # printed step's factor x / y reduced first, then cross-cancelled.  On
-    # the stepper's rows the reduced K never shared a factor with the
-    # scale's denominator (see CHANGES.md); the printed steps from a scale
-    # over 22 judge that gcd
+    # the scale as a reduced integer pair: the stepper's K / g, each
+    # printed step's factor x / y and each fold weight's inverse scale
+    # reduced first, then cross-cancelled.  On the stepper's rows the
+    # reduced K never shared a factor with the scale's denominator (see
+    # CHANGES.md); the printed steps from a scale over 22 and the fold
+    # weights drawn by Hypothesis judge that gcd
     Mutant("pair-product-without-its-gcd-of-x-and-den", DERIVATION,
-           "    g2 = gcd(x, den)\n", "    g2 = 1\n", INTEGER_STEPS),
+           "    g2 = gcd(x, den)\n", "    g2 = 1\n", (*INTEGER_STEPS, *REDUCED_WEIGHT)),
     Mutant("pair-product-without-reducing-x-over-y-first", DERIVATION,
-           "g = gcd(x, y) if y > 0 else -gcd(x, y)", "g = 1 if y > 0 else -1", INTEGER_STEPS),
+           "g = gcd(x, y) if y > 0 else -gcd(x, y)", "g = 1 if y > 0 else -1", (*INTEGER_STEPS, *REDUCED_WEIGHT)),
     # the integer steps of the printed triple/scale recursions
     Mutant("signed-triple-gcd-division-dropped", DERIVATION,
            "    g = gcd(*v)", "    g = 1", INTEGER_STEPS),
@@ -261,8 +267,14 @@ MUTANTS = [
     Mutant("parsed-values-become-the-next-calls-defaults", CLI,
            "args = _parser().parse_args(argv)",
            "args = _parser().parse_args(argv)\n"
-           "            _parser()._actions[-1].choices[args.command].set_defaults(**vars(args))",
+           "        _parser()._actions[-1].choices[args.command].set_defaults(**vars(args))",
            ("tests/test_cli.py::TestSharedParser",)),
+    # the int-to-str digit limit, lifted by one helper for main and for the
+    # shown values, and given back to the caller when the call raises too
+    Mutant("digit-limit-restored-on-return-only", CATALOG,
+           "    try:\n        return call(*args)\n    finally:\n        sys.set_int_max_str_digits(limit)\n",
+           "    value = call(*args)\n    sys.set_int_max_str_digits(limit)\n    return value\n",
+           ("tests/test_edges.py::TestHugeIntegers::test_main_restores_the_int_str_limit_when_a_subcommand_raises",)),
     Mutant("stdout-write-error-re-raised", CLI,
            'raise UsageError(f"cannot write standard output: {exc.strerror or exc}")', "raise",
            ("tests/test_edges.py::TestUnwritableStdout",)),

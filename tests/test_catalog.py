@@ -22,7 +22,7 @@ from triboconv.convolution import (
     multinomial_conv_prefix,
     multiset_table,
 )
-from triboconv.derivation import SumCofactorSqConst, element_with_traces, family_element
+from triboconv.derivation import SumCofactorSqConst, _mul_pair, element_with_traces, family_element
 from triboconv.field import X, FieldElement, c_element, cofactor_element, norm, trace
 from triboconv.identity_catalog import (
     BLOCK_FACTORS,
@@ -172,9 +172,10 @@ class TestKnownDiscrepancies:
 
     @pytest.mark.parametrize("identity,power", zip(["L2", "L7", "L8", "L9"], sorted(LEMMAS)))
     def test_a_changed_lemma_triple_fails_every_row(self, monkeypatch, identity, power):
-        scale, triple = LEMMAS[power]
+        ident, scale, triple = LEMMAS[power]
+        assert ident == identity
         # the difference is the Tribonacci sequence from (1, 1, 1), never 0
-        monkeypatch.setitem(LEMMAS, power, (scale, tuple(v + 1 for v in triple)))
+        monkeypatch.setitem(LEMMAS, power, (ident, scale, tuple(v + 1 for v in triple)))
         report = verify(identity)
         assert report.status == "fail"
         assert [c.index for c in report.checks] == ["derivation"] + [f"k={k}" for k in range(51)]
@@ -432,9 +433,10 @@ class TestIntegerFolds:
     @given(st.integers(-60, 60) | st.fractions(-60, 60, max_denominator=30),
            st.integers(-10**6, 10**6).filter(bool), st.integers(-10**6, 10**6).filter(bool))
     def test_a_weight_is_the_reduced_fraction(self, c, num, den):
-        # num / den is a scale: negative scales included
+        # num / den is a scale: negative scales included; a weight is c times
+        # its inverse, den / num
         w = F(c) / F(num, den)
-        assert identity_catalog._over(c, num, den) == (w.numerator, w.denominator)
+        assert _mul_pair(c.numerator, c.denominator, den, num) == (w.numerator, w.denominator)
 
     def test_one_plan_per_fold_and_run(self, monkeypatch):
         made, annihilator = [], identity_catalog._annihilator

@@ -112,6 +112,25 @@ class TestHugeIntegers:
         finally:
             sys.set_int_max_str_digits(before)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str limit before Python 3.11")
+    def test_main_restores_the_int_str_limit_when_a_subcommand_raises(self, monkeypatch):
+        # an error that main does not handle leaves the caller's limit too
+        lifted = []
+
+        def broken(seed):
+            lifted.append(sys.get_int_max_str_digits())
+            raise RuntimeError("broken subcommand")
+
+        monkeypatch.setattr(identity_catalog, "verify_all", broken)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            with pytest.raises(RuntimeError, match="broken subcommand"):
+                main(["verify", "all"])
+            assert lifted == [0] and sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+
 
 class TestRangeCap:
     @pytest.mark.parametrize("identity", ["P3", "T4R"])
