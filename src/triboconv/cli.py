@@ -267,6 +267,14 @@ def _cmd_conjecture(args) -> int:
 SYM_GRID_CAP = 12
 
 
+def _sym_draws(seed: int, degree: int, count: int):
+    """The degree's ``count`` seeded draws; the generator is seeded at the
+    first draw taken, so a degree decided with no draw seeds none."""
+    rng = random.Random(f"{seed}:sym{degree}")
+    for _ in range(count):
+        yield symmetric_identities.random_pairs(degree, rng)
+
+
 def _cmd_symcheck(args) -> int:
     if args.grid < 6:
         raise UsageError("grid must be >= 6 (degree+1 certifies each family)")
@@ -276,9 +284,7 @@ def _cmd_symcheck(args) -> int:
     header = ["degree", "draws", "grid", "status"]
     cells = []
     for degree in (3, 4, 5):
-        rng = random.Random(f"{args.seed}:sym{degree}")
-        draws = (symmetric_identities.random_pairs(degree, rng) for _ in range(args.draws))
-        ok = symmetric_identities.verify_draws(degree, draws, args.grid)
+        ok = symmetric_identities.verify_draws(degree, _sym_draws(args.seed, degree, args.draws), args.grid)
         cells.append([str(degree), str(args.draws), str(args.grid), "pass" if ok else "fail"])
     verdict = "pass" if all(c[3] == "pass" for c in cells) else "fail"
     _render(args,

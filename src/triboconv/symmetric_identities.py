@@ -20,7 +20,9 @@ grid).  The cleared coefficients are an integer linear map of the draw's
 own (den, den * p for p in FREE[d]), so each draw is checked against the
 basis projected through that map, at most 5 rows of 9 integers, and never
 expands its dependent coefficients.  For the printed constraints the
-projected rows are zero: the family holds at every parameter value.
+projected rows are zero: the family holds at every parameter value, and
+that zero matrix decides the degree with no draw taken.  Draws are taken
+only when a projected row is nonzero.
 """
 
 from __future__ import annotations
@@ -194,11 +196,14 @@ def verify_draws(degree: int, draws, grid_size: int) -> bool:
     """Whether every draw, a sequence of (numerator, denominator > 0) pairs
     in FREE[degree] order, passes the grid of verify_sym_identity; the
     projected equations are built once and the first failing draw ends
-    the check."""
+    the check.  A zero row passes every draw, so only the nonzero rows are
+    kept, and when none is left the degree is decided with no draw taken."""
     _check_degree(degree)
     if grid_size < degree + 1:
         raise ValueError("grid must have at least degree+1 points per axis")
-    equations = _projected_equations(degree, grid_size)
+    equations = [row for row in _projected_equations(degree, grid_size) if any(row)]
+    if not equations:
+        return True
     for pairs in draws:
         vector = _draw_vector(pairs)
         if any(sum(map(mul, row, vector)) for row in equations):

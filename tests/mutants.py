@@ -51,7 +51,8 @@ START_UP_WITHOUT_SITE = (
     "tests/test_records.py::test_cli_start_up_without_site_loads_no_json_typing_dataclasses_or_inspect",)
 PROJECTED_EQUATIONS = "tests/test_symmetric.py::TestProjectedEquations"
 PROJECTED_VERDICT = "tests/test_symmetric.py::TestProjectedVerdict"
-#: seconds one pytest run may take; the slowest row takes about 12 s
+MUTATED_SYMCHECK = ("tests/test_symmetric.py::TestFailurePath::test_mutated_constant_fails_symcheck",)
+#: seconds one pytest run may take; the slowest row takes about 3 s
 TIMEOUT = 300
 
 
@@ -151,6 +152,16 @@ MUTANTS = [
            (PROJECTED_VERDICT,)),
     Mutant("draw-checked-on-the-first-projected-row-only", SYMMETRIC,
            "for row in equations):", "for row in equations[:1]):", (PROJECTED_VERDICT,)),
+    # a degree whose projected rows are all zero is decided with no draw, and
+    # its generator is seeded only at a first draw
+    Mutant("certificate-ignores-the-constant-column", SYMMETRIC,
+           "if any(row)]", "if any(row[1:])]", MUTATED_SYMCHECK),
+    Mutant("certificate-forced-true", SYMMETRIC,
+           "    if not equations:\n", "    if True:\n", MUTATED_SYMCHECK),
+    Mutant("symcheck-seeds-before-the-first-draw", CLI,
+           "    for _ in range(count):\n        yield symmetric_identities.random_pairs(degree, rng)\n",
+           "    return (symmetric_identities.random_pairs(degree, rng) for _ in range(count))\n",
+           ("tests/test_cli.py::TestSymcheck::test_printed_constraints_pass_the_caps_with_no_draw",)),
     Mutant("roots-within-always-true", CONVOLUTION,
            "    return not any(power)", "    return True", ("tests/test_convolution.py::TestRootsWithin",)),
     Mutant("roots-within-always-false", CONVOLUTION,

@@ -1,11 +1,12 @@
 """CLI contract: output formats, exit codes, determinism, the JSON writer
 and one rendering per report."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
-from golden_runs import CLI_OUTPUTS, GOLDEN
+from golden_runs import CLI_OUTPUTS, CLI_SHA256, GOLDEN
 from hypothesis import given, strategies as st
 
 from triboconv import cli, derivation, identity_catalog, symmetric_identities
@@ -308,6 +309,20 @@ class TestSymcheck:
         monkeypatch.setattr(symmetric_identities, "random_pairs", no_draw)
         assert main(["symcheck", "--draws", draws, "--format", "json"]) == 2
         assert capsys.readouterr() == ("", "error: draws must be >= 1\n")
+
+    @pytest.mark.parametrize("ext", ["json", "tsv", "txt"])
+    def test_printed_constraints_pass_the_caps_with_no_draw(self, ext, capsys, monkeypatch):
+        # the projected equations are zero for the printed constraints, so
+        # each degree is decided before a generator is seeded or a draw taken
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew parameters")
+
+        monkeypatch.setattr(symmetric_identities, "random_pairs", no_draw)
+        monkeypatch.setattr(cli.random, "Random", no_draw)
+        name = f"symcheck_seed0_draws2000_grid12.{ext}"
+        assert main(CLI_SHA256[name]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == json.loads((GOLDEN / "cli_sha256.json").read_text())[name]
 
 
 class TestSharedParser:

@@ -275,6 +275,14 @@ class TestProjectedEquations:
     def test_zero_for_the_printed_constraints(self, r, grid):
         assert _projected_equations(r, grid) == [[0] * (1 + len(FREE[r]))] * len(DEPENDENT[r])
 
+    @pytest.mark.parametrize("r,grid", [(r, g) for r in (2, 3, 4, 5) for g in sorted({r + 1, 6, 12})])
+    def test_zero_rows_decide_the_degree_with_no_draw(self, r, grid):
+        def draws():
+            raise AssertionError("took a draw")
+            yield
+
+        assert verify_draws(r, draws(), grid) is True
+
     @pytest.mark.parametrize("r,term,shift", [(r, k, s) for r in (2, 3, 4, 5) for k in DEPENDENT[r]
                                               for s in (1, F(1, 9973))])
     def test_a_shifted_constant_makes_column_0_nonzero(self, r, term, shift, monkeypatch):
@@ -346,6 +354,21 @@ class TestProjectedVerdict:
         for point, expected in ((params, True), (elsewhere, False)):
             assert verdict_by_cleared(r, point, 6) is expected
             assert verify_sym_identity(r, point, 6) is verify_draws(r, [_pairs(r, point)], 6) is expected
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_a_draw_on_one_row_of_a_rank_two_family_fails(self, r, monkeypatch):
+        # two constraints moved in independent directions give projected
+        # rows of rank 2, so a draw that zeroes one row fails another
+        (a, (const_a, form_a)), (b, (const_b, form_b)) = list(DEPENDENT[r].items())[:2]
+        name = FREE[r][0]
+        monkeypatch.setitem(DEPENDENT[r], a, (const_a + 1, form_a))
+        monkeypatch.setitem(DEPENDENT[r], b, (const_b, {**form_b, name: form_b.get(name, 0) + 1}))
+        rows = [row for row in _projected_equations(r, 6) if row[1]]
+        assert rows
+        for row in rows:
+            params = {name: F(-row[0], row[1])}
+            assert verdict_by_cleared(r, params, 6) is False
+            assert verify_sym_identity(r, params, 6) is verify_draws(r, [_pairs(r, params)], 6) is False
 
     @given(_grid_vectors())
     def test_a_family_through_each_hypothesis_vector(self, case):
@@ -434,6 +457,33 @@ class TestFailurePath:
         assert [(row["degree"], row["status"]) for row in doc["rows"]] == [
             ("3", "pass"), ("4", "pass"), ("5", "fail")]
         assert doc["verdict"] == "fail"
+
+    #: format -> symcheck's bytes with the mutated constant
+    MUTATED_BYTES = {
+        "json": ('{\n  "seed": "0",\n  "rows": [\n'
+                 '    {\n      "degree": "3",\n      "draws": "20",\n      "grid": "6",\n      "status": "pass"\n    },\n'
+                 '    {\n      "degree": "4",\n      "draws": "20",\n      "grid": "6",\n      "status": "pass"\n    },\n'
+                 '    {\n      "degree": "5",\n      "draws": "20",\n      "grid": "6",\n      "status": "fail"\n    }\n'
+                 '  ],\n  "verdict": "fail"\n}\n'),
+        "tsv": "degree\tdraws\tgrid\tstatus\n3\t20\t6\tpass\n4\t20\t6\tpass\n5\t20\t6\tfail\n",
+        "text": "degree 3: pass (20 draws, grid 6)\ndegree 4: pass (20 draws, grid 6)\n"
+                "degree 5: fail (20 draws, grid 6)\nverdict: fail\n",
+    }
+
+    @pytest.mark.parametrize("fmt", MUTATED_BYTES)
+    def test_mutated_constant_takes_one_draw_of_its_degree(self, fmt, mutated, monkeypatch, capsys):
+        # only degree 5 has a nonzero projected row, and its first draw,
+        # from the degree's own seed, fails
+        drawn = []
+
+        def counted(degree, rng, *args):
+            drawn.append((degree, random_pairs(degree, rng, *args)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(symmetric_identities, "random_pairs", counted)
+        assert main(["symcheck", "--format", fmt]) == 1
+        assert capsys.readouterr().out == self.MUTATED_BYTES[fmt]
+        assert drawn == [(5, random_pairs(5, random.Random("0:sym5")))]
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_shifted_constant_fails_symcheck_at_the_cap(self, r, monkeypatch, capsys):
