@@ -41,12 +41,6 @@ from .field import (
 )
 from .sequences import ScaledSeq, normalize_egf, normalize_integral
 
-# elementary symmetric functions of the three Binet coefficients
-_E1 = Fraction(0)
-_E2 = Fraction(-1, 22)
-_E3 = Fraction(1, 44)
-
-
 class FamilyKind(str, Enum):
     CPOWER = "cpower"
     COFACTOR_POWER = "cofactor"
@@ -106,11 +100,12 @@ def family_element(fam: PowerFamily) -> FieldElement:
         return c_element() ** n
     if fam.kind is FamilyKind.COFACTOR_POWER:
         return cofactor_element() ** n
+    # the cofactor's embeddings are the pairwise products c_j c_k: their
+    # sum and the sum of their squares are traces, so rational
     if fam.kind is FamilyKind.SUM_COFACTOR_CONST:
-        return FieldElement.constant(_E2**n)
+        return FieldElement.constant(trace(cofactor_element()) ** n)
     if fam.kind is FamilyKind.SUM_COFACTOR_SQ_CONST:
-        # sum of (c_i c_j)^2 over pairs = e2(c)^2 - 2 e1(c) e3(c), stays rational
-        return FieldElement.constant((_E2 * _E2 - 2 * _E1 * _E3) ** n)
+        return FieldElement.constant(trace(cofactor_element() ** 2) ** n)
     if fam.kind is FamilyKind.PAIR_SUM_SQ_POWER:
         c_sq = c_element() ** 2
         pair = FieldElement.constant(trace(c_sq)) - c_sq

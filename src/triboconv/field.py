@@ -260,9 +260,10 @@ def c_element() -> FieldElement:
 
 @lru_cache(maxsize=1)
 def cofactor_element() -> FieldElement:
-    """(1/44)*(-1 + 4x - x^2); at each root its embedding is the product
-    of the other two Binet coefficients."""
-    return Fraction(1, 44) * FieldElement(-1, 4, -1)
+    """norm(c) / c; at each root its embedding is the product of the other
+    two Binet coefficients."""
+    c = c_element()
+    return norm(c) * inverse(c)
 
 
 def sign_at_real_root(q: FieldElement) -> int:

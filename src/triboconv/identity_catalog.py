@@ -53,7 +53,7 @@ from .derivation import (
     derive,  # not called here; perfbench's tracer test wraps this binding
     family_element,
 )
-from .field import c_element, cofactor_element, integral_coeffs, mul_coeffs, norm_coeffs, trace_triple
+from .field import c_element, cofactor_element, integral_coeffs, mul_coeffs, norm, norm_coeffs, trace_triple
 from .sequences import ScaledSeq, TriboSeq, binet_check
 from .symmetric_identities import FREE, TERMS, coeffs
 
@@ -279,7 +279,7 @@ def _draw_point(names, rng: random.Random) -> dict:
 # the power sums together), so each fold keeps its own literals.
 
 C1, ALT, ONE, NORM = (1, 1), ("cof", -1), ("one", 1), ("norm", 1)
-NORM_SCALE = 44
+NORM_SCALE = 1 / norm(c_element())
 # With alpha_i the roots of x^3 - x^2 - x - 1, each block is a sum of
 # exponentials whose exponents are sums of alphas: j*alpha_i for s_j,
 # 1 - alpha_i = alpha_j + alpha_k for e2 (the cofactor family signed by -1,

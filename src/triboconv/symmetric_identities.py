@@ -12,17 +12,18 @@ are given and the dependent coefficients are always recomputed.
 Verification is by deterministic finite-grid evaluation: both sides have
 degree at most d in each of a, b, c, so agreement on a (d+1)^3 integer
 grid is a complete proof of the polynomial identity.  A draw's cleared
-coefficients (den, nums) pass exactly when they are orthogonal to the row
-(-(a+b+c)^d, term values) of every grid point, so to the rows' span.  The
-blocks are symmetric, so sorted points give every row; an integer echelon
-basis of the span, of rank len(DEPENDENT[d]), is built once per (degree,
-grid).  The cleared coefficients are an integer linear map of the draw's
-own (den, den * p for p in FREE[d]), so each draw is checked against the
+coefficients (den, nums), den the lcm of its parameters' denominators,
+pass exactly when they are orthogonal to the row (-(a+b+c)^d, term
+values) of every grid point, so to the rows' span.  The blocks are
+symmetric, so sorted points give every row; an integer echelon basis of
+the span, of rank len(DEPENDENT[d]), is built once per (degree, grid).
+The cleared coefficients are an integer linear map of the draw's own
+(den, den * p for p in FREE[d]), so each draw is checked against the
 basis projected through that map, at most 5 rows of 9 integers, and never
 expands its dependent coefficients.  For the printed constraints the
 projected rows are zero: the family holds at every parameter value, and
-that zero matrix decides the degree with no draw taken.  Draws are taken
-only when a projected row is nonzero.
+that zero matrix decides the degree with no draw taken.  Draws, bounded
+by 10, are taken only when a projected row is nonzero.
 """
 
 from __future__ import annotations
@@ -91,18 +92,19 @@ def _free_pairs(r: int, params: dict) -> list[tuple[int, int]]:
     return [(v.numerator, v.denominator) for v in values]
 
 
-def _constraint_lcm(r: int) -> int:
-    """The lcm of the denominators of DEPENDENT[r]'s constants and forms."""
-    return lcm(*(x.denominator for const, form in DEPENDENT[r].values() for x in (const, *form.values())))
+def _draw_vector(pairs) -> tuple[int, ...]:
+    """(den, den * n / d for each (n, d)): den is the lcm of the d > 0, so
+    an unreduced pair gives a positive multiple of the same vector."""
+    den = lcm(*(d for _, d in pairs))
+    return (den, *(n * (den // d) for n, d in pairs))
 
 
 def _cleared(r: int, params: dict) -> tuple[int, dict]:
-    """(den, den * coefficient of every term by name), exact integers: den
-    is the lcm of the parameter denominators times that of the constraint
-    entries, so every product in the constraints is integral."""
-    pairs = _free_pairs(r, params)
-    den = lcm(*(d for _, d in pairs)) * _constraint_lcm(r)
-    ns = {k: n * (den // d) for k, (n, d) in zip(FREE[r], pairs)}
+    """(den, den * coefficient of every term by name), with den and the free
+    terms read from the draw vector of the free parameters; integers when
+    the constraint entries are, as every printed one is."""
+    den, *nums = _draw_vector(_free_pairs(r, params))
+    ns = dict(zip(FREE[r], nums))
     for k, (const, form) in DEPENDENT[r].items():
         ns[k] = const * den + sum(c * ns[name] for name, c in form.items())
     return den, ns
@@ -152,8 +154,8 @@ def _grid_equations(r: int, grid_size: int) -> tuple[tuple[int, ...], ...]:
 def _projected_equations(r: int, grid_size: int) -> list[list[int]]:
     """Each row of _grid_equations(r, grid_size) times the map from a draw's
     (den, den * p for p in FREE[r]) to its (den, den * coefficient of every
-    term of TERMS[r]), read from DEPENDENT[r]'s constants and forms and
-    cleared by the lcm of their denominators.  A draw passes exactly when
+    term of TERMS[r]), read from DEPENDENT[r]'s constants and forms, so
+    integers for integer constraint entries.  A draw passes exactly when
     every row is orthogonal to its (den, den * p): the map and the row
     associate.  Built per call, because DEPENDENT may change between calls."""
     position = {k: i for i, k in enumerate(TERMS[r], 1)}
@@ -167,18 +169,7 @@ def _projected_equations(r: int, grid_size: int) -> list[list[int]]:
                 for name, c in form.items():
                     row[column[name]] += w * c
         rows.append(row)
-    # an int total means no Fraction entry reached a row
-    if type(sum(map(sum, rows))) is not int:
-        clear = _constraint_lcm(r)
-        rows = [[int(x * clear) for x in row] for row in rows]
     return rows
-
-
-def _draw_vector(pairs) -> tuple[int, ...]:
-    """(den, den * n / d for each (n, d)): den is the lcm of the d > 0, so
-    an unreduced pair gives a positive multiple of the same vector."""
-    den = lcm(*(d for _, d in pairs))
-    return (den, *(n * (den // d) for n, d in pairs))
 
 
 def verify_sym_identity(degree: int, params: dict, grid_size: int) -> bool:
@@ -211,14 +202,8 @@ def verify_draws(degree: int, draws, grid_size: int) -> bool:
     return True
 
 
-def random_pairs(degree: int, rng: random.Random, bound: int = 10) -> list[tuple[int, int]]:
+def random_pairs(degree: int, rng: random.Random) -> list[tuple[int, int]]:
     """Free-parameter draw as (numerator, denominator) pairs in FREE[degree]
-    order, bounded by ``bound``; the pairs are not reduced."""
+    order, numerators in -10..10 over denominators in 1..10, not reduced."""
     _check_degree(degree)
-    return [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in FREE[degree]]
-
-
-def random_params(degree: int, rng: random.Random, bound: int = 10) -> dict[str, Fraction]:
-    """Free-parameter draw with numerators and denominators bounded by ``bound``."""
-    pairs = random_pairs(degree, rng, bound)
-    return {k: Fraction(n, d) for k, (n, d) in zip(FREE[degree], pairs)}
+    return [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in FREE[degree]]

@@ -335,6 +335,16 @@ MUTANTS = [
     Mutant("constant-norm-over-d-squared", CATALOG,
            "Fraction(norm_coeffs(a), d**3)", "Fraction(norm_coeffs(a), d**2)",
            ("tests/test_catalog.py::TestSingleIdentities::test_constants_equal_the_field_computation",)),
+    # the cofactor, S1's and S2's constants and the e3 block's scale are read
+    # from field's c, not typed in
+    Mutant("cofactor-is-norm-times-c", FIELD,
+           "norm(c) * inverse(c)", "norm(c) * c", ("tests/test_derivation.py::TestDeriveTables::test_cofactor",)),
+    Mutant("s1-base-from-trace-of-c", DERIVATION,
+           "trace(cofactor_element())", "trace(c_element())",
+           ("tests/test_derivation.py::TestFamilyElement::test_sum_cofactor_const",)),
+    Mutant("norm-scale-is-norm-of-c", CATALOG,
+           "1 / norm(c_element())", "norm(c_element())",
+           ("tests/test_catalog.py::TestSingleIdentities::test_gt_families",)),
 ]
 
 

@@ -27,7 +27,7 @@ from triboconv.convolution import (
 )
 from triboconv.derivation import FamilyKind, _eventually_positive
 from triboconv.field import trace
-from triboconv.symmetric_identities import DEPENDENT, FREE, TERMS, _blocks, _cleared, _grid_equations
+from triboconv.symmetric_identities import DEPENDENT, FREE, TERMS, _blocks, _grid_equations
 
 
 def compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -226,15 +226,16 @@ def term_rows(r: int, grid_size: int) -> tuple:
 
 
 def verdict_by_cleared(r: int, params: dict, grid_size: int) -> bool:
-    """The draw's cleared coefficients (den, den * coefficient of every term)
-    dotted with every grid equation; oracle for the check on the equations
-    projected onto the free parameters."""
-    den, ns = _cleared(r, params)
-    vector = (den, *(ns[k] for k in TERMS[r]))
+    """The draw's coefficients (1, coefficient of every term), from
+    ``coeffs_by_fractions``, dotted with every grid equation; a positive
+    multiple of the cleared vector, so an oracle for the check on the
+    equations projected onto the free parameters."""
+    cs = coeffs_by_fractions(r, params)
+    vector = (1, *(cs[k] for k in TERMS[r]))
     return all(sum(x * y for x, y in zip(vector, row)) == 0 for row in _grid_equations(r, grid_size))
 
 
 def random_params_by_fractions(r: int, rng, bound: int = 10) -> dict:
     """One Fraction per free parameter, numerator drawn before denominator;
-    oracle for the values of ``random_params`` and ``random_pairs``."""
+    at the default bound, oracle for the values of ``random_pairs``."""
     return {k: Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for k in FREE[r]}

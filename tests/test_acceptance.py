@@ -38,8 +38,8 @@ from triboconv.field import (
 )
 from triboconv.identity_catalog import PAIRSUMSQ_ORACLE, PAIRSUMSQ_PRINTED, verify
 from triboconv.sequences import ScaledSeq, TriboSeq, binet_check
-from triboconv.symmetric_identities import random_params, verify_sym_identity
-from oracles import multinomial_conv_enum, norm_by_newton, plain_conv_enum
+from triboconv.symmetric_identities import verify_sym_identity
+from oracles import multinomial_conv_enum, norm_by_newton, plain_conv_enum, random_params_by_fractions
 from test_derivation import COFACTOR_TABLE, CPOWER_TABLE
 
 
@@ -245,7 +245,7 @@ def test_criterion_8_symmetric_lemmas():
     for degree in (3, 4, 5):
         rng = random.Random(f"acceptance:{degree}")
         ok &= all(
-            verify_sym_identity(degree, random_params(degree, rng), 6) for _ in range(20)
+            verify_sym_identity(degree, random_params_by_fractions(degree, rng), 6) for _ in range(20)
         )
     _line("8 symmetric lemmas, grid g=6, 20 fixed-seed draws each", ok)
     assert ok

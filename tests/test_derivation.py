@@ -72,6 +72,14 @@ class TestFamilyElement:
         assert elt == FieldElement.constant(F(1, 484))
         assert trace(cofactor_element() ** 2) == F(1, 484)
 
+    def test_sum_cofactor_constants_follow_the_cofactor(self, monkeypatch):
+        # both constants are read from field's cofactor: doubling it doubles
+        # the sum of its embeddings and quadruples the sum of their squares
+        doubled = 2 * cofactor_element()
+        monkeypatch.setattr(derivation, "cofactor_element", lambda: doubled)
+        assert family_element(SumCofactorConst(1)) == FieldElement.constant(F(-1, 11))
+        assert family_element(SumCofactorSqConst(1)) == FieldElement.constant(F(1, 121))
+
     def test_pair_sum_sq_alpha_embedding(self):
         # the element is trace(c^2) - c^2, whose alpha embedding is c2^2 + c3^2
         c2 = c_element() ** 2

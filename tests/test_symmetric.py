@@ -20,14 +20,12 @@ from triboconv.symmetric_identities import (
     FREE,
     TERMS,
     _blocks,
-    _cleared,
     _combine,
     _draw_vector,
     _grid_equations,
     _projected_equations,
     coeffs,
     random_pairs,
-    random_params,
     rhs,
     verify_draws,
     verify_sym_identity,
@@ -88,13 +86,13 @@ class TestGridCertification:
 
     def test_quintic_fixed_seed_random(self):
         rng = random.Random(7)
-        assert verify_sym_identity(5, random_params(5, rng), 6)
+        assert verify_sym_identity(5, random_params_by_fractions(5, rng), 6)
 
     @pytest.mark.parametrize("degree", [3, 4, 5])
     def test_twenty_fixed_seed_draws(self, degree):
         rng = random.Random(f"grid:{degree}")
         for _ in range(20):
-            assert verify_sym_identity(degree, random_params(degree, rng), 6)
+            assert verify_sym_identity(degree, random_params_by_fractions(degree, rng), 6)
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +110,7 @@ class TestGridCertification:
         with pytest.raises(ValueError):
             verify_sym_identity(degree, {}, degree + 1)
         with pytest.raises(ValueError):
-            random_params(degree, random.Random(0))
+            random_pairs(degree, random.Random(0))
 
 
 def _fraction_grid(r, params, grid_size):
@@ -145,7 +143,7 @@ class TestIntegerGrid:
     def test_seeded_draws_agree_with_fractions(self, r):
         rng = random.Random(f"oracle:{r}")
         for _ in range(5):
-            params = random_params(r, rng, bound=10**6)
+            params = random_params_by_fractions(r, rng, bound=10**6)
             assert verify_sym_identity(r, params, 6) is _fraction_grid(r, params, 6) is True
 
     def test_coprime_denominators_agree_with_fractions(self):
@@ -155,7 +153,7 @@ class TestIntegerGrid:
     def test_constraint_shifted_by_a_small_fraction_fails_both(self, r, term, monkeypatch):
         const, form = DEPENDENT[r][term]
         monkeypatch.setitem(DEPENDENT[r], term, (const + F(1, 9973), form))
-        params = COPRIME_DRAW if r == 5 else random_params(r, random.Random(r))
+        params = COPRIME_DRAW if r == 5 else random_params_by_fractions(r, random.Random(r))
         assert verify_sym_identity(r, params, 6) is _fraction_grid(r, params, 6) is False
 
 
@@ -167,21 +165,17 @@ class TestIntegerCoefficients:
     def test_seeded_draws_match_the_fraction_loop(self, r):
         rng = random.Random(f"cleared:{r}")
         for _ in range(20):
-            params = random_params(r, rng, bound=10**6)
+            params = random_params_by_fractions(r, rng, bound=10**6)
             assert coeffs(r, params) == coeffs_by_fractions(r, params)
 
     def test_coprime_draw_matches_the_fraction_loop(self):
         assert coeffs(5, COPRIME_DRAW) == coeffs_by_fractions(5, COPRIME_DRAW)
 
-    def test_fraction_constraint_entries_stay_integral(self, monkeypatch):
-        # a Fraction constant and a Fraction coefficient of a Fraction
-        # parameter: with den the lcm of all denominators, 1/3 * (den / 3)
-        # would not be an integer
+    def test_fraction_constraint_entries_match_the_fraction_loop(self, monkeypatch):
+        # a Fraction constant and a Fraction coefficient of a Fraction parameter
         const, form = DEPENDENT[4]["A"]
         monkeypatch.setitem(DEPENDENT[4], "A", (const + F(1, 9973), {**form, "D": F(1, 3)}))
         params = {"D": F(1, 3), "E": F(2, 9973), "H": F(-5, 7)}
-        den, ns = _cleared(4, params)
-        assert all(F(n).denominator == 1 for n in ns.values())
         assert coeffs(4, params) == coeffs_by_fractions(4, params)
 
 
@@ -288,9 +282,7 @@ class TestProjectedEquations:
     def test_a_shifted_constant_makes_column_0_nonzero(self, r, term, shift, monkeypatch):
         const, form = DEPENDENT[r][term]
         monkeypatch.setitem(DEPENDENT[r], term, (const + shift, form))
-        rows = _projected_equations(r, 6)
-        assert all(type(x) is int for row in rows for x in row)
-        assert _columns_nonzero(rows, r) == [True, *(False for _ in FREE[r])]
+        assert _columns_nonzero(_projected_equations(r, 6), r) == [True, *(False for _ in FREE[r])]
 
     @pytest.mark.parametrize("r,term,name", [(r, k, n) for r in (3, 4, 5) for k, (_, form) in DEPENDENT[r].items()
                                              for n in form])
@@ -329,7 +321,7 @@ class TestProjectedVerdict:
         _move(monkeypatch, r, *FAMILIES[family])
         rng = random.Random(f"projected:{r}")
         for _ in range(5):
-            params = random_params(r, rng, bound=10**6)
+            params = random_params_by_fractions(r, rng, bound=10**6)
             expected = verdict_by_cleared(r, params, 6)
             assert expected is (family == "printed")
             assert verify_sym_identity(r, params, 6) is verify_draws(r, [_pairs(r, params)], 6) is expected
@@ -346,7 +338,7 @@ class TestProjectedVerdict:
     def test_a_family_moved_through_the_draw_passes_only_there(self, r, name, monkeypatch):
         # the first constraint's constant falls by p and its coefficient of
         # name rises by 1: its term keeps its value at the draw only
-        params = COPRIME_DRAW if r == 5 else random_params(r, random.Random(f"through:{r}"))
+        params = COPRIME_DRAW if r == 5 else random_params_by_fractions(r, random.Random(f"through:{r}"))
         term, (const, form) = next(iter(DEPENDENT[r].items()))
         p = params.get(name, 0)
         monkeypatch.setitem(DEPENDENT[r], term, (const - p, {**form, name: form.get(name, 0) + 1}))
@@ -401,12 +393,12 @@ class TestProjectedVerdict:
             assert verify_draws(r, [scaled], 6) is verify_draws(r, [pairs], 6) is verdict_by_cleared(r, params, 6)
 
     @pytest.mark.parametrize("degree", [3, 4, 5])
-    def test_cli_draws_reduce_to_random_params(self, degree):
+    def test_cli_draws_reduce_to_the_fraction_draws(self, degree):
         seed = f"0:sym{degree}"
-        pair_rng, param_rng, oracle_rng = (random.Random(seed) for _ in range(3))
+        pair_rng, oracle_rng = random.Random(seed), random.Random(seed)
         for _ in range(20):
             drawn = {k: F(a, b) for k, (a, b) in zip(FREE[degree], random_pairs(degree, pair_rng))}
-            assert drawn == random_params(degree, param_rng) == random_params_by_fractions(degree, oracle_rng)
+            assert drawn == random_params_by_fractions(degree, oracle_rng)
 
     def test_draws_stop_at_the_first_failing_draw(self, monkeypatch):
         _move(monkeypatch, 4, 1)
@@ -449,7 +441,7 @@ class TestFailurePath:
 
     def test_mutated_constant_fails_grid(self, mutated):
         assert DEPENDENT[5]["A"][0] == -13
-        assert not verify_sym_identity(5, random_params(5, random.Random(7)), 6)
+        assert not verify_sym_identity(5, random_params_by_fractions(5, random.Random(7)), 6)
 
     def test_mutated_constant_fails_symcheck(self, mutated, capsys):
         assert main(["symcheck", "--format", "json"]) == 1
@@ -476,8 +468,8 @@ class TestFailurePath:
         # from the degree's own seed, fails
         drawn = []
 
-        def counted(degree, rng, *args):
-            drawn.append((degree, random_pairs(degree, rng, *args)))
+        def counted(degree, rng):
+            drawn.append((degree, random_pairs(degree, rng)))
             return drawn[-1][1]
 
         monkeypatch.setattr(symmetric_identities, "random_pairs", counted)
