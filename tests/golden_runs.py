@@ -51,6 +51,18 @@ CLI_SHA256 |= {
     "derive_pairsumsq_2000_replicate.json": ["derive", "pairsumsq", "2000", "--replicate-paper", "--format", "json"],
     "symcheck_seed0_draws100_grid12.json": ["symcheck", "--seed", "0", "--draws", "100", "--grid", "12", "--format", "json"],
 }
+# derive --replicate-paper at the range cap in the other two formats
+for _family in ("cpower", "cofactor", "pairsumsq"):
+    for _fmt, _ext in (("tsv", "tsv"), ("text", "txt")):
+        CLI_SHA256[f"derive_{_family}_2000_replicate.{_ext}"] = [
+            "derive", _family, "2000", "--replicate-paper", "--format", _fmt]
+# JSON rows without a replay, and conjecture's one-row document
+CLI_SHA256 |= {
+    "derive_cofactor_2000.json": ["derive", "cofactor", "2000", "--format", "json"],
+    "derive_sumcofactor_60.json": ["derive", "sumcofactor", "60", "--format", "json"],
+    "derive_sumcofactorsq_60.json": ["derive", "sumcofactorsq", "60", "--format", "json"],
+    "conjecture_1.json": ["conjecture", "1", "--format", "json"],
+}
 # symcheck at the draw and grid caps, in every format
 for _fmt, _ext in (("json", "json"), ("tsv", "tsv"), ("text", "txt")):
     CLI_SHA256[f"symcheck_seed0_draws2000_grid12.{_ext}"] = [

@@ -16,9 +16,11 @@ cli_sha256.json pins by digest the CLI bytes, too large to check in
 whole, of `conjecture` and `derive --replicate-paper` at the sizes of the
 scale_audit benchmark in each format, of `conjecture` at the range cap
 (2000) in each format, of `derive --replicate-paper` for each replicable
-family at the range cap, of `verify P1`, `P2` and `T1` at the range
-cap in each format, and of `symcheck` at the grid cap (100 draws in
-json, and the draw cap in each format).  Regenerate
+family at the range cap in each format, of the JSON rows without a
+replay (`derive cofactor 2000`, `derive sumcofactor 60` and `derive
+sumcofactorsq 60`) and of `conjecture 1` in json, of `verify P1`, `P2`
+and `T1` at the range cap in each format, and of `symcheck` at the grid
+cap (100 draws in json, and the draw cap in each format).  Regenerate
 them deliberately, after an intended change of output, with:
 
     PYTHONPATH=src python tests/test_golden.py
