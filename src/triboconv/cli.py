@@ -5,6 +5,13 @@ Exit codes: 0 all expected-pass checks passed, 1 unexpected verification
 failure, 2 usage error.  Every number is serialized as a decimal string
 (values routinely exceed native number ranges in report consumers), and
 equal arguments yield byte-identical output.
+
+Every report is written by ``_render``, and its JSON has the bytes of
+``json.dumps(doc, indent=2)``.  ``seq``, ``verify`` and ``symcheck`` build
+the document and ``_json`` writes it.  ``derive`` and ``conjecture`` write
+tables of up to DEFAULT_RANGE_CAP rows, so ``_json_table`` writes each row
+in one pass from the row's strings, into a layout built once per row shape
+(``_row_layout``); ``_json`` writes only the fixed text around the rows.
 """
 
 from __future__ import annotations
@@ -82,13 +89,52 @@ def _write_stdout(text: str) -> None:
         raise UsageError(f"cannot write standard output: {exc.strerror or exc}")
 
 
-def _render(args, doc, cells, lines) -> None:
-    """Write one report in ``args.format`` to stdout or ``--out``: ``doc()``
-    as JSON, ``cells()`` (header first) as TSV, or ``lines()`` as text.
-    Only the producer of the asked-for format is called.  An unwritable
-    path or standard output is a usage error."""
+#: stands for a value in a sample table row; _quote leaves it as it is, and
+#: no key of a report holds it
+_SLOT = "@"
+#: where a table row starts: an item of its report's top-level "rows" list
+_ROW_INDENT = "\n    "
+
+
+def _row_layout(row: dict) -> list:
+    """The text of the sample table ``row`` as ``_json`` writes it in a
+    report's "rows" list, cut at each value that is _SLOT: the pieces, with
+    a None in each value's place.  A row shape's layout is built once."""
+    pieces = _json(row, _ROW_INDENT).split(_SLOT)
+    layout = [None] * (2 * len(pieces) - 1)
+    layout[::2] = pieces
+    return layout
+
+
+def _json_table(doc: dict) -> str:
+    """``_json(doc)`` for a table report whose "rows" are (layout, values)
+    pairs: each row is its layout with the values put in its places in
+    order, with no dict and no recursion, and the whole report is one join,
+    so a table of large values is copied once.  A value is a decimal string
+    from str(int) or str(Fraction), or true or false; JSON writes "-",
+    digits and "/" as they are, so it goes between the layout's quotes
+    without a scan.  A note goes in as ``_quote(note)[1:-1]``.  join raises
+    TypeError on a value that is not a str, as _json does."""
+    head, tail = _json({**doc, "rows": _SLOT}).split(_quote(_SLOT))
+    if not doc["rows"]:
+        return head + "[]" + tail
+    parts = [head, "[" + _ROW_INDENT]
+    for layout, values in doc["rows"]:
+        row = layout.copy()
+        row[1::2] = values
+        parts += row
+        parts.append("," + _ROW_INDENT)
+    parts[-1] = "\n  ]" + tail
+    return "".join(parts)
+
+
+def _render(args, json_text, cells, lines) -> None:
+    """Write one report in ``args.format`` to stdout or ``--out``:
+    ``json_text()`` as JSON, ``cells()`` (header first) as TSV, or
+    ``lines()`` as text.  Only the producer of the asked-for format is
+    called.  An unwritable path or standard output is a usage error."""
     if args.format == "json":
-        text = _json(doc()) + "\n"
+        text = json_text() + "\n"
     elif args.format == "tsv":
         text = "".join("\t".join(row) + "\n" for row in cells())
     else:
@@ -109,7 +155,7 @@ def _cmd_seq(args) -> int:
     triple = _parse_triple(args.triple)
     _check_count("count", args.count)
     terms = [str(v) for v in TriboSeq(*triple).terms(args.count)]
-    _render(args, lambda: {"triple": [str(v) for v in triple], "terms": terms},
+    _render(args, lambda: _json({"triple": [str(v) for v in triple], "terms": terms}),
             lambda: [["k", "term"], *([str(k), t] for k, t in enumerate(terms))],
             lambda: [" ".join(terms)])
     return 0
@@ -120,26 +166,35 @@ def _cmd_seq(args) -> int:
 _FAMILIES = {kind.value: kind for kind in derivation.FamilyKind}
 
 
-def _cmd_derive(args) -> int:
-    kind = _FAMILIES.get(args.family)
-    if kind is None:
-        raise UsageError(
-            f"unknown family {args.family!r} (choose from {', '.join(sorted(_FAMILIES))})"
-        )
-    _check_count("n_max", args.n_max)
-    if args.replicate_paper and kind not in derivation.REPLICABLE_KINDS:
-        raise UsageError(f"no printed recursion to replicate for {args.family}")
-    direct = derivation.derive_table(kind, args.n_max)
-    replicated = derivation.replicate_paper_table(kind, direct) if args.replicate_paper else []
-    # per row: the direct strings, the match string or None, the replayed
-    # strings or None, and the one note that applies: the replay's when it
-    # has no replicated value, else the non-integral one
+@functools.cache
+def _derive_layout(noted: bool, matched: bool, replayed: bool) -> list:
+    """The layout of a ``derive`` row with a note, a match and a replayed
+    value or not.  A row whose replay has a match but no value shows
+    ``"replicated": null``, its match and its note last."""
+    row = {"n": _SLOT, "A": _SLOT, "triple": [_SLOT] * 3}
+    if matched and not replayed:
+        row.update(replicated=None, match=_SLOT, note=_SLOT if noted else None)
+    else:
+        if noted:
+            row["note"] = _SLOT
+        if replayed:
+            row.update(replicated={"A": _SLOT, "triple": [_SLOT] * 3}, match=_SLOT)
+    return _row_layout(row)
+
+
+def _derive_entries(kind, n_max: int, replicate: bool) -> list[tuple]:
+    """Per row of the family's table to ``n_max``: the n, scale and triple
+    strings, the match string or None, the replayed (scale, triple)
+    strings or None, and the one note that applies: the replay's when it
+    has no replicated value, else the non-integral one."""
+    direct = derivation.derive_table(kind, n_max)
+    replicated = derivation.replicate_paper_table(kind, direct) if replicate else []
     entries = []
     for n, scaled in enumerate(direct, start=1):
         scale, triple = str(scaled.scale), [str(v) for v in scaled.triple]
         note = None if scaled.integral else "non-integral scale"
         match = rep = None
-        if args.replicate_paper and n >= 2:
+        if replicate and n >= 2:
             result = replicated[n - 2]
             match = "true" if result.match else "false"
             if result.recursive is None:
@@ -152,20 +207,35 @@ def _cmd_derive(args) -> int:
                 rep = (scale if r.scale == scaled.scale else str(r.scale),
                        [t if v == w else str(v) for t, v, w in zip(triple, r.triple, scaled.triple)])
         entries.append((str(n), scale, triple, match, rep, note))
+    return entries
 
-    def doc():
+
+def _cmd_derive(args) -> int:
+    kind = _FAMILIES.get(args.family)
+    if kind is None:
+        raise UsageError(
+            f"unknown family {args.family!r} (choose from {', '.join(sorted(_FAMILIES))})"
+        )
+    _check_count("n_max", args.n_max)
+    if args.replicate_paper and kind not in derivation.REPLICABLE_KINDS:
+        raise UsageError(f"no printed recursion to replicate for {args.family}")
+    entries = _derive_entries(kind, args.n_max, args.replicate_paper)
+
+    def json_text():
         rows = []
         for n, scale, triple, match, rep, note in entries:
-            row = {"n": n, "A": scale, "triple": triple}
+            # the values in _derive_layout's order
+            values = [n, scale, *triple]
+            quoted = None if note is None else _quote(note)[1:-1]
             if match is not None and rep is None:
-                row.update(replicated=None, match=match, note=note)
+                values += [match] if quoted is None else [match, quoted]
             else:
-                if note is not None:
-                    row["note"] = note
+                if quoted is not None:
+                    values.append(quoted)
                 if rep is not None:
-                    row.update(replicated={"A": rep[0], "triple": rep[1]}, match=match)
-            rows.append(row)
-        return {"family": args.family, "rows": rows}
+                    values += [rep[0], *rep[1], match]
+            rows.append((_derive_layout(note is not None, match is not None, rep is not None), values))
+        return _json_table({"family": args.family, "rows": rows})
 
     def cells():
         header = ["n", "A", "s0", "s1", "s2"]
@@ -188,7 +258,7 @@ def _cmd_derive(args) -> int:
             out.append(line)
         return out
 
-    _render(args, doc, cells, lines)
+    _render(args, json_text, cells, lines)
     return 0
 
 
@@ -237,7 +307,7 @@ def _cmd_verify(args) -> int:
         )
         return out
 
-    _render(args, lambda: doc, cells, lines)
+    _render(args, lambda: _json(doc), cells, lines)
     return 0 if doc["summary"]["verdict"] == "pass" else 1
 
 
@@ -254,7 +324,12 @@ def _cmd_conjecture(args) -> int:
         cofactor = cpower if row.equal else str(row.cofactor_scale)
         entries.append([str(row.n), cpower, cofactor, "true" if row.equal else "false"])
     verdict = "all-equal" if report.all_equal else "counterexample-found"
-    _render(args, lambda: {"rows": [dict(zip(header, e)) for e in entries], "verdict": verdict},
+
+    def json_text():
+        layout = _row_layout(dict.fromkeys(header, _SLOT))
+        return _json_table({"rows": [(layout, e) for e in entries], "verdict": verdict})
+
+    _render(args, json_text,
             lambda: [header, *entries],
             lambda: [*(f"n={n}: {cpower} == {cofactor} -> {equal}" for n, cpower, cofactor, equal in entries),
                      f"verdict: {verdict}"])
@@ -288,8 +363,8 @@ def _cmd_symcheck(args) -> int:
         cells.append([str(degree), str(args.draws), str(args.grid), "pass" if ok else "fail"])
     verdict = "pass" if all(c[3] == "pass" for c in cells) else "fail"
     _render(args,
-            lambda: {"seed": str(args.seed), "rows": [dict(zip(header, c)) for c in cells],
-                     "verdict": verdict},
+            lambda: _json({"seed": str(args.seed), "rows": [dict(zip(header, c)) for c in cells],
+                           "verdict": verdict}),
             lambda: [header, *cells],
             lambda: [*(f"degree {d}: {status} ({n} draws, grid {g})" for d, n, g, status in cells),
                      f"verdict: {verdict}"])

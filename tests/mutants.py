@@ -307,6 +307,20 @@ MUTANTS = [
     Mutant("json-string-list-takes-none-as-a-string", CLI,
            "map(_quote, value)", 'map(lambda item: _quote("None" if item is None else item), value)',
            ("tests/test_cli.py::TestJsonWriter",)),
+    # the derive and conjecture table rows, each its layout with the row's
+    # values put in its places in one pass
+    Mutant("table-row-drops-a-stopped-note", CLI,
+           "values += [match] if quoted is None else [match, quoted]", "values += [match]",
+           ("tests/test_cli.py::TestDeriveVanishedDenominator::test_vanished_row_bytes[json]",
+            "tests/test_cli.py::TestTableRows::test_a_stopped_replay_equals_the_dict_document")),
+    Mutant("table-row-mismatched-replay-with-the-direct-strings", CLI,
+           "values += [rep[0], *rep[1], match]", "values += [rep[0], *triple, match]",
+           ("tests/test_cli.py::TestDerive::test_a_replayed_value_off_the_direct_one_is_printed",
+            "tests/test_cli.py::TestTableRows::test_every_table_to_60_equals_the_dict_document[pairsumsq-True]")),
+    Mutant("table-row-one-indent-level-off", CLI,
+           "pieces = _json(row, _ROW_INDENT).split(_SLOT)", 'pieces = _json(row, _ROW_INDENT + "  ").split(_SLOT)',
+           ("tests/test_cli.py::TestTableRows::test_every_table_to_60_equals_the_dict_document",
+            "tests/test_cli.py::TestTableRows::test_every_conjecture_to_60_equals_the_dict_document")),
     # a start-up that imports neither the json package nor typing, and tuple
     # records that take no attribute besides their fields
     Mutant("cli-quoter-from-the-json-package", CLI,

@@ -290,6 +290,92 @@ class TestJsonWriter:
             assert (cli._json(doc) + "\n").encode() == path.read_bytes()
 
 
+class TestTableRows:
+    """``derive`` and ``conjecture`` write each table row in one pass; the
+    bytes are those of json.dumps(indent=2) on the dict document that
+    they built before, kept here as the oracle."""
+
+    FAMILIES = sorted(cli._FAMILIES)
+    REPLICABLE = sorted(kind.value for kind in derivation.REPLICABLE_KINDS)
+    RUNS = [(family, False) for family in FAMILIES] + [(family, True) for family in REPLICABLE]
+    # a stopped replay's note, with a quote, a backslash and non-ASCII text
+    NOTE = 'printed denominator "d" vanished \\ é'
+
+    @staticmethod
+    def derive_doc(family, entries):
+        rows = []
+        for n, scale, triple, match, rep, note in entries:
+            row = {"n": n, "A": scale, "triple": triple}
+            if match is not None and rep is None:
+                row.update(replicated=None, match=match, note=note)
+            else:
+                if note is not None:
+                    row["note"] = note
+                if rep is not None:
+                    row.update(replicated={"A": rep[0], "triple": rep[1]}, match=match)
+            rows.append(row)
+        return {"family": family, "rows": rows}
+
+    def rows_to(self, last, family, replicate, capsys):
+        """The rows of the table to ``last`` after checking each table to
+        1..``last`` against its dict document."""
+        for n_max in range(1, last + 1):
+            argv = ["derive", family, str(n_max), "--format", "json", *(["--replicate-paper"] if replicate else [])]
+            assert main(argv) == 0
+            doc = self.derive_doc(family, cli._derive_entries(cli._FAMILIES[family], n_max, replicate))
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n", n_max
+        return doc["rows"]
+
+    @pytest.mark.parametrize("family,replicate", RUNS)
+    def test_every_table_to_60_equals_the_dict_document(self, family, replicate, capsys):
+        rows = self.rows_to(60, family, replicate, capsys)
+        if replicate:
+            # the printed pair-sum-square recursion is wrong from n = 2 on
+            assert {row["match"] for row in rows[1:]} == {"true" if family != "pairsumsq" else "false"}
+
+    @pytest.mark.parametrize("note", [NOTE, "", None])
+    @pytest.mark.parametrize("family", REPLICABLE)
+    def test_a_stopped_replay_equals_the_dict_document(self, family, note, capsys, monkeypatch):
+        real = derivation.replicate_paper_table
+
+        def stopping_at_odd_n(kind, direct):
+            return [derivation.PrintedRecursionResult(r.family, r.direct, None, False, note=note) if n % 2 else r
+                    for n, r in enumerate(real(kind, direct), start=2)]
+
+        monkeypatch.setattr(derivation, "replicate_paper_table", stopping_at_odd_n)
+        rows = self.rows_to(12, family, True, capsys)
+        assert [row["replicated"] is None for row in rows[1:]] == [n % 2 == 1 for n in range(2, 13)]
+
+    @pytest.mark.parametrize("family,replicate", RUNS)
+    def test_a_non_integral_scale_equals_the_dict_document(self, family, replicate, capsys, monkeypatch):
+        real = derivation.derive_table
+
+        def off_by_a_half_at_odd_n(kind, n_max):
+            return [derivation.ScaledSeq(row.scale + Fraction(n % 2, 2), row.triple)
+                    for n, row in enumerate(real(kind, n_max), start=1)]
+
+        monkeypatch.setattr(derivation, "derive_table", off_by_a_half_at_odd_n)
+        rows = self.rows_to(12, family, replicate, capsys)
+        assert [row.get("note") for row in rows] == [None if n % 2 == 0 else "non-integral scale" for n in range(1, 13)]
+
+    def test_every_conjecture_to_60_equals_the_dict_document(self, capsys):
+        header = ["n", "cpower_scale_2n", "cofactor_scale_n", "equal"]
+        for n_max in range(1, 61):
+            assert main(["conjecture", str(n_max), "--format", "json"]) == 0
+            report = derivation.conjecture_check(n_max)
+            rows = [dict(zip(header, (str(r.n), str(r.cpower_scale), str(r.cofactor_scale),
+                                      "true" if r.equal else "false"))) for r in report.rows]
+            doc = {"rows": rows, "verdict": "all-equal" if report.all_equal else "counterexample-found"}
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("cell", [1, Fraction(1, 2), None, b"1", ["1"]])
+    def test_a_cell_that_is_not_a_str_is_rejected(self, cell):
+        values = ["2", "22", "2", "3", "10"]
+        values[1] = cell
+        with pytest.raises(TypeError):
+            cli._json_table({"family": "cpower", "rows": [(cli._derive_layout(False, False, False), values)]})
+
+
 class TestSymcheck:
     def test_default_grid_passes(self, capsys):
         assert main(["symcheck", "--draws", "3"]) == 0
